@@ -257,7 +257,9 @@ def build_parser() -> _Parser:
         p.add_argument("--cache", default=None,
                        help=f"Gram cache file (default: ${CACHE_DIR_ENV}/{_DEFAULT_CACHE_NAME})")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=_default_threads())
+        p.add_argument("--threads", type=int, default=_default_threads(),
+                       help="worker threads for truncated (--N) entries; "
+                            "closed-form entries are computed on one thread")
 
     p_dist = sub.add_parser("distance", help="distance from the constant sequence to the span")
     common(p_dist)

@@ -10,10 +10,11 @@ cutoff L. The squared distance d2(L) is computed by two independent routes:
     the constant sequence) to the plain one, via factorization
     log-determinants.
 
-Gram entries come from the closed form in seqspace and are memoized in a
-GramStore, which persists to a small binary format (see GramStore.save)
-and exports CSV. A Moebius-weighted approximant residual and a sweep
-driver with the asymptotic diagnostic d2 * log L round out the module.
+Gram entries come from the closed form in seqspace (or, with n_trunc, from
+truncated sums) and are memoized in a GramStore, which persists to a small
+binary format (see GramStore.save) and exports CSV. A Moebius-weighted
+approximant residual and a sweep driver with the asymptotic diagnostic
+d2 * log L round out the module.
 
 The sequence with denominator 1 is identically zero; bases that include it
 produce a singular Gram matrix, so solvers prune exactly-zero columns (and
@@ -24,6 +25,7 @@ what was pruned.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import struct
 import threading
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 
-from .arith import MoebiusTable, lcm, sieve_moebius
+from .arith import MoebiusTable, sieve_moebius
 from .errors import CacheError, ConditioningError, DomainError
 from .seqspace import (
     DEFAULT_WEIGHT,
@@ -44,6 +46,7 @@ from .seqspace import (
     InnerProductResult,
     WeightScheme,
     inner_product_closed,
+    inner_products_closed_row,
     inner_product_truncated,
 )
 from .specfun import digamma
@@ -99,7 +102,7 @@ class BasisSelection:
 # Gram store and binary cache
 
 _MAGIC = b"NBBG"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _HEADER = struct.Struct("<4sIIQ")
 _RECORD = struct.Struct("<QQddB")
 _TRAILER = struct.Struct("<I")
@@ -136,6 +139,11 @@ class GramStore:
         with self._lock:
             self._entries[self._key(i, j)] = result
 
+    def put_many(self, items: Iterable[tuple[int, int, InnerProductResult]]) -> None:
+        keyed = [(self._key(i, j), result) for i, j, result in items]
+        with self._lock:
+            self._entries.update(keyed)
+
     def ensure(
         self, i: int, j: int, compute: Callable[[int, int], InnerProductResult]
     ) -> InnerProductResult:
@@ -147,6 +155,11 @@ class GramStore:
         result = compute(*key)
         with self._lock:
             return self._entries.setdefault(key, result)
+
+    def missing(self, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """The pairs (i <= j) of `pairs` that the store does not hold yet."""
+        with self._lock:
+            return [key for key in pairs if key not in self._entries]
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         with self._lock:
@@ -211,11 +224,6 @@ def _sequence_for(key: int) -> FractionalSequence:
     return FractionalSequence.of(key)
 
 
-def _pair_cost(i: int, j: int) -> int:
-    a, b = max(i, 1), max(j, 1)
-    return lcm(a, b)
-
-
 def _make_entry_fn(
     n_trunc: Optional[int], weight: WeightScheme
 ) -> Callable[[int, int], InnerProductResult]:
@@ -228,6 +236,17 @@ def _make_entry_fn(
     return compute
 
 
+def _fill_closed(store: GramStore, todo: list[tuple[int, int]]) -> None:
+    """Closed-form entries for `todo` (pairs i <= j), one row i at a time."""
+    for i, row in itertools.groupby(todo, key=lambda ij: ij[0]):
+        js = [j for _, j in row]
+        values = inner_products_closed_row(i, js)
+        store.put_many(
+            (i, j, InnerProductResult(value=float(v), method="closed", error_bound=0.0))
+            for j, v in zip(js, values)
+        )
+
+
 def assemble_gram(
     L: int,
     basis: BasisSelection = BasisSelection(),
@@ -238,10 +257,12 @@ def assemble_gram(
 ) -> GramStore:
     """Fill `store` with every basis pair (i <= j) for the given cutoff.
 
-    Pairs already present are not recomputed. The fill may run on several
-    threads; each entry depends only on its own key, so the result is
-    independent of the schedule. Pairs are ordered by lcm so consecutive
-    computations share the cached residue-class weights.
+    Pairs already present are not recomputed, and a call with nothing
+    missing does no other work. Closed-form entries (n_trunc None) are
+    computed row by row, vectorized across the second denominator, on the
+    calling thread; `threads` applies only to truncated entries, which run
+    one pair per task on a thread pool. Each entry depends only on its own
+    key, so the result is independent of the schedule and the batch.
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
@@ -252,14 +273,15 @@ def assemble_gram(
             f"store holds weight id {store.weight_id}, asked to fill with {weight.weight_id}"
         )
     denoms = basis.denominators(L)
+    todo = store.missing(
+        (denoms[p], denoms[q]) for p in range(len(denoms)) for q in range(p, len(denoms))
+    )
+    if not todo:
+        return store
+    if n_trunc is None and weight.is_default:
+        _fill_closed(store, todo)
+        return store
     compute = _make_entry_fn(n_trunc, weight)
-    todo = [
-        (denoms[p], denoms[q])
-        for p in range(len(denoms))
-        for q in range(p, len(denoms))
-        if (denoms[p], denoms[q]) not in store
-    ]
-    todo.sort(key=lambda ij: _pair_cost(*ij))
     if threads > 1 and len(todo) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda ij: store.ensure(ij[0], ij[1], compute), todo))

@@ -10,11 +10,16 @@ sum |a_n|^2 w(n) finite, default weight w(n) = 1/(n(n+1)). The key players:
 The interval (1/(n+1), 1/n] has length exactly 1/(n(n+1)), so reading a step
 function at the points 1/n is a unitary map onto the sequence space. Inner
 products of fractional-part sequences are available through two independent
-routes: compensated truncated summation, and a closed form that groups terms
-by residue class modulo the lcm of the denominators and telescopes each
-class into a difference of digamma values:
+routes: compensated truncated summation, and a closed form. The closed form
+applies Abel summation, <f, h> = sum_n (c_n - c_{n-1}) / n with
+c_n = frac(n/a) frac(n/b), and splits the differences into periodic pieces
+with periods a, b, a/g and b/g (g = gcd(a, b)). Each piece is summed with the
+regularized identity for a p-periodic f,
 
-    sum_{k>=0} 1/((kP+r)(kP+r+1)) = (psi((r+1)/P) - psi(r/P)) / P.
+    "sum_n f(n)/n" = -(1/p) sum_{r=1..p} f(r) psi(r/p) - mean(f) log p,
+
+which leaves O(a + b) digamma-weighted terms per entry; see
+`inner_product_closed` for the resulting formula.
 
 Fractional parts are always computed in integer arithmetic, (n mod l)/l,
 never by flooring a floating-point quotient.
@@ -23,13 +28,13 @@ never by flooring a floating-point quotient.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .arith import lcm
 from .errors import DomainError, UnsupportedWeightError
 from .specfun import digamma_array
 from .summation import compensated_sum
@@ -101,21 +106,6 @@ def _default_weight_values(n_trunc: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=8)
-def _residue_class_weights(period: int) -> np.ndarray:
-    """Total weight of each residue class r mod period, r = 1..period.
-
-    sum_{k>=0} 1/((k*period+r)(k*period+r+1)) telescopes against the digamma
-    recurrence to (psi((r+1)/period) - psi(r/period)) / period. Cached because
-    Gram assembly revisits the same period for many denominator pairs.
-    """
-    r = np.arange(1, period + 2, dtype=np.float64)
-    psi = digamma_array(r / period)
-    w = (psi[1:] - psi[:-1]) / period
-    w.flags.writeable = False
-    return w
-
-
 # ---------------------------------------------------------------------------
 # sequences
 
@@ -164,10 +154,6 @@ class FractionalSequence:
         n = np.arange(1, n_trunc + 1, dtype=np.int64)
         return (n % self.denominator) / float(self.denominator)
 
-    def residue_values(self, period: int) -> np.ndarray:
-        """Terms at n = 1..period (one full period must divide `period`)."""
-        return self.values_upto(period)
-
 
 SequenceLike = Union[FractionalSequence, "StepSequence"]
 
@@ -180,7 +166,7 @@ SequenceLike = Union[FractionalSequence, "StepSequence"]
 class InnerProductResult:
     """Value of an inner product plus how it was obtained.
 
-    method is "closed" (residue-class digamma formula, error_bound 0 up to
+    method is "closed" (Abel-summation digamma formula, error_bound 0 up to
     evaluator accuracy) or "truncated" (compensated partial sum; error_bound
     is the certified weight tail times the term bounds).
     """
@@ -214,6 +200,86 @@ def inner_product_truncated(
     return InnerProductResult(value=value, method="truncated", error_bound=bound)
 
 
+# Euler's constant, gamma = -psi(1).
+_EULER_GAMMA = 0.5772156649015329
+
+
+class _PeriodTables:
+    """Regularized periodic sums R(p, c) for every period p <= limit.
+
+        R(p, c) = -(1/p) sum_{r=1..p} ((r c mod p)/p) psi(r/p)
+                  - ((p - 1)/(2p)) log p,       c = 0..p-1,
+
+    stored flat, period p at offset p(p-1)/2, together with log n for
+    n <= limit. The tables grow on demand and are never recomputed: each
+    period's block is built once from its own psi(r/p) table, and every row
+    is reduced on its own, so a value never depends on which fill (or which
+    single entry) first asked for it.
+    """
+
+    def __init__(self) -> None:
+        self.limit = 0
+        self.values = np.zeros(0)
+        self.logs = np.zeros(1)
+        self._lock = threading.Lock()
+
+    def ensure(self, limit: int) -> "_PeriodTables":
+        if limit > self.limit:
+            with self._lock:
+                if limit > self.limit:
+                    blocks = [self.values]
+                    blocks.extend(self._period(p) for p in range(self.limit + 1, limit + 1))
+                    logs = [math.log(n) for n in range(self.limit + 1, limit + 1)]
+                    self.values = np.concatenate(blocks)
+                    self.logs = np.concatenate([self.logs, logs])
+                    self.limit = limit
+        return self
+
+    @staticmethod
+    def _period(p: int) -> np.ndarray:
+        # r * c < p^2 fits in int32 for every period a Gram fill can reach.
+        r = np.arange(1, p + 1, dtype=np.int32)
+        psi = digamma_array(r / p)
+        residues = np.outer(np.arange(p, dtype=np.int32), r)
+        residues %= p
+        sums = (residues * psi).sum(axis=1)
+        return -sums / (p * p) - ((p - 1) / (2.0 * p)) * math.log(p)
+
+
+_TABLES = _PeriodTables()
+
+
+def inner_products_closed_row(a: int, bs) -> np.ndarray:
+    """Closed-form <{n/a}, {n/b}> for one denominator a and every b in bs.
+
+    Requires 1 <= a <= b for each b. The computation is elementwise over bs
+    (table lookups and exactly rounded arithmetic, no reductions), so each
+    value is the same bit pattern whether it is computed alone or in any
+    batch. See `inner_product_closed` for the formula.
+    """
+    bs = np.asarray(bs, dtype=np.int64)
+    if a == 1:
+        return np.zeros(bs.size)
+    tables = _TABLES.ensure(int(bs.max(initial=a)))
+    R, logs = tables.values, tables.logs
+    g = np.gcd(a, bs)
+    a_, b_ = a // g, bs // g
+    log_a, log_b = logs[a], logs[bs]
+    s_a = R[a * (a - 1) // 2 + 1]
+    s_b = R[bs * (bs - 1) // 2 + 1]
+    mu_a = (a_ - 1) / (2.0 * a_)
+    mu_b = (b_ - 1) / (2.0 * b_)
+    t_ab = (R[a_ * (a_ - 1) // 2 + b_ % a_] - mu_a * log_b) / bs
+    t_ba = (R[b_ * (b_ - 1) // 2 + a_ % b_] - mu_b * log_a) / a
+    m = a_ * bs
+    log_m = log_a + log_b - logs[g]
+    return (
+        s_a / bs + s_b / a - t_ab - t_ba
+        + (_EULER_GAMMA - log_a - log_b) / (a * bs)
+        - (_EULER_GAMMA - log_m) / m
+    )
+
+
 def inner_product_closed(
     a: FractionalSequence,
     b: FractionalSequence,
@@ -221,9 +287,20 @@ def inner_product_closed(
 ) -> InnerProductResult:
     """Closed-form inner product of two fractional-part sequences.
 
-    Groups the series by residue class modulo P = lcm of the denominators;
-    each class telescopes to a digamma difference, leaving a finite sum of
-    P terms. Cost is O(P). Only the default weight admits this form.
+    With gamma = -psi(1), g = gcd(a, b), m = lcm(a, b), a' = a/g, b' = b/g
+    and R(p, c) as in `_PeriodTables`, for a, b >= 2:
+
+        <{n/a}, {n/b}> = S_a/b + S_b/a - T(a, b) - T(b, a)
+                         + (gamma - log a - log b)/(ab) - (gamma - log m)/m,
+
+    where S_p = R(p, 1), T(a, b) = (R(a', b' mod a') - mu log b)/b and
+    mu = (a' - 1)/(2a'). Against the constant, <1, {n/b}> = log(b)/b;
+    <1, 1> = 1, and denominator 1 gives the zero sequence. The entry needs
+    the O(a' + b') terms of R(a', .) and R(b', .); these are tabulated once
+    per period (O(p^2) for period p, O(L^3) for every period up to a cutoff
+    L), after which each entry costs O(1). Only the default weight admits
+    this form. The pair is put in ascending order first, so the value is
+    exactly symmetric.
     """
     if not weight.is_default:
         raise UnsupportedWeightError(
@@ -237,14 +314,11 @@ def inner_product_closed(
     if a.is_constant and b.is_constant:
         # sum_n w(n) telescopes to exactly 1.
         return InnerProductResult(value=1.0, method="closed", error_bound=0.0)
-    if a.is_constant:
-        period = b.denominator
-    elif b.is_constant:
-        period = a.denominator
-    else:
-        period = lcm(a.denominator, b.denominator)
-    omega = _residue_class_weights(period)
-    value = compensated_sum(a.residue_values(period) * b.residue_values(period) * omega)
+    if a.is_constant or b.is_constant:
+        l = b.denominator if a.is_constant else a.denominator
+        return InnerProductResult(value=math.log(l) / l, method="closed", error_bound=0.0)
+    lo, hi = sorted((a.denominator, b.denominator))
+    value = float(inner_products_closed_row(lo, [hi])[0])
     return InnerProductResult(value=value, method="closed", error_bound=0.0)
 
 

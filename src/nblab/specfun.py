@@ -123,8 +123,7 @@ def digamma_array(x: np.ndarray) -> np.ndarray:
 
     The recurrence psi(x) = psi(x + 8) - sum_{j<8} 1/(x+j) holds for every
     x > 0, so the shift is applied unconditionally; this keeps the kernel
-    branch-free, which matters because Gram assembly funnels ~1e8 arguments
-    through here.
+    branch-free.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size and (not np.isfinite(x).all() or (x <= 0.0).any()):

@@ -1,15 +1,14 @@
 """Compensated summation helpers.
 
-Truncated series in this package are summed with error-free-transformation
-style accumulation: scalar streams go through a Neumaier accumulator, and
-large numpy arrays are reduced chunkwise (pairwise within a chunk, exactly
-rounded combination of the chunk totals via math.fsum).
+Truncated series in this package are summed with compensation: short arrays
+and scalar streams through math.fsum, large numpy arrays chunkwise (pairwise
+within a chunk, exactly rounded combination of the chunk totals via
+math.fsum).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -17,35 +16,6 @@ import numpy as np
 # the per-chunk error at ~log2(CHUNK) ulp; the chunk totals are then combined
 # exactly.
 _CHUNK = 1 << 16
-
-
-class NeumaierSum:
-    """Streaming compensated accumulator (Neumaier's variant of Kahan)."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value: float) -> None:
-        t = self.total + value
-        if abs(self.total) >= abs(value):
-            self.carry += (self.total - t) + value
-        else:
-            self.carry += (value - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total + self.carry
-
-
-def neumaier_sum(values: Iterable[float]) -> float:
-    acc = NeumaierSum()
-    for v in values:
-        acc.add(v)
-    return acc.value
 
 
 def compensated_sum(values) -> float:
@@ -62,7 +32,3 @@ def compensated_sum(values) -> float:
         return math.fsum(partials)
     return math.fsum(values)
 
-
-def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Compensated sum of the elementwise product a*b."""
-    return compensated_sum(a * b)

@@ -12,14 +12,13 @@ from nblab import BasisKind, BasisSelection, GramStore, assemble_gram, sieve_moe
 def shared_store():
     """One Gram store for the whole run.
 
-    The expensive part of every distance test is the closed-form entry fill;
-    assembling the full-basis pairs up to 300 once keeps the suite inside its
-    runtime budget while every test still exercises the real assembly path
-    (cache hits go through the same ensure()).
+    The closed-form fill of the full-basis pairs up to 300 takes well under
+    a second on one thread; sharing it spares each distance test its own
+    fill, while every test still exercises the real assembly path (cache
+    hits go through the same ensure()).
     """
     store = GramStore()
-    threads = min(8, os.cpu_count() or 1)
-    assemble_gram(300, BasisSelection(BasisKind.ALL), store, threads=threads)
+    assemble_gram(300, BasisSelection(BasisKind.ALL), store)
     return store
 
 

@@ -114,31 +114,37 @@ def coordinate_descent_d2(G, g, sweeps: int = 4000) -> float:
     return float(1.0 - 2.0 * (c @ g) + c @ G @ c)
 
 
+def residue_class_entry(a: int | None, b: int) -> float:
+    """<{n/a}, {n/b}> (or <1, {n/b}> when a is None) by lcm residue classes.
+
+    The series is grouped by residue class r = 1..P modulo P = lcm(a, b)
+    (P = b against the constant); class r carries the weight
+    (psi((r+1)/P) - psi(r/P)) / P from scipy's digamma, and the P terms are
+    added with math.fsum. Cost O(P), against the package's O(a + b) Abel
+    summation; denominator 1 gives the zero sequence.
+    """
+    period = b if a is None else math.lcm(a, b)
+    r = np.arange(1, period + 1, dtype=np.int64)
+    psi = digamma(np.arange(1, period + 2, dtype=np.float64) / period)
+    weight = (psi[1:] - psi[:-1]) / period
+    left = 1.0 if a is None else (r % a) / a
+    return math.fsum(left * ((r % b) / b) * weight)
+
+
 def residue_class_gram_d2(L: int) -> float:
     """Exclude-one squared distance at cutoff L, rebuilt from scratch.
 
-    Each entry sums the residue classes r = 1..P modulo P = lcm of the
-    denominators (P = l for the constant side), with class weights
-    (psi((r+1)/P) - psi(r/P)) / P from scipy's digamma, then the normal
-    equations go through a general LU solve. Neither the package's special
-    functions nor its Cholesky path is involved.
+    Entries come from `residue_class_entry`, then the normal equations go
+    through a general LU solve. Neither the package's special functions nor
+    its Cholesky path is involved.
     """
-    def entry(a: int, b: int | None) -> float:
-        """<{n/a}, {n/b}>, or <{n/a}, 1> when b is None."""
-        period = a if b is None else math.lcm(a, b)
-        r = np.arange(1, period + 1, dtype=np.int64)
-        psi = digamma(np.arange(1, period + 2, dtype=np.float64) / period)
-        weight = (psi[1:] - psi[:-1]) / period
-        other = 1.0 if b is None else (r % b) / b
-        return math.fsum(((r % a) / a) * other * weight)
-
     denoms = list(range(2, L + 1))
     k = len(denoms)
     G = np.empty((k, k))
     for p, a in enumerate(denoms):
         for q in range(p, k):
-            G[p, q] = G[q, p] = entry(a, denoms[q])
-    g = np.array([entry(a, None) for a in denoms])
+            G[p, q] = G[q, p] = residue_class_entry(a, denoms[q])
+    g = np.array([residue_class_entry(None, a) for a in denoms])
     return float(1.0 - g @ np.linalg.solve(G, g))
 
 

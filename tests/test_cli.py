@@ -231,11 +231,30 @@ class TestGramCommand:
         r = run_cli("gram", "--L", "5", "--cache", str(cache))
         assert r.returncode == 65
 
+    def test_version_one_cache_exits_65(self, tmp_path):
+        # Format 1 held entries from the earlier residue-class formula, which
+        # differ from today's in the last bits; such a file is refused, not mixed.
+        cache = tmp_path / "g.nbbg"
+        ok = run_cli("gram", "--L", "5", "--cache", str(cache), "--threads", "1")
+        assert ok.returncode == 0
+        raw = bytearray(cache.read_bytes())
+        assert struct.unpack_from("<I", raw, 4) == (2,)
+        raw[4:8] = struct.pack("<I", 1)
+        import zlib
+
+        body = bytes(raw[:-4])
+        cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        r = run_cli("distance", "--L", "2..5", "--cache", str(cache))
+        assert r.returncode == 65
+        assert "format version 1" in r.stderr
+
     def test_distance_reuses_cache(self, tmp_path):
         cache = tmp_path / "g.nbbg"
         fill = run_cli("gram", "--L", "12", "--cache", str(cache), "--threads", "1")
         assert fill.returncode == 0
-        r = run_cli("distance", "--L", "2..12", "--cache", str(cache), "--threads", "1")
+        r = run_cli("distance", "--L", "2..20", "--cache", str(cache), "--threads", "1")
         assert r.returncode == 0
-        bare = run_cli("distance", "--L", "2..12", "--threads", "1")
+        bare = run_cli("distance", "--L", "2..20", "--threads", "1")
         assert r.stdout == bare.stdout
+        again = run_cli("distance", "--L", "2..20", "--cache", str(cache), "--threads", "1")
+        assert again.stdout == bare.stdout

@@ -23,8 +23,9 @@ from nblab.criterion import (
     gram_system,
     moebius_residual,
 )
+from nblab import seqspace
 from nblab.errors import CacheError, ConditioningError, DomainError
-from nblab.seqspace import WeightScheme
+from nblab.seqspace import FractionalSequence, WeightScheme, inner_product_closed
 
 ALL = BasisSelection(BasisKind.ALL)
 EXCL = BasisSelection(BasisKind.EXCLUDE_ONE)
@@ -82,6 +83,40 @@ class TestAssemble:
         for _, r in store.items_sorted():
             assert r.method == "truncated"
             assert r.error_bound > 0.0
+
+
+class TestEntryPurity:
+    """Closed-form entries are pure functions of (a, b), down to the last bit."""
+
+    @staticmethod
+    def _bits(store):
+        return {key: struct.pack("<d", r.value) for key, r in store.items_sorted()}
+
+    @staticmethod
+    def _sequence(key):
+        return FractionalSequence.constant() if key == CONSTANT_KEY else FractionalSequence.of(key)
+
+    def test_fill_in_steps_matches_one_step_and_single_pairs(self, monkeypatch):
+        # Fresh period tables for each route, so each grows them its own way.
+        monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
+        stepped = GramStore()
+        gram_system(17, ALL, stepped)
+        gram_system(40, ALL, stepped)
+        monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
+        whole = GramStore()
+        gram_system(40, ALL, whole)
+        assert self._bits(stepped) == self._bits(whole)
+        monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
+        for (i, j), bits in self._bits(whole).items():
+            single = inner_product_closed(self._sequence(i), self._sequence(j)).value
+            assert struct.pack("<d", single) == bits, (i, j)
+
+    def test_exactly_symmetric(self):
+        for a in range(1, 41):
+            for b in range(a, 41):
+                ab = inner_product_closed(FractionalSequence.of(a), FractionalSequence.of(b))
+                ba = inner_product_closed(FractionalSequence.of(b), FractionalSequence.of(a))
+                assert struct.pack("<d", ab.value) == struct.pack("<d", ba.value), (a, b)
 
 
 class TestGramStoreFile:

@@ -1,4 +1,7 @@
 import math
+import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nblab import seqspace
 from nblab.errors import DomainError, UnsupportedWeightError
 from nblab.seqspace import (
     DEFAULT_WEIGHT,
@@ -148,6 +152,54 @@ class TestInnerProducts:
         bb = inner_product_closed(seq(m), seq(m)).value
         assert ab * ab <= aa * bb * (1.0 + 1e-12)
         assert aa > 0.0
+
+
+class TestClosedFormAgainstResidueClassOracle:
+    """The O(a + b) closed form against the O(lcm) residue-class oracle."""
+
+    def test_every_pair_up_to_40(self):
+        worst = 0.0
+        for b in range(1, 41):
+            got = inner_product_closed(GAMMA, seq(b)).value
+            worst = max(worst, abs(got - oracles.residue_class_entry(None, b)))
+            for a in range(1, b + 1):
+                got = inner_product_closed(seq(a), seq(b)).value
+                worst = max(worst, abs(got - oracles.residue_class_entry(a, b)))
+        assert worst <= 1e-14
+
+    def test_concurrent_first_use_matches_serial(self, monkeypatch):
+        # Threads that grow the shared period tables at once must read the
+        # same bits as one thread growing them pair by pair.
+        pairs = [(a, b) for a in range(2, 61) for b in range(a, 61)]
+        monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
+        serial = [inner_product_closed(seq(a), seq(b)).value for a, b in pairs]
+        monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
+
+        def work(k):
+            mine = pairs[k::8] if k % 2 else pairs[k::8][::-1]
+            return {(a, b): inner_product_closed(seq(a), seq(b)).value for a, b in mine}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, k) for k in range(8)]
+                threaded = {}
+                for f in futures:
+                    threaded.update(f.result(timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == len(pairs)
+        for (a, b), value in zip(pairs, serial):
+            assert struct.pack("<d", threaded[a, b]) == struct.pack("<d", value), (a, b)
+
+    def test_seeded_sample_up_to_300(self):
+        rng = np.random.default_rng(20261018)
+        worst = 0.0
+        for a, b in rng.integers(1, 301, size=(200, 2)).tolist():
+            got = inner_product_closed(seq(a), seq(b)).value
+            worst = max(worst, abs(got - oracles.residue_class_entry(a, b)))
+        assert worst <= 1e-14
 
 
 class TestPiecewiseConstant:
