@@ -27,7 +27,6 @@ class SweepConfig:
     l_step: int = 10
     basis: str = "exclude-one"
     method: str = "ls"
-    threads: int = 4
     cache: Path | None = None
 
 
@@ -41,7 +40,6 @@ def run(cfg: SweepConfig) -> int:
         BasisSelection.parse(cfg.basis),
         SolveMethod.parse(cfg.method),
         store,
-        threads=cfg.threads,
     )
     if cfg.cache:
         cfg.cache.parent.mkdir(parents=True, exist_ok=True)
@@ -64,10 +62,9 @@ def main() -> int:
     ap.add_argument("--basis", default="exclude-one",
                     choices=("all", "exclude-one", "square-free"))
     ap.add_argument("--method", default="ls", choices=("ls", "det"))
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--cache", type=Path, default=None)
     a = ap.parse_args()
-    cfg = SweepConfig(a.l_max, a.l_step, a.basis, a.method, a.threads, a.cache)
+    cfg = SweepConfig(a.l_max, a.l_step, a.basis, a.method, a.cache)
     return run(cfg)
 
 

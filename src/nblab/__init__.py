@@ -29,13 +29,10 @@ from .errors import (
     NBLabError,
     PoleError,
     UnstablePointError,
-    UnsupportedWeightError,
 )
 from .seqspace import (
-    DEFAULT_WEIGHT,
     FractionalSequence,
     PiecewiseConstant,
-    WeightScheme,
     dilate,
     inner_product_closed,
     inner_product_truncated,
@@ -73,7 +70,6 @@ __all__ = [
     "CacheError",
     "CapacityError",
     "ConditioningError",
-    "DEFAULT_WEIGHT",
     "DistanceReport",
     "DomainError",
     "FractionalSequence",
@@ -85,8 +81,6 @@ __all__ = [
     "PoleError",
     "SolveMethod",
     "UnstablePointError",
-    "UnsupportedWeightError",
-    "WeightScheme",
     "assemble_gram",
     "asymptotic_rate_constant",
     "combined_kernel_transform",

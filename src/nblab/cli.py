@@ -64,7 +64,6 @@ class RunConfig:
     tolerance: Optional[float]
     cache_path: Optional[Path]
     out_format: str
-    threads: int
 
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
@@ -95,10 +94,6 @@ def _parse_eps_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _cache_file(explicit: Optional[str]) -> Optional[Path]:
     if explicit is not None:
         return Path(explicit)
@@ -108,14 +103,20 @@ def _cache_file(explicit: Optional[str]) -> Optional[Path]:
     return None
 
 
-def _load_store(path: Optional[Path]) -> GramStore:
+def _load_store(path: Optional[Path], n_trunc: Optional[int] = None) -> GramStore:
+    """The cache at `path` if there is one, else an empty store for n_trunc.
+
+    A loaded cache keeps its own n_trunc; a fill that asks for another one
+    raises CacheError.
+    """
     if path is not None and path.exists():
         return GramStore.load(path)
-    return GramStore()
+    return GramStore(n_trunc=n_trunc)
 
 
-def _save_store(store: GramStore, path: Optional[Path]) -> None:
-    if path is not None:
+def _save_store(store: GramStore, path: Optional[Path], loaded: int) -> None:
+    """Write the cache only if entries were added since `loaded` or it is missing."""
+    if path is not None and (len(store) != loaded or not path.exists()):
         path.parent.mkdir(parents=True, exist_ok=True)
         store.save(path)
 
@@ -135,7 +136,6 @@ def _config_from_args(args) -> RunConfig:
         tolerance=args.tol,
         cache_path=_cache_file(args.cache),
         out_format=args.format,
-        threads=args.threads,
     )
 
 
@@ -145,17 +145,15 @@ def _config_from_args(args) -> RunConfig:
 
 def cmd_distance(args) -> int:
     cfg = _config_from_args(args)
-    store = _load_store(cfg.cache_path)
+    store = _load_store(cfg.cache_path, cfg.n_trunc)
+    loaded = len(store)
     rows = []
     for method in cfg.methods:
         rows.extend(
-            distance_sweep(
-                list(cfg.L_values), cfg.basis, method, store,
-                threads=cfg.threads, n_trunc=cfg.n_trunc,
-            )
+            distance_sweep(list(cfg.L_values), cfg.basis, method, store, n_trunc=cfg.n_trunc)
         )
     rows.sort(key=lambda r: (r.L, r.method.value))
-    _save_store(store, cfg.cache_path)
+    _save_store(store, cfg.cache_path, loaded)
 
     if cfg.out_format == "json":
         payload = [r.to_json_dict() for r in rows]
@@ -189,13 +187,14 @@ def cmd_distance(args) -> int:
 def cmd_residual(args) -> int:
     cfg = _config_from_args(args)
     store = _load_store(cfg.cache_path)
+    loaded = len(store)
     table = sieve_moebius(max(cfg.L_values))
     rows = [
-        (L, eps, moebius_residual(L, eps, table, store, threads=cfg.threads))
+        (L, eps, moebius_residual(L, eps, table, store))
         for L in cfg.L_values
         for eps in cfg.eps
     ]
-    _save_store(store, cfg.cache_path)
+    _save_store(store, cfg.cache_path, loaded)
     if cfg.out_format == "json":
         payload = [{"L": L, "eps": eps, "residual": value} for L, eps, value in rows]
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -215,21 +214,13 @@ def cmd_verify(args) -> int:
 
 def cmd_gram(args) -> int:
     cfg = _config_from_args(args)
-    path = cfg.cache_path
-    store = _load_store(path)
-    before = len(store)
-    assemble_gram(
-        max(cfg.L_values), cfg.basis, store, threads=cfg.threads, n_trunc=cfg.n_trunc
-    )
-    new = len(store) - before
-    print(f"{new} newly computed entries, {len(store)} total", file=sys.stderr)
-    if new or (path is not None and not path.exists()):
-        _save_store(store, path)
+    store = _load_store(cfg.cache_path, cfg.n_trunc)
+    loaded = len(store)
+    assemble_gram(max(cfg.L_values), cfg.basis, store, n_trunc=cfg.n_trunc)
+    print(f"{len(store) - loaded} newly computed entries, {len(store)} total", file=sys.stderr)
+    _save_store(store, cfg.cache_path, loaded)
     if args.export == "csv":
-        lines = ["l,m,value,error_bound,method"]
-        for (i, j), r in store.items_sorted():
-            lines.append(f"{i},{j},{r.value!r},{r.error_bound!r},{r.method}")
-        print("\n".join(lines))
+        sys.stdout.write(store.csv_text())
     return EXIT_OK
 
 
@@ -257,9 +248,8 @@ def build_parser() -> _Parser:
         p.add_argument("--cache", default=None,
                        help=f"Gram cache file (default: ${CACHE_DIR_ENV}/{_DEFAULT_CACHE_NAME})")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads for truncated (--N) entries; "
-                            "closed-form entries are computed on one thread")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
 
     p_dist = sub.add_parser("distance", help="distance from the constant sequence to the span")
     common(p_dist)

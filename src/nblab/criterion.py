@@ -11,8 +11,10 @@ cutoff L. The squared distance d2(L) is computed by two independent routes:
     log-determinants.
 
 Gram entries come from the closed form in seqspace (or, with n_trunc, from
-truncated sums) and are memoized in a GramStore, which persists to a small
-binary format (see GramStore.save) and exports CSV. A Moebius-weighted
+truncated sums) and are memoized in a GramStore. A store holds entries of one
+kind only: it records its truncation N (None for closed form), every fill
+checks it, and it persists to a small binary format (see GramStore.save)
+that carries N in its header and exports CSV. A Moebius-weighted
 approximant residual and a sweep driver with the asymptotic diagnostic
 d2 * log L round out the module.
 
@@ -27,11 +29,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 import struct
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -41,10 +43,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 from .arith import MoebiusTable, sieve_moebius
 from .errors import CacheError, ConditioningError, DomainError
 from .seqspace import (
-    DEFAULT_WEIGHT,
     FractionalSequence,
     InnerProductResult,
-    WeightScheme,
     inner_product_closed,
     inner_products_closed_row,
     inner_product_truncated,
@@ -102,8 +102,8 @@ class BasisSelection:
 # Gram store and binary cache
 
 _MAGIC = b"NBBG"
-_FORMAT_VERSION = 2
-_HEADER = struct.Struct("<4sIIQ")
+_FORMAT_VERSION = 3
+_HEADER = struct.Struct("<4sIQQ")
 _RECORD = struct.Struct("<QQddB")
 _TRAILER = struct.Struct("<I")
 _METHOD_CODES = {"closed": 0, "truncated": 1}
@@ -113,15 +113,19 @@ _METHOD_NAMES = {code: name for name, code in _METHOD_CODES.items()}
 class GramStore:
     """Memo table of pairwise inner products, keyed (i, j) with i <= j.
 
-    Thread-safe for concurrent fills; values are pure functions of their
-    keys, so racing writers are benign. Persists as a little-endian binary
-    file: header {magic "NBBG", version u32, weight-id u32, count u64},
+    n_trunc says which entries the store holds: None for closed-form ones,
+    an int N for sums truncated at N. Fills with any other n_trunc are
+    refused. Thread-safe; values are pure functions of their keys, so racing
+    writers are benign. Persists as a little-endian binary file: header
+    {magic "NBBG", version u32, N u64 (0 for closed form), count u64},
     records {i u64, j u64, value f64, error_bound f64, method u8} sorted by
     key, and a CRC32 trailer over everything before it.
     """
 
-    def __init__(self, weight_id: int = 0):
-        self.weight_id = weight_id
+    def __init__(self, n_trunc: Optional[int] = None):
+        if n_trunc is not None and n_trunc < 1:
+            raise DomainError(f"n_trunc must be >= 1, got {n_trunc}")
+        self.n_trunc = n_trunc
         self._entries: dict[tuple[int, int], InnerProductResult] = {}
         self._lock = threading.Lock()
 
@@ -176,19 +180,30 @@ class GramStore:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the cache atomically: a sibling temporary file, then os.replace.
+
+        A failed or interrupted save leaves any earlier file at `path` whole.
+        """
         items = self.items_sorted()
-        blob = bytearray(_HEADER.pack(_MAGIC, _FORMAT_VERSION, self.weight_id, len(items)))
+        blob = bytearray(_HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_trunc or 0, len(items)))
         for (i, j), r in items:
             blob += _RECORD.pack(i, j, r.value, r.error_bound, _METHOD_CODES[r.method])
         blob += _TRAILER.pack(zlib.crc32(bytes(blob)))
-        Path(path).write_bytes(bytes(blob))
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(bytes(blob))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path) -> "GramStore":
         blob = Path(path).read_bytes()
         if len(blob) < _HEADER.size + _TRAILER.size:
             raise CacheError(f"cache file {path} is truncated")
-        magic, version, weight_id, count = _HEADER.unpack_from(blob, 0)
+        magic, version, n_trunc, count = _HEADER.unpack_from(blob, 0)
         if magic != _MAGIC:
             raise CacheError(f"cache file {path} has wrong magic {magic!r}")
         if version != _FORMAT_VERSION:
@@ -201,7 +216,7 @@ class GramStore:
         (crc_stored,) = _TRAILER.unpack_from(blob, body_end)
         if crc_stored != zlib.crc32(blob[:body_end]):
             raise CacheError(f"cache file {path} failed its checksum")
-        store = cls(weight_id=weight_id)
+        store = cls(n_trunc=n_trunc or None)
         for k in range(count):
             i, j, value, bound, code = _RECORD.unpack_from(blob, _HEADER.size + k * _RECORD.size)
             if code not in _METHOD_NAMES:
@@ -211,11 +226,15 @@ class GramStore:
             )
         return store
 
-    def export_csv(self, path) -> None:
+    def csv_text(self) -> str:
+        """Every entry as CSV, one row per key in sorted order, with a header."""
         lines = ["l,m,value,error_bound,method"]
         for (i, j), r in self.items_sorted():
             lines.append(f"{i},{j},{r.value!r},{r.error_bound!r},{r.method}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def export_csv(self, path) -> None:
+        Path(path).write_text(self.csv_text())
 
 
 def _sequence_for(key: int) -> FractionalSequence:
@@ -224,14 +243,12 @@ def _sequence_for(key: int) -> FractionalSequence:
     return FractionalSequence.of(key)
 
 
-def _make_entry_fn(
-    n_trunc: Optional[int], weight: WeightScheme
-) -> Callable[[int, int], InnerProductResult]:
+def _make_entry_fn(n_trunc: Optional[int]) -> Callable[[int, int], InnerProductResult]:
     def compute(i: int, j: int) -> InnerProductResult:
         a, b = _sequence_for(i), _sequence_for(j)
         if n_trunc is None:
-            return inner_product_closed(a, b, weight=weight)
-        return inner_product_truncated(a, b, n_trunc, weight=weight)
+            return inner_product_closed(a, b)
+        return inner_product_truncated(a, b, n_trunc)
 
     return compute
 
@@ -247,30 +264,33 @@ def _fill_closed(store: GramStore, todo: list[tuple[int, int]]) -> None:
         )
 
 
+def _entries_name(n_trunc: Optional[int]) -> str:
+    return "closed-form entries" if n_trunc is None else f"entries truncated at N={n_trunc}"
+
+
 def assemble_gram(
     L: int,
     basis: BasisSelection = BasisSelection(),
     store: Optional[GramStore] = None,
-    threads: int = 1,
     n_trunc: Optional[int] = None,
-    weight: WeightScheme = DEFAULT_WEIGHT,
 ) -> GramStore:
     """Fill `store` with every basis pair (i <= j) for the given cutoff.
 
+    A new store is created for n_trunc when none is given; a store that
+    holds entries of another kind (its n_trunc differs) raises CacheError.
     Pairs already present are not recomputed, and a call with nothing
     missing does no other work. Closed-form entries (n_trunc None) are
-    computed row by row, vectorized across the second denominator, on the
-    calling thread; `threads` applies only to truncated entries, which run
-    one pair per task on a thread pool. Each entry depends only on its own
-    key, so the result is independent of the schedule and the batch.
+    computed row by row, vectorized across the second denominator;
+    truncated entries one pair at a time. Each entry depends only on its
+    own key, so the result is independent of the order and the batch.
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
     if store is None:
-        store = GramStore(weight_id=weight.weight_id)
-    if store.weight_id != weight.weight_id:
+        store = GramStore(n_trunc=n_trunc)
+    if store.n_trunc != n_trunc:
         raise CacheError(
-            f"store holds weight id {store.weight_id}, asked to fill with {weight.weight_id}"
+            f"store holds {_entries_name(store.n_trunc)}, asked for {_entries_name(n_trunc)}"
         )
     denoms = basis.denominators(L)
     todo = store.missing(
@@ -278,16 +298,12 @@ def assemble_gram(
     )
     if not todo:
         return store
-    if n_trunc is None and weight.is_default:
+    if n_trunc is None:
         _fill_closed(store, todo)
         return store
-    compute = _make_entry_fn(n_trunc, weight)
-    if threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda ij: store.ensure(ij[0], ij[1], compute), todo))
-    else:
-        for i, j in todo:
-            store.ensure(i, j, compute)
+    compute = _make_entry_fn(n_trunc)
+    for i, j in todo:
+        store.ensure(i, j, compute)
     return store
 
 
@@ -295,15 +311,17 @@ def gram_system(
     L: int,
     basis: BasisSelection = BasisSelection(),
     store: Optional[GramStore] = None,
-    threads: int = 1,
     n_trunc: Optional[int] = None,
-    weight: WeightScheme = DEFAULT_WEIGHT,
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Return (denominators, G, g): the Gram matrix of the basis and the
-    cross inner products with the constant sequence."""
-    store = assemble_gram(L, basis, store, threads=threads, n_trunc=n_trunc, weight=weight)
+    cross inner products with the constant sequence.
+
+    Raises CacheError, as `assemble_gram` does, when `store` holds entries
+    of another kind than n_trunc asks for.
+    """
+    store = assemble_gram(L, basis, store, n_trunc=n_trunc)
     denoms = basis.denominators(L)
-    compute = _make_entry_fn(n_trunc, weight)
+    compute = _make_entry_fn(n_trunc)
     k = len(denoms)
     G = np.empty((k, k))
     g = np.empty(k)
@@ -426,9 +444,7 @@ def distance(
     basis: BasisSelection = BasisSelection(),
     method: SolveMethod = SolveMethod.LEAST_SQUARES,
     store: Optional[GramStore] = None,
-    threads: int = 1,
     n_trunc: Optional[int] = None,
-    weight: WeightScheme = DEFAULT_WEIGHT,
 ) -> DistanceReport:
     """Squared distance from the constant sequence to the span at cutoff L.
 
@@ -438,7 +454,7 @@ def distance(
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
-    denoms, G, g = gram_system(L, basis, store, threads=threads, n_trunc=n_trunc, weight=weight)
+    denoms, G, g = gram_system(L, basis, store, n_trunc=n_trunc)
     idx, dropped = _prune(denoms, G, g)
     if idx.size == 0:
         return DistanceReport(
@@ -473,9 +489,7 @@ def distance_sweep(
     basis: BasisSelection = BasisSelection(),
     method: SolveMethod = SolveMethod.LEAST_SQUARES,
     store: Optional[GramStore] = None,
-    threads: int = 1,
     n_trunc: Optional[int] = None,
-    weight: WeightScheme = DEFAULT_WEIGHT,
 ) -> list[DistanceReport]:
     """Distance reports over ascending cutoffs, sharing one Gram store.
 
@@ -486,16 +500,12 @@ def distance_sweep(
         raise DomainError("sweep cutoffs must be sorted ascending")
     if not L_values:
         return []
-    if store is None:
-        store = GramStore(weight_id=weight.weight_id)
     # One assembly at the largest cutoff covers every row.
-    assemble_gram(max(L_values), basis, store, threads=threads, n_trunc=n_trunc, weight=weight)
+    store = assemble_gram(max(L_values), basis, store, n_trunc=n_trunc)
     reports = []
     for L in L_values:
         try:
-            reports.append(
-                distance(L, basis, method, store, threads=threads, n_trunc=n_trunc, weight=weight)
-            )
+            reports.append(distance(L, basis, method, store, n_trunc=n_trunc))
         except ConditioningError as exc:
             reports.append(
                 DistanceReport(
@@ -516,7 +526,6 @@ def moebius_residual(
     eps: float,
     table: MoebiusTable,
     store: Optional[GramStore] = None,
-    threads: int = 1,
 ) -> float:
     """Squared error of the Moebius-smoothed combination at cutoff L.
 
@@ -527,7 +536,9 @@ def moebius_residual(
         |gamma - v|^2 = 1 + 2 sum_l mu(l) l^{-eps} <gamma, gamma_l>
                           + sum_{l,m} mu(l) mu(m) (l m)^{-eps} <gamma_l, gamma_m>.
 
-    Always at least the projection distance at the same cutoff.
+    The entries are the square-free Gram system of `gram_system`, less its
+    l = 1 row and column. Always at least the projection distance at the
+    same cutoff.
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
@@ -535,19 +546,12 @@ def moebius_residual(
         raise DomainError(f"eps must be >= 0, got {eps}")
     if L > table.limit:
         raise DomainError(f"cutoff {L} exceeds sieve limit {table.limit}")
-    # l = 1 contributes the zero sequence; mu(l) = 0 terms vanish.
-    denoms = tuple(l for l in range(2, L + 1) if table.mu[l] != 0)
-    if not denoms:
+    if L == 1:
         return 1.0
-    if store is None:
-        store = GramStore()
-    compute = _make_entry_fn(None, DEFAULT_WEIGHT)
-    assemble_gram(L, BasisSelection(BasisKind.SQUARE_FREE), store, threads=threads)
-    k = len(denoms)
-    coeff = np.array([float(table.mu[l]) * l ** (-eps) for l in denoms])
-    g = np.array([store.ensure(CONSTANT_KEY, l, compute).value for l in denoms])
-    G = np.empty((k, k))
-    for p in range(k):
-        for q in range(p, k):
-            G[p, q] = G[q, p] = store.ensure(denoms[p], denoms[q], compute).value
+    # mu(l) = 0 terms vanish, and l = 1 (first in the square-free basis)
+    # contributes the zero sequence.
+    denoms, G, g = gram_system(L, BasisSelection(BasisKind.SQUARE_FREE), store)
+    rest = np.arange(1, len(denoms))
+    G, g = G[np.ix_(rest, rest)], g[rest]
+    coeff = np.array([float(table.mu[l]) * l ** (-eps) for l in denoms[1:]])
     return 1.0 + 2.0 * float(coeff @ g) + float(coeff @ G @ coeff)

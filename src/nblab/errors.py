@@ -21,10 +21,6 @@ class CapacityError(NBLabError, OverflowError):
     """An integer result would not fit the 64-bit fields used on disk."""
 
 
-class UnsupportedWeightError(NBLabError, ValueError):
-    """The requested operation is only available for the default weight."""
-
-
 class CacheError(NBLabError, IOError):
     """A Gram cache file is unreadable: bad magic, version, or checksum."""
 

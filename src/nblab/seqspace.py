@@ -1,7 +1,8 @@
 """Weighted sequence space and its step-function model.
 
 The ambient space is the set of real sequences a = (a_n) with
-sum |a_n|^2 w(n) finite, default weight w(n) = 1/(n(n+1)). The key players:
+sum |a_n|^2 w(n) finite, for the one weight w(n) = 1/(n(n+1)) that the
+step-function model fixes. The key players:
 
   * the constant sequence (1, 1, 1, ...),
   * the fractional-part sequences with terms frac(n/l) for integer l >= 1,
@@ -10,7 +11,8 @@ sum |a_n|^2 w(n) finite, default weight w(n) = 1/(n(n+1)). The key players:
 The interval (1/(n+1), 1/n] has length exactly 1/(n(n+1)), so reading a step
 function at the points 1/n is a unitary map onto the sequence space. Inner
 products of fractional-part sequences are available through two independent
-routes: compensated truncated summation, and a closed form. The closed form
+routes: compensated truncated summation up to N, whose omitted tail weighs
+exactly 1/(N+1), and a closed form. The closed form
 applies Abel summation, <f, h> = sum_n (c_n - c_{n-1}) / n with
 c_n = frac(n/a) frac(n/b), and splits the differences into periodic pieces
 with periods a, b, a/g and b/g (g = gcd(a, b)). Each piece is summed with the
@@ -31,75 +33,22 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedWeightError
+from .errors import DomainError
 from .specfun import digamma_array
 from .summation import compensated_sum
 
 
 # ---------------------------------------------------------------------------
-# weights
-
-
-@dataclass(frozen=True)
-class WeightScheme:
-    """A summation weight w(n) with two-sided quadratic comparison bounds.
-
-    Admissible weights satisfy c1/n^2 <= w(n) <= c2/n^2; the defaults
-    c1 = 1/2 and c2 = 1 bracket the standard weight 1/(n(n+1)). The bracket
-    is spot-checked on a sample at construction via `validated`.
-
-    weight_id 0 is reserved for the default scheme and is the only id the
-    closed-form inner product and the on-disk Gram cache accept.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    c1: float = 0.5
-    c2: float = 1.0
-    weight_id: int = 1
-
-    @property
-    def is_default(self) -> bool:
-        return self.weight_id == 0
-
-    def values(self, n: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(n, dtype=np.float64))
-
-    def tail_bound(self, n_trunc: int) -> float:
-        """Upper bound on sum_{n > n_trunc} w(n).
-
-        Exact (telescoping) for the default weight; c2 * sum 1/n^2 bound
-        otherwise.
-        """
-        if self.is_default:
-            return 1.0 / (n_trunc + 1)
-        return self.c2 / n_trunc
-
-    def validated(self, sample_limit: int = 1024) -> "WeightScheme":
-        n = np.arange(1, sample_limit + 1, dtype=np.float64)
-        w = self.values(n)
-        lo = self.c1 / n**2
-        hi = self.c2 / n**2
-        if not ((lo <= w + 1e-18).all() and (w <= hi + 1e-18).all()):
-            raise DomainError(f"weight {self.name!r} violates the c1/n^2..c2/n^2 bracket")
-        return self
-
-
-DEFAULT_WEIGHT = WeightScheme(
-    name="1/(n(n+1))",
-    fn=lambda n: 1.0 / (n * (n + 1.0)),
-    c1=0.5,
-    c2=1.0,
-    weight_id=0,
-).validated()
+# the weight
 
 
 @lru_cache(maxsize=4)
 def _default_weight_values(n_trunc: int) -> np.ndarray:
+    """w(n) = 1/(n(n+1)) for n = 1..n_trunc; the rest sums to exactly 1/(n_trunc+1)."""
     n = np.arange(1, n_trunc + 1, dtype=np.float64)
     w = 1.0 / (n * (n + 1.0))
     w.flags.writeable = False
@@ -168,7 +117,7 @@ class InnerProductResult:
 
     method is "closed" (Abel-summation digamma formula, error_bound 0 up to
     evaluator accuracy) or "truncated" (compensated partial sum; error_bound
-    is the certified weight tail times the term bounds).
+    is the exact weight tail 1/(n_trunc+1) times the term bounds).
     """
 
     value: float
@@ -176,27 +125,18 @@ class InnerProductResult:
     error_bound: float
 
 
-def inner_product_truncated(
-    a: SequenceLike,
-    b: SequenceLike,
-    n_trunc: int,
-    weight: WeightScheme = DEFAULT_WEIGHT,
-) -> InnerProductResult:
+def inner_product_truncated(a: SequenceLike, b: SequenceLike, n_trunc: int) -> InnerProductResult:
     """Partial sum of sum_n a_n b_n w(n) over n <= n_trunc, compensated.
 
-    The error bound is sup|a| * sup|b| * (tail weight mass), which for the
-    default weight is exactly 1/(n_trunc + 1) on unit-bounded sequences.
+    The error bound is sup|a| * sup|b| * (tail weight mass), and the tail
+    weight mass telescopes to exactly 1/(n_trunc + 1).
     """
     if n_trunc < 1:
         raise DomainError(f"n_trunc must be >= 1, got {n_trunc}")
     va = a.values_upto(n_trunc)
     vb = b.values_upto(n_trunc)
-    if weight.is_default:
-        w = _default_weight_values(n_trunc)
-    else:
-        w = weight.values(np.arange(1, n_trunc + 1, dtype=np.float64))
-    value = compensated_sum(va * vb * w)
-    bound = a.bound * b.bound * weight.tail_bound(n_trunc)
+    value = compensated_sum(va * vb * _default_weight_values(n_trunc))
+    bound = a.bound * b.bound * (1.0 / (n_trunc + 1))
     return InnerProductResult(value=value, method="truncated", error_bound=bound)
 
 
@@ -280,11 +220,7 @@ def inner_products_closed_row(a: int, bs) -> np.ndarray:
     )
 
 
-def inner_product_closed(
-    a: FractionalSequence,
-    b: FractionalSequence,
-    weight: WeightScheme = DEFAULT_WEIGHT,
-) -> InnerProductResult:
+def inner_product_closed(a: FractionalSequence, b: FractionalSequence) -> InnerProductResult:
     """Closed-form inner product of two fractional-part sequences.
 
     With gamma = -psi(1), g = gcd(a, b), m = lcm(a, b), a' = a/g, b' = b/g
@@ -298,14 +234,9 @@ def inner_product_closed(
     <1, 1> = 1, and denominator 1 gives the zero sequence. The entry needs
     the O(a' + b') terms of R(a', .) and R(b', .); these are tabulated once
     per period (O(p^2) for period p, O(L^3) for every period up to a cutoff
-    L), after which each entry costs O(1). Only the default weight admits
-    this form. The pair is put in ascending order first, so the value is
-    exactly symmetric.
+    L), after which each entry costs O(1). The pair is put in ascending
+    order first, so the value is exactly symmetric.
     """
-    if not weight.is_default:
-        raise UnsupportedWeightError(
-            f"closed-form inner product requires the default weight, got {weight.name!r}"
-        )
     if not isinstance(a, FractionalSequence) or not isinstance(b, FractionalSequence):
         raise DomainError("closed-form inner product is defined for fractional sequences")
     if a.denominator == 1 or b.denominator == 1:
@@ -426,11 +357,7 @@ class NormResult:
     tail_bound: float
 
 
-def norm_m(
-    f: PiecewiseConstant,
-    n_trunc: int,
-    weight: WeightScheme = DEFAULT_WEIGHT,
-) -> NormResult:
+def norm_m(f: PiecewiseConstant, n_trunc: int) -> NormResult:
     """Squared norm of a step function: integral of f^2 over (1/(n_trunc+1), 1].
 
     The integral over piece n is exactly f_n^2 / (n(n+1)); the remaining mass
@@ -442,12 +369,8 @@ def norm_m(
     if f.tail is None:
         raise DomainError("norm requires a tail descriptor")
     vals = f.values_upto(n_trunc)
-    if weight.is_default:
-        w = _default_weight_values(n_trunc)
-    else:
-        w = weight.values(np.arange(1, n_trunc + 1, dtype=np.float64))
-    value = compensated_sum(vals * vals * w)
-    bound = f.tail_sup(n_trunc) ** 2 * weight.tail_bound(n_trunc)
+    value = compensated_sum(vals * vals * _default_weight_values(n_trunc))
+    bound = f.tail_sup(n_trunc) ** 2 * (1.0 / (n_trunc + 1))
     return NormResult(value=value, tail_bound=bound)
 
 

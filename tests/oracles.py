@@ -148,6 +148,42 @@ def residue_class_gram_d2(L: int) -> float:
     return float(1.0 - g @ np.linalg.solve(G, g))
 
 
+def mellin_piecewise_prefix(lam: float, s, pieces_list, dps: int = 30) -> list[complex]:
+    """`mellin_piecewise_highprec` at every count in `pieces_list`, in one pass.
+
+    The pieces are added in ascending k, as for a single count, so each
+    returned value is the running total after that many pieces. The powers
+    x^(s-1) and x^s are computed once per breakpoint: piece k+1's upper end
+    lam/(k+1) is piece k's lower end.
+    """
+    with mp.workdps(dps):
+        z = mp.mpc(s)
+        lam_mp = mp.mpf(lam)
+
+        def powers(x):
+            return x, mp.power(x, z - 1), mp.power(x, z)
+
+        def antider(pw, k):
+            return lam_mp * pw[1] / (z - 1) - k * pw[2] / z
+
+        total = mp.mpc(0)
+        if lam_mp < 1:
+            total += antider(powers(mp.mpf(1)), 0) - antider(powers(lam_mp), 0)
+        wanted = set(pieces_list)
+        found = {p: complex(total) for p in wanted if p < 1}
+        below = None
+        for k in range(1, max(pieces_list, default=0) + 1):
+            hi = min(lam_mp / k, mp.mpf(1))
+            lo = lam_mp / (k + 1)
+            if hi > lo:
+                above = below if below is not None and below[0] == hi else powers(hi)
+                below = powers(lo)
+                total += antider(above, k) - antider(below, k)
+            if k in wanted:
+                found[k] = complex(total)
+        return [found[p] for p in pieces_list]
+
+
 def mellin_piecewise_highprec(lam: float, s, pieces: int, dps: int = 30):
     """integral over (lam/(pieces+1), 1] of x^(s-1) frac(lam/x) dx.
 
@@ -156,23 +192,7 @@ def mellin_piecewise_highprec(lam: float, s, pieces: int, dps: int = 30):
     lam (x^(s-1))/(s-1) - k x^s / s between the clipped endpoints. No
     telescoping, no Euler-Maclaurin: a genuinely different summation route.
     """
-    with mp.workdps(dps):
-        z = mp.mpc(s)
-        lam_mp = mp.mpf(lam)
-
-        def antider(x, k):
-            return lam_mp * mp.power(x, z - 1) / (z - 1) - k * mp.power(x, z) / z
-
-        total = mp.mpc(0)
-        if lam_mp < 1:
-            total += antider(mp.mpf(1), 0) - antider(lam_mp, 0)
-        for k in range(1, pieces + 1):
-            hi = min(lam_mp / k, mp.mpf(1))
-            lo = lam_mp / (k + 1)
-            if hi <= lo:
-                continue
-            total += antider(hi, k) - antider(lo, k)
-        return complex(total)
+    return mellin_piecewise_prefix(lam, s, [pieces], dps)[0]
 
 
 def mellin_limit_highprec(lam: float, s, dps: int = 30):

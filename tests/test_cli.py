@@ -231,22 +231,50 @@ class TestGramCommand:
         r = run_cli("gram", "--L", "5", "--cache", str(cache))
         assert r.returncode == 65
 
-    def test_version_one_cache_exits_65(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_one_cache_exits_65(self, tmp_path, version):
         # Format 1 held entries from the earlier residue-class formula, which
-        # differ from today's in the last bits; such a file is refused, not mixed.
+        # differ from today's in the last bits. Format 2 cannot tell
+        # closed-form entries from truncated ones. Both are refused, not mixed.
         cache = tmp_path / "g.nbbg"
         ok = run_cli("gram", "--L", "5", "--cache", str(cache), "--threads", "1")
         assert ok.returncode == 0
         raw = bytearray(cache.read_bytes())
-        assert struct.unpack_from("<I", raw, 4) == (2,)
-        raw[4:8] = struct.pack("<I", 1)
+        assert struct.unpack_from("<I", raw, 4) == (3,)
+        raw[4:8] = struct.pack("<I", version)
         import zlib
 
         body = bytes(raw[:-4])
         cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         r = run_cli("distance", "--L", "2..5", "--cache", str(cache))
         assert r.returncode == 65
-        assert "format version 1" in r.stderr
+        assert f"format version {version}" in r.stderr
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(("--N", "20"), ()), ((), ("--N", "20"))],
+        ids=["truncated-then-closed", "closed-then-truncated"],
+    )
+    def test_truncation_mismatch_exits_65(self, tmp_path, first, second):
+        # A cache filled with truncated entries never serves a closed-form
+        # run, and the reverse.
+        cache = tmp_path / "c.nbbg"
+        ok = run_cli("distance", "--L", "10", "--cache", str(cache), *first)
+        assert ok.returncode == 0
+        r = run_cli("distance", "--L", "10", "--cache", str(cache), *second)
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert "N=20" in r.stderr
+
+    def test_unchanged_cache_not_rewritten(self, tmp_path):
+        cache = tmp_path / "c.nbbg"
+        for argv in (("distance", "--L", "2..8"), ("residual", "--L", "2..8"),
+                     ("gram", "--L", "8")):
+            assert run_cli(*argv, "--cache", str(cache)).returncode == 0
+            before = os.stat(cache)
+            assert run_cli(*argv, "--cache", str(cache)).returncode == 0
+            after = os.stat(cache)
+            assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_distance_reuses_cache(self, tmp_path):
         cache = tmp_path / "g.nbbg"

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 import zlib
 
@@ -23,9 +24,9 @@ from nblab.criterion import (
     gram_system,
     moebius_residual,
 )
-from nblab import seqspace
+from nblab import criterion, seqspace
 from nblab.errors import CacheError, ConditioningError, DomainError
-from nblab.seqspace import FractionalSequence, WeightScheme, inner_product_closed
+from nblab.seqspace import FractionalSequence, inner_product_closed
 
 ALL = BasisSelection(BasisKind.ALL)
 EXCL = BasisSelection(BasisKind.EXCLUDE_ONE)
@@ -67,16 +68,24 @@ class TestAssemble:
         assemble_gram(6, EXCL, store)
         assert len(store) == n
 
-    def test_threaded_matches_serial(self):
-        serial = assemble_gram(25, EXCL, threads=1)
-        threaded = assemble_gram(25, EXCL, threads=4)
-        for key, r in serial.items_sorted():
-            assert threaded.get(*key).value == r.value  # bit identical
-
-    def test_weight_mismatch_rejected(self):
-        store = GramStore(weight_id=3)
+    def test_truncation_mismatch_rejected(self, tmp_path, moebius_table):
+        # A store never mixes closed-form and truncated entries, nor two N.
+        truncated = assemble_gram(4, EXCL, n_trunc=20)
+        closed = assemble_gram(4, EXCL)
+        for store, n_trunc in ((truncated, None), (truncated, 21), (closed, 20)):
+            with pytest.raises(CacheError):
+                assemble_gram(4, EXCL, store, n_trunc=n_trunc)
+            with pytest.raises(CacheError):
+                gram_system(4, EXCL, store, n_trunc=n_trunc)
+            with pytest.raises(CacheError):
+                distance_sweep([2, 4], EXCL, store=store, n_trunc=n_trunc)
         with pytest.raises(CacheError):
-            assemble_gram(4, EXCL, store)
+            moebius_residual(4, 0.0, moebius_table, truncated)
+        # ... and the file keeps the store's N.
+        for store, n_trunc in ((truncated, 20), (closed, None)):
+            p = tmp_path / f"{n_trunc}.nbbg"
+            store.save(p)
+            assert GramStore.load(p).n_trunc == n_trunc
 
     def test_truncated_entries_marked(self):
         store = assemble_gram(4, EXCL, n_trunc=50_000)
@@ -167,6 +176,21 @@ class TestGramStoreFile:
         p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(CacheError):
             GramStore.load(p)
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "cache.nbbg"
+        assemble_gram(3, EXCL).save(p)
+        old = p.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(criterion.os, "replace", refuse)
+        with pytest.raises(OSError):
+            assemble_gram(8, EXCL).save(p)
+        assert p.read_bytes() == old
+        assert len(GramStore.load(p)) == 3
+        assert os.listdir(tmp_path) == ["cache.nbbg"]
 
     def test_truncated_file_rejected(self, tmp_path):
         p = tmp_path / "cache.nbbg"

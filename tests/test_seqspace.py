@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from nblab import seqspace
-from nblab.errors import DomainError, UnsupportedWeightError
+from nblab.errors import DomainError
 from nblab.seqspace import (
-    DEFAULT_WEIGHT,
     FractionalSequence,
     PiecewiseConstant,
     StepSequence,
-    WeightScheme,
     dilate,
     inner_product_closed,
     inner_product_truncated,
@@ -32,33 +30,25 @@ def seq(l):
 
 
 class TestWeightScheme:
+    """The one weight, 1/(n(n+1)), seen through the truncated sums."""
+
     def test_default_values(self):
-        n = np.arange(1, 6, dtype=np.float64)
-        w = DEFAULT_WEIGHT.values(n)
-        assert np.allclose(w, 1.0 / (n * (n + 1.0)), rtol=0, atol=0)
-        assert DEFAULT_WEIGHT.is_default
+        # The indicator of piece n picks out the weight of term n alone.
+        for n in range(1, 6):
+            f = PiecewiseConstant(head=(0.0,) * (n - 1) + (1.0,), tail=(0.0,))
+            w = 1.0 / (n * (n + 1.0))
+            assert norm_m(f, 5).value == w
+            assert inner_product_truncated(sequence_of(f), GAMMA, 5).value == w
 
     def test_tail_bound_is_exact_for_default(self):
         # sum_{n>N} 1/(n(n+1)) telescopes to exactly 1/(N+1)
-        assert DEFAULT_WEIGHT.tail_bound(10) == pytest.approx(1.0 / 11.0, abs=0)
-
-    def test_validated_accepts_bracketed_scheme(self):
-        alt = WeightScheme(
-            name="inverse-square",
-            fn=lambda n: 1.0 / n**2,
-            c1=0.5,
-            c2=1.0,
-            weight_id=7,
-        )
-        assert alt.validated() is alt
-        assert not alt.is_default
-
-    def test_validated_rejects_out_of_bracket(self):
-        bad = WeightScheme(
-            name="too-heavy", fn=lambda n: 5.0 / n**2, c1=0.5, c2=1.0, weight_id=8
-        )
-        with pytest.raises(DomainError):
-            bad.validated()
+        for n_trunc in (1, 10, 1000):
+            r = inner_product_truncated(GAMMA, GAMMA, n_trunc)
+            assert r.error_bound == 1.0 / (n_trunc + 1)
+            assert abs(r.value + r.error_bound - 1.0) <= 1e-15
+            norm = norm_m(PiecewiseConstant.constant_one(), n_trunc)
+            assert norm.tail_bound == 1.0 / (n_trunc + 1)
+            assert norm.value == r.value
 
 
 class TestFractionalSequence:
@@ -131,15 +121,6 @@ class TestInnerProducts:
         raw = float(np.sum(va * vb * w))
         r = inner_product_truncated(seq(4), seq(6), 100_000)
         assert abs(r.value - raw) < 1e-14
-
-    def test_custom_weight_truncated_only(self):
-        alt = WeightScheme(
-            name="inverse-square", fn=lambda n: 1.0 / n**2, weight_id=7
-        )
-        r = inner_product_truncated(seq(2), seq(3), 10_000, weight=alt)
-        assert math.isfinite(r.value)
-        with pytest.raises(UnsupportedWeightError):
-            inner_product_closed(seq(2), seq(3), weight=alt)
 
     @given(
         st.integers(min_value=2, max_value=40),
