@@ -3,7 +3,8 @@
 
 Writes one CSV row per cutoff with the squared distance, the rate diagnostic
 d2 * log L, and the gap to the conjectured limiting constant. A Gram cache
-path makes repeat sweeps nearly free.
+path makes repeat sweeps nearly free; the cache is rewritten only when the
+sweep added entries or the file is missing.
 """
 
 import argparse
@@ -14,11 +15,11 @@ from pathlib import Path
 
 from nblab import (
     BasisSelection,
-    GramStore,
     SolveMethod,
     asymptotic_rate_constant,
     distance_sweep,
 )
+from nblab.cli import load_store, save_store
 
 
 @dataclass(frozen=True)
@@ -32,18 +33,15 @@ class SweepConfig:
 
 def run(cfg: SweepConfig) -> int:
     cutoffs = sorted({2, *range(cfg.l_step, cfg.l_max + 1, cfg.l_step)})
-    store = GramStore()
-    if cfg.cache and cfg.cache.exists():
-        store = GramStore.load(cfg.cache)
+    store = load_store(cfg.cache)
+    loaded = len(store)
     rows = distance_sweep(
         cutoffs,
         BasisSelection.parse(cfg.basis),
         SolveMethod.parse(cfg.method),
         store,
     )
-    if cfg.cache:
-        cfg.cache.parent.mkdir(parents=True, exist_ok=True)
-        store.save(cfg.cache)
+    save_store(store, cfg.cache, loaded)
 
     limit = asymptotic_rate_constant()
     print("L,d2,rate,rate_minus_limit,cond")

@@ -103,7 +103,7 @@ def _cache_file(explicit: Optional[str]) -> Optional[Path]:
     return None
 
 
-def _load_store(path: Optional[Path], n_trunc: Optional[int] = None) -> GramStore:
+def load_store(path: Optional[Path], n_trunc: Optional[int] = None) -> GramStore:
     """The cache at `path` if there is one, else an empty store for n_trunc.
 
     A loaded cache keeps its own n_trunc; a fill that asks for another one
@@ -114,7 +114,7 @@ def _load_store(path: Optional[Path], n_trunc: Optional[int] = None) -> GramStor
     return GramStore(n_trunc=n_trunc)
 
 
-def _save_store(store: GramStore, path: Optional[Path], loaded: int) -> None:
+def save_store(store: GramStore, path: Optional[Path], loaded: int) -> None:
     """Write the cache only if entries were added since `loaded` or it is missing."""
     if path is not None and (len(store) != loaded or not path.exists()):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -145,7 +145,7 @@ def _config_from_args(args) -> RunConfig:
 
 def cmd_distance(args) -> int:
     cfg = _config_from_args(args)
-    store = _load_store(cfg.cache_path, cfg.n_trunc)
+    store = load_store(cfg.cache_path, cfg.n_trunc)
     loaded = len(store)
     rows = []
     for method in cfg.methods:
@@ -153,7 +153,7 @@ def cmd_distance(args) -> int:
             distance_sweep(list(cfg.L_values), cfg.basis, method, store, n_trunc=cfg.n_trunc)
         )
     rows.sort(key=lambda r: (r.L, r.method.value))
-    _save_store(store, cfg.cache_path, loaded)
+    save_store(store, cfg.cache_path, loaded)
 
     if cfg.out_format == "json":
         payload = [r.to_json_dict() for r in rows]
@@ -186,15 +186,15 @@ def cmd_distance(args) -> int:
 
 def cmd_residual(args) -> int:
     cfg = _config_from_args(args)
-    store = _load_store(cfg.cache_path)
+    store = load_store(cfg.cache_path, cfg.n_trunc)
     loaded = len(store)
     table = sieve_moebius(max(cfg.L_values))
     rows = [
-        (L, eps, moebius_residual(L, eps, table, store))
+        (L, eps, moebius_residual(L, eps, table, store, n_trunc=cfg.n_trunc))
         for L in cfg.L_values
         for eps in cfg.eps
     ]
-    _save_store(store, cfg.cache_path, loaded)
+    save_store(store, cfg.cache_path, loaded)
     if cfg.out_format == "json":
         payload = [{"L": L, "eps": eps, "residual": value} for L, eps, value in rows]
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -214,11 +214,11 @@ def cmd_verify(args) -> int:
 
 def cmd_gram(args) -> int:
     cfg = _config_from_args(args)
-    store = _load_store(cfg.cache_path, cfg.n_trunc)
+    store = load_store(cfg.cache_path, cfg.n_trunc)
     loaded = len(store)
     assemble_gram(max(cfg.L_values), cfg.basis, store, n_trunc=cfg.n_trunc)
     print(f"{len(store) - loaded} newly computed entries, {len(store)} total", file=sys.stderr)
-    _save_store(store, cfg.cache_path, loaded)
+    save_store(store, cfg.cache_path, loaded)
     if args.export == "csv":
         sys.stdout.write(store.csv_text())
     return EXIT_OK

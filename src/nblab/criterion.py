@@ -11,12 +11,12 @@ cutoff L. The squared distance d2(L) is computed by two independent routes:
     log-determinants.
 
 Gram entries come from the closed form in seqspace (or, with n_trunc, from
-truncated sums) and are memoized in a GramStore. A store holds entries of one
-kind only: it records its truncation N (None for closed form), every fill
-checks it, and it persists to a small binary format (see GramStore.save)
-that carries N in its header and exports CSV. A Moebius-weighted
-approximant residual and a sweep driver with the asymptotic diagnostic
-d2 * log L round out the module.
+truncated sums) and live in a GramStore: a dense symmetric array indexed by
+denominator plus a mask of held entries, of one kind only (its truncation N,
+None for closed form, is checked by every fill and carried in the binary
+cache header). Matrices are slices of it; a sweep takes one at its largest
+cutoff and solves leading blocks. A Moebius-weighted approximant residual
+and the asymptotic diagnostic d2 * log L round out the module.
 
 The sequence with denominator 1 is identically zero; bases that include it
 produce a singular Gram matrix, so solvers prune exactly-zero columns (and
@@ -26,8 +26,8 @@ what was pruned.
 
 from __future__ import annotations
 
+import bisect
 import enum
-import itertools
 import math
 import os
 import struct
@@ -35,7 +35,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
@@ -104,29 +104,34 @@ class BasisSelection:
 _MAGIC = b"NBBG"
 _FORMAT_VERSION = 3
 _HEADER = struct.Struct("<4sIQQ")
-_RECORD = struct.Struct("<QQddB")
+_RECORD = np.dtype(
+    [("i", "<u8"), ("j", "<u8"), ("value", "<f8"), ("bound", "<f8"), ("method", "u1")]
+)
 _TRAILER = struct.Struct("<I")
 _METHOD_CODES = {"closed": 0, "truncated": 1}
-_METHOD_NAMES = {code: name for name, code in _METHOD_CODES.items()}
 
 
 class GramStore:
-    """Memo table of pairwise inner products, keyed (i, j) with i <= j.
+    """Pairwise inner products in a dense symmetric float64 array indexed by key.
 
-    n_trunc says which entries the store holds: None for closed-form ones,
-    an int N for sums truncated at N. Fills with any other n_trunc are
-    refused. Thread-safe; values are pure functions of their keys, so racing
-    writers are benign. Persists as a little-endian binary file: header
-    {magic "NBBG", version u32, N u64 (0 for closed form), count u64},
-    records {i u64, j u64, value f64, error_bound f64, method u8} sorted by
-    key, and a CRC32 trailer over everything before it.
+    `values[i, j]` holds an entry wherever the mask `held[i, j]` is set; both
+    grow to the largest key asked for. n_trunc fixes every entry's method
+    and error bound: None for closed-form ones (bound 0), an int N for sums
+    truncated at N (bound 1/(N+1)); fills with any other n_trunc are refused.
+    Thread-safe. Persists as a little-endian binary file: header {magic
+    "NBBG", version u32, N u64 (0 for closed form), count u64}, records {i
+    u64, j u64, value f64, error_bound f64, method u8} for the held keys
+    i <= j in ascending order, and a CRC32 trailer over everything before it.
     """
 
     def __init__(self, n_trunc: Optional[int] = None):
         if n_trunc is not None and n_trunc < 1:
             raise DomainError(f"n_trunc must be >= 1, got {n_trunc}")
         self.n_trunc = n_trunc
-        self._entries: dict[tuple[int, int], InnerProductResult] = {}
+        self.method = "closed" if n_trunc is None else "truncated"
+        self.error_bound = 0.0 if n_trunc is None else 1.0 / (n_trunc + 1)
+        self.values = np.zeros((0, 0))
+        self.held = np.zeros((0, 0), dtype=bool)
         self._lock = threading.Lock()
 
     @staticmethod
@@ -135,47 +140,57 @@ class GramStore:
             raise DomainError(f"store keys must be nonnegative, got ({i}, {j})")
         return (i, j) if i <= j else (j, i)
 
+    def _reserve(self, top: int) -> None:
+        """Grow both arrays to cover keys up to `top`; call under the lock."""
+        grow = top + 1 - self.values.shape[0]
+        if grow > 0:
+            self.values = np.pad(self.values, (0, grow))
+            self.held = np.pad(self.held, (0, grow))
+
     def get(self, i: int, j: int) -> Optional[InnerProductResult]:
+        i, j = self._key(i, j)
         with self._lock:
-            return self._entries.get(self._key(i, j))
+            if j < self.values.shape[0] and self.held[i, j]:
+                return InnerProductResult(float(self.values[i, j]), self.method, self.error_bound)
+        return None
 
-    def put(self, i: int, j: int, result: InnerProductResult) -> None:
+    def put(self, i, j, values) -> None:
+        """Store `values` as the entries for keys i and j (scalars or arrays)."""
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        self._key(int(i.min(initial=0)), int(j.min(initial=0)))
         with self._lock:
-            self._entries[self._key(i, j)] = result
-
-    def put_many(self, items: Iterable[tuple[int, int, InnerProductResult]]) -> None:
-        keyed = [(self._key(i, j), result) for i, j, result in items]
-        with self._lock:
-            self._entries.update(keyed)
+            self._reserve(int(max(i.max(initial=0), j.max(initial=0))))
+            self.values[i, j] = self.values[j, i] = values
+            self.held[i, j] = self.held[j, i] = True
 
     def ensure(
         self, i: int, j: int, compute: Callable[[int, int], InnerProductResult]
     ) -> InnerProductResult:
-        key = self._key(i, j)
-        with self._lock:
-            hit = self._entries.get(key)
-        if hit is not None:
-            return hit
-        result = compute(*key)
-        with self._lock:
-            return self._entries.setdefault(key, result)
+        hit = self.get(i, j)
+        if hit is None:
+            hit = compute(*self._key(i, j))
+            self.put(i, j, hit.value)
+        return hit
 
-    def missing(self, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-        """The pairs (i <= j) of `pairs` that the store does not hold yet."""
+    def missing(self, i: int, js: np.ndarray) -> np.ndarray:
+        """The keys of the integer array `js` whose entry with key i is not held."""
         with self._lock:
-            return [key for key in pairs if key not in self._entries]
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        with self._lock:
-            return self._key(*key) in self._entries
+            self._reserve(max(i, int(js.max(initial=0))))
+            return js[~self.held[i, js]]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return int(np.count_nonzero(np.triu(self.held)))
 
-    def items_sorted(self) -> list[tuple[tuple[int, int], InnerProductResult]]:
+    def records(self) -> np.ndarray:
+        """Every held entry (i <= j) in ascending key order, as cache records."""
         with self._lock:
-            return sorted(self._entries.items())
+            i, j = np.nonzero(np.triu(self.held))
+            values = self.values[i, j]
+        out = np.empty(i.size, _RECORD)
+        out["i"], out["j"], out["value"] = i, j, values
+        out["bound"], out["method"] = self.error_bound, _METHOD_CODES[self.method]
+        return out
 
     # -- persistence --------------------------------------------------------
 
@@ -184,15 +199,14 @@ class GramStore:
 
         A failed or interrupted save leaves any earlier file at `path` whole.
         """
-        items = self.items_sorted()
-        blob = bytearray(_HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_trunc or 0, len(items)))
-        for (i, j), r in items:
-            blob += _RECORD.pack(i, j, r.value, r.error_bound, _METHOD_CODES[r.method])
-        blob += _TRAILER.pack(zlib.crc32(bytes(blob)))
+        records = self.records()
+        blob = _HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_trunc or 0, records.size)
+        blob += records.tobytes()
+        blob += _TRAILER.pack(zlib.crc32(blob))
         path = Path(path)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_bytes(bytes(blob))
+            tmp.write_bytes(blob)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -210,58 +224,43 @@ class GramStore:
             raise CacheError(
                 f"cache file {path} has format version {version}, expected {_FORMAT_VERSION}"
             )
-        body_end = _HEADER.size + count * _RECORD.size
+        body_end = _HEADER.size + count * _RECORD.itemsize
         if len(blob) != body_end + _TRAILER.size:
             raise CacheError(f"cache file {path} has inconsistent length")
         (crc_stored,) = _TRAILER.unpack_from(blob, body_end)
         if crc_stored != zlib.crc32(blob[:body_end]):
             raise CacheError(f"cache file {path} failed its checksum")
         store = cls(n_trunc=n_trunc or None)
-        for k in range(count):
-            i, j, value, bound, code = _RECORD.unpack_from(blob, _HEADER.size + k * _RECORD.size)
-            if code not in _METHOD_NAMES:
-                raise CacheError(f"cache file {path} has unknown method code {code}")
-            store._entries[(i, j)] = InnerProductResult(
-                value=value, method=_METHOD_NAMES[code], error_bound=bound
-            )
+        records = np.frombuffer(blob, _RECORD, count, _HEADER.size)
+        if np.any(records["method"] != _METHOD_CODES[store.method]) or np.any(
+            records["bound"] != store.error_bound
+        ):
+            raise CacheError(
+                f"cache file {path} has records whose method or bound disagrees with N={n_trunc}")
+        store.put(records["i"], records["j"], records["value"])
         return store
 
     def csv_text(self) -> str:
         """Every entry as CSV, one row per key in sorted order, with a header."""
+        r = self.records()
         lines = ["l,m,value,error_bound,method"]
-        for (i, j), r in self.items_sorted():
-            lines.append(f"{i},{j},{r.value!r},{r.error_bound!r},{r.method}")
+        for i, j, value in zip(r["i"].tolist(), r["j"].tolist(), r["value"].tolist()):
+            lines.append(f"{i},{j},{value!r},{self.error_bound!r},{self.method}")
         return "\n".join(lines) + "\n"
 
     def export_csv(self, path) -> None:
         Path(path).write_text(self.csv_text())
 
 
-def _sequence_for(key: int) -> FractionalSequence:
-    if key == CONSTANT_KEY:
-        return FractionalSequence.constant()
-    return FractionalSequence.of(key)
-
-
 def _make_entry_fn(n_trunc: Optional[int]) -> Callable[[int, int], InnerProductResult]:
     def compute(i: int, j: int) -> InnerProductResult:
-        a, b = _sequence_for(i), _sequence_for(j)
+        # Key 0, the constant sequence, is FractionalSequence(None).
+        a, b = FractionalSequence(i or None), FractionalSequence(j or None)
         if n_trunc is None:
             return inner_product_closed(a, b)
         return inner_product_truncated(a, b, n_trunc)
 
     return compute
-
-
-def _fill_closed(store: GramStore, todo: list[tuple[int, int]]) -> None:
-    """Closed-form entries for `todo` (pairs i <= j), one row i at a time."""
-    for i, row in itertools.groupby(todo, key=lambda ij: ij[0]):
-        js = [j for _, j in row]
-        values = inner_products_closed_row(i, js)
-        store.put_many(
-            (i, j, InnerProductResult(value=float(v), method="closed", error_bound=0.0))
-            for j, v in zip(js, values)
-        )
 
 
 def _entries_name(n_trunc: Optional[int]) -> str:
@@ -292,18 +291,15 @@ def assemble_gram(
         raise CacheError(
             f"store holds {_entries_name(store.n_trunc)}, asked for {_entries_name(n_trunc)}"
         )
-    denoms = basis.denominators(L)
-    todo = store.missing(
-        (denoms[p], denoms[q]) for p in range(len(denoms)) for q in range(p, len(denoms))
-    )
-    if not todo:
-        return store
-    if n_trunc is None:
-        _fill_closed(store, todo)
-        return store
+    denoms = np.asarray(basis.denominators(L), dtype=np.intp)
     compute = _make_entry_fn(n_trunc)
-    for i, j in todo:
-        store.ensure(i, j, compute)
+    for p, i in enumerate(denoms.tolist()):
+        js = store.missing(i, denoms[p:])
+        if n_trunc is not None:
+            for j in js.tolist():
+                store.ensure(i, j, compute)
+        elif js.size:
+            store.put(i, js, inner_products_closed_row(i, js))
     return store
 
 
@@ -321,15 +317,12 @@ def gram_system(
     """
     store = assemble_gram(L, basis, store, n_trunc=n_trunc)
     denoms = basis.denominators(L)
+    keys = np.asarray(denoms, dtype=np.intp)
     compute = _make_entry_fn(n_trunc)
-    k = len(denoms)
-    G = np.empty((k, k))
-    g = np.empty(k)
-    for p, l in enumerate(denoms):
-        g[p] = store.ensure(CONSTANT_KEY, l, compute).value
-        for q in range(p, k):
-            G[p, q] = G[q, p] = store.ensure(l, denoms[q], compute).value
-    return denoms, G, g
+    for l in store.missing(CONSTANT_KEY, keys).tolist():
+        store.ensure(CONSTANT_KEY, l, compute)
+    values = store.values  # one read: a later fill may swap in a grown array
+    return denoms, values[np.ix_(keys, keys)], values[CONSTANT_KEY, keys]
 
 
 # ---------------------------------------------------------------------------
@@ -439,22 +432,10 @@ def _logdet_from_factor(cho) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
-def distance(
-    L: int,
-    basis: BasisSelection = BasisSelection(),
-    method: SolveMethod = SolveMethod.LEAST_SQUARES,
-    store: Optional[GramStore] = None,
-    n_trunc: Optional[int] = None,
-) -> DistanceReport:
-    """Squared distance from the constant sequence to the span at cutoff L.
-
-    For L = 1 (or a basis that prunes to nothing) the span is {0}, the
-    distance is the squared norm of the constant sequence, exactly 1; the
-    report is flagged degenerate and no solver runs.
-    """
+def _solve(L, basis, method, denoms, G, g) -> DistanceReport:
+    """The distance report at cutoff L for the system (denoms, G, g)."""
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
-    denoms, G, g = gram_system(L, basis, store, n_trunc=n_trunc)
     idx, dropped = _prune(denoms, G, g)
     if idx.size == 0:
         return DistanceReport(
@@ -484,6 +465,22 @@ def distance(
     )
 
 
+def distance(
+    L: int,
+    basis: BasisSelection = BasisSelection(),
+    method: SolveMethod = SolveMethod.LEAST_SQUARES,
+    store: Optional[GramStore] = None,
+    n_trunc: Optional[int] = None,
+) -> DistanceReport:
+    """Squared distance from the constant sequence to the span at cutoff L.
+
+    For L = 1 (or a basis that prunes to nothing) the span is {0}, the
+    distance is the squared norm of the constant sequence, exactly 1; the
+    report is flagged degenerate and no solver runs.
+    """
+    return _solve(L, basis, method, *gram_system(L, basis, store, n_trunc=n_trunc))
+
+
 def distance_sweep(
     L_values: Sequence[int],
     basis: BasisSelection = BasisSelection(),
@@ -493,6 +490,8 @@ def distance_sweep(
 ) -> list[DistanceReport]:
     """Distance reports over ascending cutoffs, sharing one Gram store.
 
+    The system is built once, at the largest cutoff; each row solves its
+    leading block (every basis is nested), bit for bit as `distance` would.
     Solver failures do not abort the sweep; the failing row carries the
     error message and a NaN distance.
     """
@@ -500,12 +499,12 @@ def distance_sweep(
         raise DomainError("sweep cutoffs must be sorted ascending")
     if not L_values:
         return []
-    # One assembly at the largest cutoff covers every row.
-    store = assemble_gram(max(L_values), basis, store, n_trunc=n_trunc)
+    denoms, G, g = gram_system(max(L_values), basis, store, n_trunc=n_trunc)
     reports = []
     for L in L_values:
+        k = bisect.bisect_right(denoms, L)
         try:
-            reports.append(distance(L, basis, method, store, n_trunc=n_trunc))
+            reports.append(_solve(L, basis, method, denoms[:k], G[:k, :k], g[:k]))
         except ConditioningError as exc:
             reports.append(
                 DistanceReport(
@@ -526,6 +525,7 @@ def moebius_residual(
     eps: float,
     table: MoebiusTable,
     store: Optional[GramStore] = None,
+    n_trunc: Optional[int] = None,
 ) -> float:
     """Squared error of the Moebius-smoothed combination at cutoff L.
 
@@ -536,9 +536,9 @@ def moebius_residual(
         |gamma - v|^2 = 1 + 2 sum_l mu(l) l^{-eps} <gamma, gamma_l>
                           + sum_{l,m} mu(l) mu(m) (l m)^{-eps} <gamma_l, gamma_m>.
 
-    The entries are the square-free Gram system of `gram_system`, less its
-    l = 1 row and column. Always at least the projection distance at the
-    same cutoff.
+    The entries are the square-free Gram system of `gram_system` (truncated
+    at n_trunc if given), less its l = 1 row and column. Always at least the
+    projection distance at the same cutoff.
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
@@ -550,7 +550,7 @@ def moebius_residual(
         return 1.0
     # mu(l) = 0 terms vanish, and l = 1 (first in the square-free basis)
     # contributes the zero sequence.
-    denoms, G, g = gram_system(L, BasisSelection(BasisKind.SQUARE_FREE), store)
+    denoms, G, g = gram_system(L, BasisSelection(BasisKind.SQUARE_FREE), store, n_trunc=n_trunc)
     rest = np.arange(1, len(denoms))
     G, g = G[np.ix_(rest, rest)], g[rest]
     coeff = np.array([float(table.mu[l]) * l ** (-eps) for l in denoms[1:]])

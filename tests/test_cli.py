@@ -162,6 +162,27 @@ class TestResidualCommand:
         assert len(rows) == 4
 
 
+    def test_truncated_N_is_used(self, tmp_path):
+        from nblab import moebius_residual, sieve_moebius
+
+        cache = tmp_path / "t.nbbg"
+        r = run_cli("residual", "--L", "5", "--N", "20", "--cache", str(cache))
+        closed = run_cli("residual", "--L", "5")
+        assert r.returncode == 0 and closed.returncode == 0
+        assert r.stdout != closed.stdout
+        want = moebius_residual(5, 0.0, sieve_moebius(5), n_trunc=20)
+        assert r.stdout.splitlines()[1] == f"5,0.0,{want!r}"
+        assert cli.GramStore.load(cache).n_trunc == 20
+
+    def test_closed_cache_with_N_exits_65(self, tmp_path):
+        cache = tmp_path / "c.nbbg"
+        assert run_cli("residual", "--L", "5", "--cache", str(cache)).returncode == 0
+        r = run_cli("residual", "--L", "5", "--N", "20", "--cache", str(cache))
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert "N=20" in r.stderr
+
+
 class TestVerifyCommand:
     def test_moebius_suite_json(self):
         r = run_cli("verify", "moebius")
@@ -266,6 +287,20 @@ class TestGramCommand:
         assert r.stdout == ""
         assert "N=20" in r.stderr
 
+    def test_record_of_another_kind_exits_65(self, tmp_path):
+        # A record whose method disagrees with the header's N is refused.
+        cache = tmp_path / "c.nbbg"
+        assert run_cli("gram", "--L", "5", "--cache", str(cache)).returncode == 0
+        raw = bytearray(cache.read_bytes())
+        raw[24 + 32] = 1  # method byte of the first record: truncated, header N = 0
+        import zlib
+
+        body = bytes(raw[:-4])
+        cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        r = run_cli("distance", "--L", "2..5", "--cache", str(cache))
+        assert r.returncode == 65
+        assert "method or bound" in r.stderr
+
     def test_unchanged_cache_not_rewritten(self, tmp_path):
         cache = tmp_path / "c.nbbg"
         for argv in (("distance", "--L", "2..8"), ("residual", "--L", "2..8"),
@@ -286,3 +321,18 @@ class TestGramCommand:
         assert r.stdout == bare.stdout
         again = run_cli("distance", "--L", "2..20", "--cache", str(cache), "--threads", "1")
         assert again.stdout == bare.stdout
+
+
+class TestDistanceSweepScript:
+    def test_unchanged_cache_not_rewritten(self, tmp_path):
+        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "distance_sweep.py")
+        cache = tmp_path / "s.nbbg"
+        argv = [sys.executable, script, "--l-max", "20", "--cache", str(cache)]
+        first = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+        assert first.returncode == 0
+        before = os.stat(cache)
+        again = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+        assert again.returncode == 0
+        assert again.stdout == first.stdout
+        after = os.stat(cache)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)

@@ -89,9 +89,13 @@ class TestAssemble:
 
     def test_truncated_entries_marked(self):
         store = assemble_gram(4, EXCL, n_trunc=50_000)
-        for _, r in store.items_sorted():
+        records = store.records()
+        assert records.size == 6
+        for i, j in zip(records["i"].tolist(), records["j"].tolist()):
+            r = store.get(i, j)
             assert r.method == "truncated"
             assert r.error_bound > 0.0
+        assert (records["method"] == 1).all() and (records["bound"] > 0.0).all()
 
 
 class TestEntryPurity:
@@ -99,7 +103,9 @@ class TestEntryPurity:
 
     @staticmethod
     def _bits(store):
-        return {key: struct.pack("<d", r.value) for key, r in store.items_sorted()}
+        r = store.records()
+        keys = zip(r["i"].tolist(), r["j"].tolist())
+        return {key: struct.pack("<d", v) for key, v in zip(keys, r["value"].tolist())}
 
     @staticmethod
     def _sequence(key):
@@ -136,8 +142,9 @@ class TestGramStoreFile:
         store.save(p)
         loaded = GramStore.load(p)
         assert len(loaded) == len(store)
-        for key, r in store.items_sorted():
-            other = loaded.get(*key)
+        records = store.records()
+        for i, j in zip(records["i"].tolist(), records["j"].tolist()):
+            r, other = store.get(i, j), loaded.get(i, j)
             assert struct.pack("<d", other.value) == struct.pack("<d", r.value)
             assert other.method == r.method
         # saving the loaded store reproduces the file byte for byte
@@ -211,6 +218,89 @@ class TestGramStoreFile:
         assert lines[2].startswith("0,2,0.34657359027997")
         # one row per stored entry
         assert len(lines) == 1 + len(store)
+
+
+def _format3_file(n_trunc, records):
+    """A format-3 cache file built field by field with struct, as the format
+    documents it: header, one "<QQddB" record per entry, CRC32 trailer."""
+    body = struct.pack("<4sIQQ", b"NBBG", 3, n_trunc, len(records))
+    body += b"".join(struct.pack("<QQddB", *r) for r in records)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestDenseStore:
+    @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.kind.value)
+    @pytest.mark.parametrize("method", list(SolveMethod), ids=lambda m: m.value)
+    def test_sweep_rows_match_fresh_distance(self, basis, method):
+        # The sweep solves leading blocks of one system at L = 60; each row
+        # must be the bytes `distance` gives from a store of its own.
+        cutoffs = list(range(2, 61))
+        swept = distance_sweep(cutoffs, basis, method, GramStore())
+        fresh = [distance(L, basis, method, GramStore()) for L in cutoffs]
+        assert [r.csv_row() for r in swept] == [r.csv_row() for r in fresh]
+
+    @pytest.mark.parametrize("n_trunc", [None, 30])
+    def test_save_load_save_byte_identical(self, tmp_path, n_trunc):
+        store = GramStore(n_trunc=n_trunc)
+        gram_system(9, SQFREE, store, n_trunc=n_trunc)
+        gram_system(14, ALL, store, n_trunc=n_trunc)
+        first, second = tmp_path / "a.nbbg", tmp_path / "b.nbbg"
+        store.save(first)
+        GramStore.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("n_trunc", [None, 30])
+    def test_struct_built_file_loads_to_same_bits(self, tmp_path, n_trunc):
+        compute = criterion._make_entry_fn(n_trunc)
+        keys = [(0, 0), (0, 2), (0, 7), (2, 2), (2, 7), (3, 5), (7, 7), (7, 11)]
+        results = {key: compute(*key) for key in keys}
+        code = 0 if n_trunc is None else 1
+        rows = [(i, j, r.value, r.error_bound, code) for (i, j), r in results.items()]
+        p = tmp_path / "packed.nbbg"
+        p.write_bytes(_format3_file(n_trunc or 0, rows))
+        loaded = GramStore.load(p)
+        assert loaded.n_trunc == n_trunc and len(loaded) == len(keys)
+        for (i, j), r in results.items():
+            for a, b in ((i, j), (j, i)):
+                got = loaded.get(a, b)
+                assert struct.pack("<d", got.value) == struct.pack("<d", r.value)
+                assert (got.method, got.error_bound) == (r.method, r.error_bound)
+        assert loaded.get(2, 3) is None and loaded.get(0, 11) is None
+        # the dense arrays are symmetric in values and in the held mask
+        assert np.array_equal(loaded.values, loaded.values.T)
+        assert np.array_equal(loaded.held, loaded.held.T)
+        again = tmp_path / "again.nbbg"
+        loaded.save(again)
+        assert again.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize(
+        "n_trunc, record",
+        [(0, (2, 3, 0.1, 0.0, 1)), (0, (2, 3, 0.1, 0.5, 0)), (20, (2, 3, 0.1, 0.0, 1)),
+         (20, (2, 3, 0.1, 1.0 / 21, 0)), (0, (2, 3, 0.1, 0.0, 7))],
+        ids=["truncated-record-closed-header", "closed-record-with-bound",
+             "bound-zero-under-N", "closed-method-under-N", "unknown-method-code"],
+    )
+    def test_record_of_another_kind_rejected(self, tmp_path, n_trunc, record):
+        p = tmp_path / "mixed.nbbg"
+        good = (2, 2, 0.25, 0.0 if n_trunc == 0 else 1.0 / (n_trunc + 1), 0 if n_trunc == 0 else 1)
+        p.write_bytes(_format3_file(n_trunc, [good, record]))
+        with pytest.raises(CacheError):
+            GramStore.load(p)
+
+    def test_grows_without_losing_entries(self):
+        store = GramStore()
+        assemble_gram(5, EXCL, store)
+        before = store.get(3, 5)
+        assemble_gram(40, EXCL, store)
+        assert store.values.shape == (41, 41)
+        assert store.get(3, 5) == before
+        assert len(store) == 39 * 40 // 2
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(DomainError):
+            GramStore().put(-1, [2, 3], [0.1, 0.2])
+        with pytest.raises(DomainError):
+            GramStore().get(2, -3)
 
 
 class TestDistance:
@@ -356,6 +446,21 @@ class TestMoebiusResidual:
             moebius_residual(5, -0.1, moebius_table)
         with pytest.raises(DomainError):
             moebius_residual(20_000, 0.0, moebius_table)
+
+    def test_truncated_matches_direct_expansion(self, moebius_table):
+        # With n_trunc the expansion runs over truncated entries: it must
+        # differ from the closed form and equal the same expansion over raw
+        # truncated sums (oracles.truncated_gram; <1, 1> stays exactly 1).
+        n_trunc, L, eps = 20, 5, 0.3
+        got = moebius_residual(L, eps, moebius_table, n_trunc=n_trunc)
+        closed = moebius_residual(L, eps, moebius_table)
+        denoms = [l for l in SQFREE.denominators(L) if l > 1]
+        G, g = oracles.truncated_gram(denoms, n_trunc)
+        c = np.array([moebius_table.mu[l] * l ** (-eps) for l in denoms])
+        assert abs(got - (1.0 + 2.0 * float(c @ g) + float(c @ G @ c))) < 1e-13
+        assert abs(got - closed) > 1e-3
+        with pytest.raises(CacheError):
+            moebius_residual(L, eps, moebius_table, GramStore(), n_trunc=n_trunc + 1)
 
     @given(st.integers(min_value=2, max_value=60))
     @settings(max_examples=25, deadline=None)
