@@ -8,6 +8,7 @@ transform-side picture of the distance sweep's decay.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -57,7 +58,14 @@ def main() -> int:
         help="comma-separated partial-sum cutoffs",
     )
     a = ap.parse_args()
-    cutoffs = tuple(sorted({int(tok) for tok in a.cutoffs.split(",")}))
+    if not (a.eps > 0.0 and math.isfinite(a.eps)):
+        ap.error(f"--eps must be positive and finite, got {a.eps}")
+    try:
+        cutoffs = tuple(sorted({int(tok) for tok in a.cutoffs.split(",")}))
+    except ValueError:
+        ap.error(f"--cutoffs must be comma-separated integers, got {a.cutoffs!r}")
+    if cutoffs[0] < 1:
+        ap.error(f"--cutoffs must be >= 1, got {cutoffs[0]}")
     return run(HlineConfig(eps=a.eps, cutoffs=cutoffs))
 
 

@@ -248,10 +248,28 @@ class TestMoebiusTransforms:
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 2e-2
 
+    @pytest.mark.parametrize("eps", [0.1, 0.3])
+    def test_partial_bit_identical_to_loop(self, eps, moebius_table):
+        table = sieve_moebius(4000)
+        extra = (0.5 + 10.0j, 0.8 - 4.0j, 2.0 + 1.0j)
+        for L in (1, 2, 10, 100, 1000, 4000):
+            for s in CRITICAL_LINE_GRID.points + extra:
+                got = moebius_partial_transform(L, eps, s, table)
+                assert got == oracles.moebius_partial_transform_loop(L, eps, s, table), (L, s)
+        # l = 9170 is the first square-free l whose float64 numpy log differs
+        # from libm's in the last bit
+        for s in extra:
+            got = moebius_partial_transform(10_000, eps, s, moebius_table)
+            assert got == oracles.moebius_partial_transform_loop(10_000, eps, s, moebius_table), s
+
     def test_guards(self):
         table = sieve_moebius(10)
         with pytest.raises(DomainError):
             moebius_partial_transform(10, -0.1, 2.0, table)
+        with pytest.raises(DomainError):
+            moebius_partial_transform(0, 0.1, 2.0, table)
+        with pytest.raises(DomainError):
+            moebius_partial_transform(table.limit + 1, 0.1, 2.0, table)
         with pytest.raises(DomainError):
             moebius_limit_transform(0.2, 0.3 + 1.0j)  # left of the strip
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -336,3 +337,32 @@ class TestDistanceSweepScript:
         assert again.stdout == first.stdout
         after = os.stat(cache)
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def load_script(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestHlineScript:
+    def test_rows_match_frozen_values(self, capsys):
+        hline = load_script("hline_convergence")
+        assert hline.run(hline.HlineConfig(cutoffs=(10, 100, 1000))) == 0
+        assert capsys.readouterr().out.splitlines() == ["L,sup_gap,mean_gap", *oracles.HLINE_ROWS]
+
+    @pytest.mark.parametrize("argv", [
+        ["--cutoffs", "0,10"],
+        ["--cutoffs", "10,x"],
+        ["--eps", "0"],
+        ["--eps", "-0.5"],
+    ])
+    def test_bad_arguments_exit_2(self, argv, monkeypatch, capsys):
+        hline = load_script("hline_convergence")
+        monkeypatch.setattr(sys, "argv", ["hline_convergence.py", *argv])
+        with pytest.raises(SystemExit) as exc:
+            hline.main()
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
