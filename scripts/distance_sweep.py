@@ -62,6 +62,10 @@ def main() -> int:
     ap.add_argument("--method", default="ls", choices=("ls", "det"))
     ap.add_argument("--cache", type=Path, default=None)
     a = ap.parse_args()
+    if a.l_max < 2:
+        ap.error(f"--l-max must be at least 2, got {a.l_max}")
+    if a.l_step < 1:
+        ap.error(f"--l-step must be at least 1, got {a.l_step}")
     cfg = SweepConfig(a.l_max, a.l_step, a.basis, a.method, a.cache)
     return run(cfg)
 

@@ -2,31 +2,32 @@
 
 Measures how well the constant sequence is approximated by finite linear
 combinations of the fractional-part sequences with denominators up to a
-cutoff L. The squared distance d2(L) is computed by two independent routes:
+cutoff L. The squared distance d2(L) is computed by two independent routes,
+each from one Cholesky factorization G = R^T R of the largest block:
 
-  * LeastSquares: solve the normal equations G c = g by Cholesky
-    factorization and report 1 - g.c;
-  * GramDetRatio: the ratio of the bordered Gram determinant (basis plus
-    the constant sequence) to the plain one, via factorization
-    log-determinants.
+  * LeastSquares: with z = R^{-T} g, d2 = 1 - |z|^2 = 1 - g.c for the
+    solution c of the normal equations G c = g;
+  * GramDetRatio: the ratio of the bordered Gram determinant (the constant
+    sequence, then the basis) to the plain one, from the factors' diagonals.
+
+Because every basis is nested, the leading k entries of z and of the
+diagonals give every smaller cutoff too: a sweep is one prefix solve.
 
 Gram entries come from the closed form in seqspace (or, with n_trunc, from
 truncated sums) and live in a GramStore: a dense symmetric array indexed by
 denominator plus a mask of held entries, of one kind only (its truncation N,
 None for closed form, is checked by every fill and carried in the binary
-cache header). Matrices are slices of it; a sweep takes one at its largest
-cutoff and solves leading blocks. A Moebius-weighted approximant residual
-and the asymptotic diagnostic d2 * log L round out the module.
+cache header). Matrices are slices of it, taken once per sweep at its
+largest cutoff. A Moebius-weighted approximant residual and the asymptotic
+diagnostic d2 * log L round out the module.
 
 The sequence with denominator 1 is identically zero; bases that include it
-produce a singular Gram matrix, so solvers prune exactly-zero columns (and
-any exactly-duplicated ones) before factorizing, and the report records
-what was pruned.
+produce a singular Gram matrix, so the solver prunes exactly-zero columns
+before factorizing, and the report records what was pruned.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 import os
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg import LinAlgError, cho_factor, get_lapack_funcs, solve_triangular
 
 from .arith import MoebiusTable, sieve_moebius
 from .errors import CacheError, ConditioningError, DomainError
@@ -376,93 +377,72 @@ class DistanceReport:
         }
 
 
-def _prune(denoms: Sequence[int], G: np.ndarray, g: np.ndarray):
-    """Drop exactly-zero columns (zero diagonal) and exact duplicates."""
-    keep: list[int] = []
-    dropped: list[int] = []
-    seen_rows: dict[bytes, int] = {}
-    for p, l in enumerate(denoms):
-        if G[p, p] == 0.0:
-            dropped.append(l)
-            continue
-        fingerprint = G[p].tobytes() + g[p : p + 1].tobytes()
-        if fingerprint in seen_rows:
-            dropped.append(l)
-            continue
-        seen_rows[fingerprint] = p
-        keep.append(p)
-    idx = np.asarray(keep, dtype=np.intp)
-    return idx, tuple(dropped)
+def _prune(denoms: Sequence[int], G: np.ndarray):
+    """Positions of the columns with a nonzero diagonal, and the denominators
+    of the others (exactly-zero sequences, in practice l = 1)."""
+    zero = np.diag(G) == 0.0
+    return np.flatnonzero(~zero), tuple(np.asarray(denoms, dtype=np.intp)[zero].tolist())
 
 
-def _cond_estimate(cho, anorm: float) -> float:
-    c, lower = cho
-    pocon = get_lapack_funcs(("pocon",), (c,))[0]
-    rcond, info = pocon(c, anorm, uplo="L" if lower else "U")
+def _cond_estimate(R: np.ndarray, anorm: float) -> float:
+    """1-norm condition estimate of R^T R, from its upper factor R and its 1-norm."""
+    pocon = get_lapack_funcs(("pocon",), (R,))[0]
+    rcond, info = pocon(R, anorm, uplo="U")
     if info != 0 or rcond <= 0.0:
         return math.inf
     return 1.0 / rcond
 
 
 def _factor_with_ridge(G: np.ndarray):
-    """Cholesky-factor G, climbing the ridge ladder on failure.
+    """Upper Cholesky factor of G, climbing the ridge ladder on failure.
 
-    Returns (factor, ridge_used, cond_estimate). The ridge is added to the
-    diagonal unscaled; the ladder tops out at 1e-10, far below any Gram
-    diagonal here.
+    Returns (R, ridge_used) with R^T R = G + ridge_used * I; only the upper
+    triangle of R is meaningful. The ridge is added to the diagonal
+    unscaled; the ladder tops out at 1e-10, far below any Gram diagonal here.
     """
-    anorm = float(np.linalg.norm(G, 1)) if G.size else 0.0
     last_exc: Optional[Exception] = None
     for ridge in RIDGE_LADDER:
         try:
             M = G if ridge == 0.0 else G + ridge * np.eye(G.shape[0])
-            cho = cho_factor(M, lower=False, check_finite=False)
+            return cho_factor(M, lower=False, check_finite=False)[0], ridge
         except LinAlgError as exc:
             last_exc = exc
-            continue
-        return cho, ridge, _cond_estimate(cho, anorm)
     raise ConditioningError(
         f"Gram factorization failed at every ridge in {RIDGE_LADDER}: {last_exc}",
         cond_estimate=math.inf,
     )
 
 
-def _logdet_from_factor(cho) -> float:
-    c, _ = cho
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
+def _prefix_solve(G: np.ndarray, g: np.ndarray, method: SolveMethod, sizes: set[int]):
+    """(d2, ridge, cond) for every leading block of (G, g), from one factor.
 
-
-def _solve(L, basis, method, denoms, G, g) -> DistanceReport:
-    """The distance report at cutoff L for the system (denoms, G, g)."""
-    if L < 1:
-        raise DomainError(f"cutoff must be >= 1, got {L}")
-    idx, dropped = _prune(denoms, G, g)
-    if idx.size == 0:
-        return DistanceReport(
-            L=L, basis=basis, d2=1.0, method=method, cond_estimate=math.nan,
-            ridge_used=0.0, a_est=1.0 * math.log(L), degenerate=True, pruned=dropped,
-        )
-    Gp = G[np.ix_(idx, idx)]
-    gp = g[idx]
-    cho, ridge, cond = _factor_with_ridge(Gp)
+    d2[k - 1] is the distance for the leading k columns (by least squares
+    1 - cumsum(z^2), non-increasing; by determinants from the factor of
+    B = [[1, g^T], [g, G]]), ridge the one the whole block needed, and cond
+    maps each k in `sizes` to the condition estimate of G's k-block.
+    """
+    R, ridge = _factor_with_ridge(G)
     if method is SolveMethod.LEAST_SQUARES:
-        c = cho_solve(cho, gp, check_finite=False)
-        d2 = 1.0 - float(gp @ c)
+        z = solve_triangular(R, g, trans="T", check_finite=False)
+        d2 = 1.0 - np.cumsum(z * z)
     else:
-        k = idx.size
-        bordered = np.empty((k + 1, k + 1))
-        bordered[:k, :k] = Gp
-        bordered[:k, k] = bordered[k, :k] = gp
-        bordered[k, k] = 1.0
-        if ridge:
-            bordered[np.diag_indices(k)] += ridge
-        cho_b, ridge_b, _ = _factor_with_ridge(bordered)
+        n = g.size
+        B = np.empty((n + 1, n + 1))
+        B[0, 0] = 1.0
+        B[0, 1:] = B[1:, 0] = g
+        B[1:, 1:] = G
+        diag = np.arange(1, n + 1)
+        B[diag, diag] += ridge
+        R_B, ridge_b = _factor_with_ridge(B)
         ridge = max(ridge, ridge_b)
-        d2 = math.exp(_logdet_from_factor(cho_b) - _logdet_from_factor(cho))
-    return DistanceReport(
-        L=L, basis=basis, d2=d2, method=method, cond_estimate=cond,
-        ridge_used=ridge, a_est=d2 * math.log(L), pruned=dropped,
-    )
+        logdet = np.cumsum(2.0 * np.log(np.diag(R)))
+        logdet_b = np.cumsum(2.0 * np.log(np.diag(R_B)))
+        d2 = np.exp(logdet_b[1:] - logdet)
+    # Column k of `colsums` holds the running sums of |G[:, k]|, so the
+    # 1-norm of the leading k-block is the largest of colsums[k - 1, :k].
+    colsums = np.cumsum(np.abs(G), axis=0)
+    cond = {k: _cond_estimate(R[:k, :k], float(colsums[k - 1, :k].max())) for k in sizes}
+    return d2, ridge, cond
 
 
 def distance(
@@ -474,11 +454,12 @@ def distance(
 ) -> DistanceReport:
     """Squared distance from the constant sequence to the span at cutoff L.
 
-    For L = 1 (or a basis that prunes to nothing) the span is {0}, the
-    distance is the squared norm of the constant sequence, exactly 1; the
-    report is flagged degenerate and no solver runs.
+    The one-row `distance_sweep`. For L = 1 (or a basis that prunes to
+    nothing) the span is {0}, the distance is the squared norm of the
+    constant sequence, exactly 1; the report is flagged degenerate and no
+    solver runs.
     """
-    return _solve(L, basis, method, *gram_system(L, basis, store, n_trunc=n_trunc))
+    return distance_sweep([L], basis, method, store, n_trunc=n_trunc)[0]
 
 
 def distance_sweep(
@@ -490,29 +471,43 @@ def distance_sweep(
 ) -> list[DistanceReport]:
     """Distance reports over ascending cutoffs, sharing one Gram store.
 
-    The system is built once, at the largest cutoff; each row solves its
-    leading block (every basis is nested), bit for bit as `distance` would.
-    Solver failures do not abort the sweep; the failing row carries the
-    error message and a NaN distance.
+    The system is built, pruned and factored once, at the largest cutoff;
+    each row reads its leading block of that factor, so its last bits
+    depend on the largest cutoff. Every row that needs a solve reports the
+    ridge the largest block needed; if that fails at every ridge, each such
+    row carries the error message and a NaN distance.
     """
-    if list(L_values) != sorted(L_values):
+    L_values = list(L_values)
+    if L_values != sorted(L_values):
         raise DomainError("sweep cutoffs must be sorted ascending")
     if not L_values:
         return []
-    denoms, G, g = gram_system(max(L_values), basis, store, n_trunc=n_trunc)
-    reports = []
-    for L in L_values:
-        k = bisect.bisect_right(denoms, L)
+    if L_values[0] < 1:
+        raise DomainError(f"cutoff must be >= 1, got {L_values[0]}")
+    denoms, G, g = gram_system(L_values[-1], basis, store, n_trunc=n_trunc)
+    keep, dropped = _prune(denoms, G)
+    G, g = G[np.ix_(keep, keep)], g[keep]
+    kept = np.asarray(denoms, dtype=np.intp)[keep]
+    sizes = np.searchsorted(kept, L_values, side="right").tolist()
+    failure: Optional[ConditioningError] = None
+    if g.size:
         try:
-            reports.append(_solve(L, basis, method, denoms[:k], G[:k, :k], g[:k]))
+            d2, ridge, cond = _prefix_solve(G, g, method, set(sizes) - {0})
         except ConditioningError as exc:
-            reports.append(
-                DistanceReport(
-                    L=L, basis=basis, d2=math.nan, method=method,
-                    cond_estimate=exc.cond_estimate, ridge_used=RIDGE_LADDER[-1],
-                    a_est=math.nan, error=str(exc),
-                )
-            )
+            failure = exc
+    reports = []
+    for L, k in zip(L_values, sizes):
+        if k == 0:
+            row = dict(d2=1.0, cond_estimate=math.nan, ridge_used=0.0, degenerate=True)
+        elif failure is not None:
+            row = dict(d2=math.nan, cond_estimate=failure.cond_estimate,
+                       ridge_used=RIDGE_LADDER[-1], error=str(failure))
+        else:
+            row = dict(d2=float(d2[k - 1]), cond_estimate=cond[k], ridge_used=ridge)
+        reports.append(DistanceReport(
+            L=L, basis=basis, method=method, a_est=row["d2"] * math.log(L),
+            pruned=tuple(l for l in dropped if l <= L), **row,
+        ))
     return reports
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately uses different algorithms than the package:
 alternating-series acceleration instead of binomial-transform eta sums,
 brute-force truncated sums instead of closed digamma forms, coordinate
-descent instead of Cholesky solves, scipy's digamma and an LU solve instead
+descent instead of Cholesky solves, a fresh factorization per cutoff
+instead of one prefix solve per sweep, scipy's digamma and an LU solve instead
 of the package's digamma and Cholesky factor, and per-piece antiderivatives
 instead of telescoped Euler-Maclaurin remainders. mpmath supplies arbitrary
 precision where a float oracle would be circular.
@@ -16,8 +17,10 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 from scipy.special import digamma
 
+from nblab.criterion import RIDGE_LADDER, SolveMethod
 from nblab.errors import DomainError
 from nblab.specfun import finite_complex, zeta
 
@@ -116,6 +119,54 @@ def coordinate_descent_d2(G, g, sweeps: int = 4000) -> float:
             r = g[i] - (G[i] @ c) + G[i, i] * c[i]
             c[i] = r / G[i, i]
     return float(1.0 - 2.0 * (c @ g) + c @ G @ c)
+
+
+def per_row_distance(denoms, G, g, method: SolveMethod) -> dict:
+    """d2, cond, ridge, pruned and degenerate for the whole system (denoms, G, g),
+    solved on its own: prune zero and duplicate columns, factor the pruned
+    block (climbing RIDGE_LADDER), then cho_solve for least squares, or the
+    log-determinant ratio of the basis bordered by the constant last.
+
+    The package reads every cutoff of a sweep from one factor of the largest
+    block; this factors each cutoff's block on its own.
+    """
+    keep, pruned, seen = [], [], set()
+    for p, l in enumerate(denoms):
+        fingerprint = G[p].tobytes() + g[p : p + 1].tobytes()
+        if G[p, p] == 0.0 or fingerprint in seen:
+            pruned.append(l)
+        else:
+            seen.add(fingerprint)
+            keep.append(p)
+    if not keep:
+        return dict(d2=1.0, cond=math.nan, ridge=0.0, pruned=tuple(pruned), degenerate=True)
+
+    def factor(M):
+        for ridge in RIDGE_LADDER:
+            try:
+                return cho_factor(M + ridge * np.eye(len(M)), check_finite=False), ridge
+            except LinAlgError:
+                continue
+        raise LinAlgError(f"no ridge in {RIDGE_LADDER} factors the block")
+
+    def logdet(cho):
+        return 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+
+    Gp, gp = G[np.ix_(keep, keep)], g[keep]
+    cho, ridge = factor(Gp)
+    pocon = get_lapack_funcs("pocon", (cho[0],))
+    rcond, _ = pocon(cho[0], float(np.linalg.norm(Gp, 1)), uplo="L" if cho[1] else "U")
+    if method is SolveMethod.LEAST_SQUARES:
+        d2 = 1.0 - float(gp @ cho_solve(cho, gp, check_finite=False))
+    else:
+        k = len(keep)
+        bordered = np.ones((k + 1, k + 1))
+        bordered[:k, :k] = Gp + ridge * np.eye(k)
+        bordered[:k, k] = bordered[k, :k] = gp
+        cho_b, ridge_b = factor(bordered)
+        ridge = max(ridge, ridge_b)
+        d2 = math.exp(logdet(cho_b) - logdet(cho))
+    return dict(d2=d2, cond=1.0 / rcond, ridge=ridge, pruned=tuple(pruned), degenerate=False)
 
 
 def residue_class_entry(a: int | None, b: int) -> float:

@@ -9,7 +9,14 @@ import sys
 import pytest
 
 from nblab import cli
-from nblab.criterion import BasisKind, BasisSelection, DistanceReport, SolveMethod
+from nblab.criterion import (
+    BasisKind,
+    BasisSelection,
+    DistanceReport,
+    GramStore,
+    SolveMethod,
+    distance_sweep,
+)
 
 import oracles
 
@@ -145,6 +152,33 @@ class TestDistanceCommand:
         code = cli.main(["distance", "--L", "7", "--threads", "1"])
         assert code == 1
         assert "factorization" in capsys.readouterr().err
+
+    def test_sweep_ridge_reported_by_every_row_exits_two(self, tmp_path, capsys):
+        # Entries truncated at N = 20 make the L = 40 block need a ridge; it
+        # is chosen once for the sweep, so every row reports it.
+        excl = BasisSelection(BasisKind.EXCLUDE_ONE)
+        rows = distance_sweep(range(2, 41), excl, store=GramStore(n_trunc=20), n_trunc=20)
+        assert all(r.ridge_used > 0.0 and math.isfinite(r.d2) for r in rows)
+        code = cli.main(["distance", "--L", "2..40", "--N", "20",
+                         "--cache", str(tmp_path / "n20.nbbg")])
+        assert code == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 40 and all(float(line.split(",")[5]) > 0.0 for line in out[1:])
+
+    def test_indefinite_store_gives_error_rows_exits_one(self, tmp_path, capsys):
+        # G over denominators 2, 3, 4 is [[1, 2, 0], [2, 1, 0], [0, 0, 1]]:
+        # indefinite, so no rung of the ridge ladder factors it.
+        store = GramStore()
+        store.put([2, 2, 2, 3, 3, 4], [2, 3, 4, 3, 4, 4], [1.0, 2.0, 0.0, 1.0, 0.0, 1.0])
+        store.put(0, [2, 3, 4], [0.1, 0.1, 0.1])
+        for method in SolveMethod:
+            rows = distance_sweep([2, 3, 4], BasisSelection(BasisKind.EXCLUDE_ONE), method, store)
+            assert all(r.error and math.isnan(r.d2) for r in rows)
+        cache = tmp_path / "indefinite.nbbg"
+        store.save(cache)
+        code = cli.main(["distance", "--L", "2..4", "--method", "both", "--cache", str(cache)])
+        assert code == 1
+        assert capsys.readouterr().err.count("factorization failed") == 6
 
 
 class TestResidualCommand:
@@ -337,6 +371,15 @@ class TestDistanceSweepScript:
         assert again.stdout == first.stdout
         after = os.stat(cache)
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    @pytest.mark.parametrize("argv", [["--l-max", "1"], ["--l-step", "0"], ["--l-step", "-3"]])
+    def test_bad_range_exits_2(self, argv, monkeypatch, capsys):
+        sweep = load_script("distance_sweep")
+        monkeypatch.setattr(sys, "argv", ["distance_sweep.py", *argv])
+        with pytest.raises(SystemExit) as exc:
+            sweep.main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def load_script(name):

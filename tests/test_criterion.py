@@ -15,6 +15,7 @@ from nblab.criterion import (
     BasisSelection,
     GramStore,
     SolveMethod,
+    _cond_estimate,
     _factor_with_ridge,
     _prune,
     assemble_gram,
@@ -220,6 +221,13 @@ class TestGramStoreFile:
         assert len(lines) == 1 + len(store)
 
 
+def assert_rows_close(row, d2, cond):
+    """A sweep row against another route: |d2 - d2'| <= 1e-12 and cond
+    within a relative 1e-10."""
+    assert abs(row.d2 - d2) <= 1e-12, (row.L, row.d2, d2)
+    assert abs(row.cond_estimate - cond) <= 1e-10 * cond, (row.L, row.cond_estimate, cond)
+
+
 def _format3_file(n_trunc, records):
     """A format-3 cache file built field by field with struct, as the format
     documents it: header, one "<QQddB" record per entry, CRC32 trailer."""
@@ -231,13 +239,31 @@ def _format3_file(n_trunc, records):
 class TestDenseStore:
     @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.kind.value)
     @pytest.mark.parametrize("method", list(SolveMethod), ids=lambda m: m.value)
+    def test_sweep_rows_match_per_row_oracle(self, shared_store, basis, method):
+        # The sweep reads every row from one factor of the L = 300 block; the
+        # oracle factors each row's own block. Only the last bits may differ.
+        cutoffs = list(range(2, 301))
+        swept = distance_sweep(cutoffs, basis, method, shared_store)
+        denoms, G, g = gram_system(300, basis, shared_store)
+        for r in swept:
+            k = sum(1 for l in denoms if l <= r.L)
+            ref = oracles.per_row_distance(denoms[:k], G[:k, :k], g[:k], method)
+            assert_rows_close(r, ref["d2"], ref["cond"])
+            assert (r.pruned, r.ridge_used, r.degenerate) == (
+                ref["pruned"], ref["ridge"], ref["degenerate"]), r.L
+
+    @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.kind.value)
+    @pytest.mark.parametrize("method", list(SolveMethod), ids=lambda m: m.value)
     def test_sweep_rows_match_fresh_distance(self, basis, method):
-        # The sweep solves leading blocks of one system at L = 60; each row
-        # must be the bytes `distance` gives from a store of its own.
+        # A row of a sweep to 60 and `distance` from a store of its own agree
+        # to the oracle's bound, in everything but the last bits.
         cutoffs = list(range(2, 61))
         swept = distance_sweep(cutoffs, basis, method, GramStore())
-        fresh = [distance(L, basis, method, GramStore()) for L in cutoffs]
-        assert [r.csv_row() for r in swept] == [r.csv_row() for r in fresh]
+        for r in swept:
+            fresh = distance(r.L, basis, method, GramStore())
+            assert_rows_close(r, fresh.d2, fresh.cond_estimate)
+            assert (r.pruned, r.ridge_used, r.degenerate) == (
+                fresh.pruned, fresh.ridge_used, fresh.degenerate), r.L
 
     @pytest.mark.parametrize("n_trunc", [None, 30])
     def test_save_load_save_byte_identical(self, tmp_path, n_trunc):
@@ -325,11 +351,11 @@ class TestDistance:
 
     def test_full_and_exclude_one_agree(self, shared_store):
         # the all-denominators basis only adds the zero vector, which the
-        # solver prunes, so the distances must match to the last bit or so
+        # solver prunes; what is left is the exclude-one system, bit for bit
         for L in (4, 12, 40):
             a = distance(L, ALL, store=shared_store)
             b = distance(L, EXCL, store=shared_store)
-            assert abs(a.d2 - b.d2) < 1e-14
+            assert a.d2 == b.d2
             assert 1 in a.pruned
 
     def test_coordinate_descent_oracle(self, shared_store):
@@ -377,11 +403,12 @@ class TestSweep:
             distance_sweep([10, 5])
 
     def test_monotone_and_bounded(self, shared_store):
+        # least squares reads 1 - cumsum(z^2): non-increasing bit for bit
         rows = distance_sweep(list(range(2, 101)), ALL, store=shared_store)
         d2 = [r.d2 for r in rows]
         assert all(0.0 <= v <= 1.0 for v in d2)
         for prev, cur in zip(d2, d2[1:]):
-            assert cur <= prev + 1e-12
+            assert cur <= prev
 
     def test_squarefree_dominates_full(self, shared_store):
         full = distance_sweep(list(range(2, 101)), ALL, store=shared_store)
@@ -391,23 +418,24 @@ class TestSweep:
 
 
 class TestSolverInternals:
-    def test_prune_drops_zero_diagonal_and_duplicates(self):
+    def test_prune_drops_zero_diagonal(self):
         G = np.array(
             [
                 [0.0, 0.0, 0.0],
-                [0.0, 2.0, 2.0],
-                [0.0, 2.0, 2.0],
+                [0.0, 2.0, 1.0],
+                [0.0, 1.0, 3.0],
             ]
         )
-        g = np.array([0.0, 1.0, 1.0])
-        idx, dropped = _prune((1, 2, 4), G, g)
-        assert list(idx) == [1]
-        assert dropped == (1, 4)
+        g = np.array([0.0, 1.0, 0.5])
+        idx, dropped = _prune((1, 2, 4), G)
+        assert list(idx) == [1, 2]
+        assert dropped == (1,)
         assert g[idx][0] == 1.0
 
     def test_ridge_ladder_on_singular_matrix(self):
         ones = np.ones((2, 2))
-        cho, ridge, cond = _factor_with_ridge(ones)
+        R, ridge = _factor_with_ridge(ones)
+        cond = _cond_estimate(R, 2.0)
         assert ridge > 0.0
         assert math.isfinite(cond)
 
@@ -419,7 +447,8 @@ class TestSolverInternals:
 
     def test_spd_matrix_unchanged(self):
         spd = np.array([[2.0, 0.5], [0.5, 1.0]])
-        cho, ridge, cond = _factor_with_ridge(spd)
+        R, ridge = _factor_with_ridge(spd)
+        cond = _cond_estimate(R, 2.5)
         assert ridge == 0.0
         assert cond >= 1.0
 
