@@ -7,7 +7,7 @@ and cross-checks the analytic identities that make the closed-form Gram
 entries and Mellin-side transforms trustworthy.
 """
 
-from .arith import MoebiusTable, lcm, sieve_moebius, verify_recurrence
+from .arith import MoebiusTable, sieve_moebius, verify_recurrence
 from .criterion import (
     BasisKind,
     BasisSelection,
@@ -23,7 +23,6 @@ from .criterion import (
 )
 from .errors import (
     CacheError,
-    CapacityError,
     ConditioningError,
     DomainError,
     NBLabError,
@@ -68,7 +67,6 @@ __all__ = [
     "BasisKind",
     "BasisSelection",
     "CacheError",
-    "CapacityError",
     "ConditioningError",
     "DistanceReport",
     "DomainError",
@@ -93,7 +91,6 @@ __all__ = [
     "gram_system",
     "inner_product_closed",
     "inner_product_truncated",
-    "lcm",
     "log_gamma",
     "mellin_exact",
     "moebius_limit_transform",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -337,44 +337,6 @@ def moebius_limit_transform(eps: float, s: complex) -> complex:
             f"zeta({z + eps}) = {denom} is too close to zero for a stable reciprocal"
         )
     return zeta(z) / z * (1.0 / denom - 1.0 / zeta(1.0 + eps))
-
-
-# ---------------------------------------------------------------------------
-# grid samples
-
-
-@dataclass(frozen=True)
-class GridSample:
-    """Named function values attached to one grid point, reproducible from
-    the point and the parameters encoded in each name."""
-
-    s: complex
-    values: dict[str, complex] = field(default_factory=dict)
-
-
-def sample_point(
-    s: complex,
-    lams: Sequence[float] = (),
-    denominators: Sequence[int] = (),
-    smoothings: Sequence[float] = (),
-    scales: Sequence[float] = (),
-    partial_cutoff: Optional[int] = None,
-    table: Optional[MoebiusTable] = None,
-) -> GridSample:
-    values: dict[str, complex] = {"zeta": zeta(s), "constant": constant_transform(s)}
-    for lam in lams:
-        values[f"combined({lam!r})"] = combined_kernel_transform(lam, s)
-    for l in denominators:
-        values[f"reciprocal({l})"] = reciprocal_kernel_transform(l, s)
-    for eps in smoothings:
-        values[f"limit(eps={eps!r})"] = moebius_limit_transform(eps, s)
-        if partial_cutoff is not None and table is not None:
-            values[f"partial(L={partial_cutoff},eps={eps!r})"] = (
-                moebius_partial_transform(partial_cutoff, eps, s, table)
-            )
-    for mu in scales:
-        values[f"inner(mu={mu!r})"] = scale_inner_function(mu, s)
-    return GridSample(s=s, values=values)
 
 
 # ---------------------------------------------------------------------------

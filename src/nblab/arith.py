@@ -8,14 +8,10 @@ enumeration reuses the stored smallest-prime-factor chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-
-# lcm results must fit the unsigned 64-bit index fields of the Gram cache.
-_U64_MAX = 2**63 - 1
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -106,17 +102,3 @@ def verify_recurrence(table: MoebiusTable, n_max: int) -> bool:
     for l in range(1, n_max + 1):
         acc[l::l] += table.mu[l]
     return acc[1] == 1 and not acc[2:].any()
-
-
-def lcm(l: int, m: int) -> int:
-    """Least common multiple with an explicit 64-bit capacity check.
-
-    Gram cache records store sequence indices as u64, so any lcm that
-    overflows 63 bits is rejected rather than silently widened.
-    """
-    if l < 1 or m < 1:
-        raise DomainError(f"lcm: arguments must be positive, got ({l}, {m})")
-    value = l // gcd(l, m) * m
-    if value > _U64_MAX:
-        raise CapacityError(f"lcm({l}, {m}) = {value} exceeds the 64-bit cache field")
-    return value

@@ -126,14 +126,14 @@ def _config_from_args(args) -> RunConfig:
         "ls": (SolveMethod.LEAST_SQUARES,),
         "det": (SolveMethod.GRAM_DET_RATIO,),
         "both": (SolveMethod.LEAST_SQUARES, SolveMethod.GRAM_DET_RATIO),
-    }[args.method]
+    }[getattr(args, "method", "ls")]
     return RunConfig(
         L_values=args.L,
-        basis=BasisSelection.parse(args.basis),
+        basis=BasisSelection.parse(getattr(args, "basis", "exclude-one")),
         methods=methods,
         eps=getattr(args, "eps", (0.0,)),
         n_trunc=args.N,
-        tolerance=args.tol,
+        tolerance=getattr(args, "tol", None),
         cache_path=_cache_file(args.cache),
         out_format=args.format,
     )
@@ -216,11 +216,12 @@ def cmd_gram(args) -> int:
     cfg = _config_from_args(args)
     store = load_store(cfg.cache_path, cfg.n_trunc)
     loaded = len(store)
-    assemble_gram(max(cfg.L_values), cfg.basis, store, n_trunc=cfg.n_trunc)
+    L = max(cfg.L_values)
+    assemble_gram(L, cfg.basis, store, n_trunc=cfg.n_trunc)
     print(f"{len(store) - loaded} newly computed entries, {len(store)} total", file=sys.stderr)
     save_store(store, cfg.cache_path, loaded)
     if args.export == "csv":
-        sys.stdout.write(store.csv_text())
+        sys.stdout.write(store.csv_text(cfg.basis.denominators(L)))
     return EXIT_OK
 
 
@@ -232,31 +233,33 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="nblab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, include_eps=False):
+    def common(p):
         p.add_argument("--L", type=_parse_cutoffs, default=(30,),
                        help="cutoff list: '30', '2,5,10', or '2..30'")
-        p.add_argument("--basis", choices=("all", "exclude-one", "square-free"),
-                       default="exclude-one")
-        p.add_argument("--method", choices=("ls", "det", "both"), default="ls")
-        if include_eps:
-            p.add_argument("--eps", type=_parse_eps_list, default=(0.0,),
-                           help="smoothing exponents, comma-separated")
         p.add_argument("--N", type=int, default=None,
                        help="use truncated sums at this cutoff instead of closed forms")
-        p.add_argument("--tol", type=float, default=None,
-                       help="with --method both: largest allowed cross-method gap")
         p.add_argument("--cache", default=None,
                        help=f"Gram cache file (default: ${CACHE_DIR_ENV}/{_DEFAULT_CACHE_NAME})")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
 
+    def basis(p):
+        p.add_argument("--basis", choices=("all", "exclude-one", "square-free"),
+                       default="exclude-one")
+
     p_dist = sub.add_parser("distance", help="distance from the constant sequence to the span")
     common(p_dist)
+    basis(p_dist)
+    p_dist.add_argument("--method", choices=("ls", "det", "both"), default="ls")
+    p_dist.add_argument("--tol", type=float, default=None,
+                        help="with --method both: largest allowed cross-method gap")
     p_dist.set_defaults(fn=cmd_distance)
 
     p_res = sub.add_parser("residual", help="Moebius approximant residuals")
-    common(p_res, include_eps=True)
+    common(p_res)
+    p_res.add_argument("--eps", type=_parse_eps_list, default=(0.0,),
+                       help="smoothing exponents, comma-separated")
     p_res.set_defaults(fn=cmd_residual)
 
     p_ver = sub.add_parser("verify", help="run a fixed-grid verification suite")
@@ -265,7 +268,9 @@ def build_parser() -> _Parser:
 
     p_gram = sub.add_parser("gram", help="fill and export the Gram entry cache")
     common(p_gram)
-    p_gram.add_argument("--export", choices=("csv",), default=None)
+    basis(p_gram)
+    p_gram.add_argument("--export", choices=("csv",), default=None,
+                        help="write the basis pairs up to max(L) to standard output")
     p_gram.set_defaults(fn=cmd_gram)
 
     return parser

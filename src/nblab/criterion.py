@@ -14,12 +14,13 @@ Because every basis is nested, the leading k entries of z and of the
 diagonals give every smaller cutoff too: a sweep is one prefix solve.
 
 Gram entries come from the closed form in seqspace (or, with n_trunc, from
-truncated sums) and live in a GramStore: a dense symmetric array indexed by
-denominator plus a mask of held entries, of one kind only (its truncation N,
-None for closed form, is checked by every fill and carried in the binary
-cache header). Matrices are slices of it, taken once per sweep at its
-largest cutoff. A Moebius-weighted approximant residual and the asymptotic
-diagnostic d2 * log L round out the module.
+truncated sums) and live in a GramStore: a dense symmetric array of every
+pair of keys up to its top, key 0 the constant sequence and key l the
+denominator l, of one kind only (its truncation N, None for closed form, is
+checked by every fill and carried in the binary cache header). Matrices are
+slices of it, taken once per sweep at its largest cutoff. A Moebius-weighted
+approximant residual and the asymptotic diagnostic d2 * log L round out the
+module.
 
 The sequence with denominator 1 is identically zero; bases that include it
 produce a singular Gram matrix, so the solver prunes exactly-zero columns
@@ -46,7 +47,6 @@ from .errors import CacheError, ConditioningError, DomainError
 from .seqspace import (
     FractionalSequence,
     InnerProductResult,
-    inner_product_closed,
     inner_products_closed_row,
     inner_product_truncated,
 )
@@ -103,95 +103,84 @@ class BasisSelection:
 # Gram store and binary cache
 
 _MAGIC = b"NBBG"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _HEADER = struct.Struct("<4sIQQ")
-_RECORD = np.dtype(
-    [("i", "<u8"), ("j", "<u8"), ("value", "<f8"), ("bound", "<f8"), ("method", "u1")]
-)
 _TRAILER = struct.Struct("<I")
-_METHOD_CODES = {"closed": 0, "truncated": 1}
 
 
 class GramStore:
-    """Pairwise inner products in a dense symmetric float64 array indexed by key.
+    """Every pairwise inner product of the keys 0..top, in a dense symmetric
+    float64 array `values` of side top + 1.
 
-    `values[i, j]` holds an entry wherever the mask `held[i, j]` is set; both
-    grow to the largest key asked for. n_trunc fixes every entry's method
-    and error bound: None for closed-form ones (bound 0), an int N for sums
+    Key 0 is the constant sequence; key l >= 1 is the fractional-part
+    sequence with denominator l. n_trunc fixes every entry's method and
+    error bound: None for closed-form ones (bound 0), an int N for sums
     truncated at N (bound 1/(N+1)); fills with any other n_trunc are refused.
-    Thread-safe. Persists as a little-endian binary file: header {magic
-    "NBBG", version u32, N u64 (0 for closed form), count u64}, records {i
-    u64, j u64, value f64, error_bound f64, method u8} for the held keys
-    i <= j in ascending order, and a CRC32 trailer over everything before it.
+    Persists as a little-endian binary file: header {magic "NBBG", version
+    u32, N u64 (0 for closed form), side u64}, the upper triangle of
+    `values` row by row as f64, and a CRC32 trailer over everything before
+    it. Thread-safe: a fill swaps in its grown array whole, under a lock.
     """
 
     def __init__(self, n_trunc: Optional[int] = None):
         if n_trunc is not None and n_trunc < 1:
             raise DomainError(f"n_trunc must be >= 1, got {n_trunc}")
         self.n_trunc = n_trunc
-        self.method = "closed" if n_trunc is None else "truncated"
-        self.error_bound = 0.0 if n_trunc is None else 1.0 / (n_trunc + 1)
         self.values = np.zeros((0, 0))
-        self.held = np.zeros((0, 0), dtype=bool)
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _key(i: int, j: int) -> tuple[int, int]:
-        if i < 0 or j < 0:
-            raise DomainError(f"store keys must be nonnegative, got ({i}, {j})")
-        return (i, j) if i <= j else (j, i)
+    @property
+    def top(self) -> int:
+        """The largest key held; -1 for an empty store."""
+        return self.values.shape[0] - 1
 
-    def _reserve(self, top: int) -> None:
-        """Grow both arrays to cover keys up to `top`; call under the lock."""
-        grow = top + 1 - self.values.shape[0]
-        if grow > 0:
-            self.values = np.pad(self.values, (0, grow))
-            self.held = np.pad(self.held, (0, grow))
+    @property
+    def method(self) -> str:
+        return "closed" if self.n_trunc is None else "truncated"
 
-    def get(self, i: int, j: int) -> Optional[InnerProductResult]:
-        i, j = self._key(i, j)
-        with self._lock:
-            if j < self.values.shape[0] and self.held[i, j]:
-                return InnerProductResult(float(self.values[i, j]), self.method, self.error_bound)
-        return None
+    @property
+    def error_bound(self) -> float:
+        return 0.0 if self.n_trunc is None else 1.0 / (self.n_trunc + 1)
 
-    def put(self, i, j, values) -> None:
-        """Store `values` as the entries for keys i and j (scalars or arrays)."""
-        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-        self._key(int(i.min(initial=0)), int(j.min(initial=0)))
-        with self._lock:
-            self._reserve(int(max(i.max(initial=0), j.max(initial=0))))
-            self.values[i, j] = self.values[j, i] = values
-            self.held[i, j] = self.held[j, i] = True
+    def __len__(self) -> int:
+        """The number of entries held, each pair of keys counted once."""
+        side = self.values.shape[0]
+        return side * (side + 1) // 2
 
     def ensure(
         self, i: int, j: int, compute: Callable[[int, int], InnerProductResult]
     ) -> InnerProductResult:
-        hit = self.get(i, j)
-        if hit is None:
-            hit = compute(*self._key(i, j))
-            self.put(i, j, hit.value)
-        return hit
+        """The entry for keys i and j: the held one, or else compute(min, max)."""
+        if i < 0 or j < 0:
+            raise DomainError(f"store keys must be nonnegative, got ({i}, {j})")
+        i, j = min(i, j), max(i, j)
+        if j <= self.top:
+            return InnerProductResult(float(self.values[i, j]), self.method, self.error_bound)
+        return compute(i, j)
 
-    def missing(self, i: int, js: np.ndarray) -> np.ndarray:
-        """The keys of the integer array `js` whose entry with key i is not held."""
+    def grow(self, top: int, row: Callable[[int, np.ndarray], Sequence[float]]) -> None:
+        """Hold every pair of keys 0..top; row(i, js) gives the new entries of
+        key i with the keys js >= i, all above the old top."""
         with self._lock:
-            self._reserve(max(i, int(js.max(initial=0))))
-            return js[~self.held[i, js]]
+            old = self.values.shape[0]
+            if top < old:
+                return
+            values = np.zeros((top + 1, top + 1))
+            values[:old, :old] = self.values
+            for i in range(top + 1):
+                js = np.arange(max(i, old), top + 1)
+                values[i, js] = values[js, i] = row(i, js)
+            self.values = values
 
-    def __len__(self) -> int:
-        with self._lock:
-            return int(np.count_nonzero(np.triu(self.held)))
-
-    def records(self) -> np.ndarray:
-        """Every held entry (i <= j) in ascending key order, as cache records."""
-        with self._lock:
-            i, j = np.nonzero(np.triu(self.held))
-            values = self.values[i, j]
-        out = np.empty(i.size, _RECORD)
-        out["i"], out["j"], out["value"] = i, j, values
-        out["bound"], out["method"] = self.error_bound, _METHOD_CODES[self.method]
-        return out
+    def csv_text(self, keys: Sequence[int]) -> str:
+        """The entries of every pair of `keys` (i <= j, in the order given) as
+        CSV, with a header."""
+        lines = ["l,m,value,error_bound,method"]
+        keys = list(keys)
+        for p, i in enumerate(keys):
+            for j, value in zip(keys[p:], self.values[i, keys[p:]].tolist()):
+                lines.append(f"{i},{j},{value!r},{self.error_bound!r},{self.method}")
+        return "\n".join(lines) + "\n"
 
     # -- persistence --------------------------------------------------------
 
@@ -200,9 +189,9 @@ class GramStore:
 
         A failed or interrupted save leaves any earlier file at `path` whole.
         """
-        records = self.records()
-        blob = _HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_trunc or 0, records.size)
-        blob += records.tobytes()
+        side = self.values.shape[0]
+        blob = _HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_trunc or 0, side)
+        blob += self.values[np.triu_indices(side)].astype("<f8", copy=False).tobytes()
         blob += _TRAILER.pack(zlib.crc32(blob))
         path = Path(path)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -218,50 +207,26 @@ class GramStore:
         blob = Path(path).read_bytes()
         if len(blob) < _HEADER.size + _TRAILER.size:
             raise CacheError(f"cache file {path} is truncated")
-        magic, version, n_trunc, count = _HEADER.unpack_from(blob, 0)
+        magic, version, n_trunc, side = _HEADER.unpack_from(blob, 0)
         if magic != _MAGIC:
             raise CacheError(f"cache file {path} has wrong magic {magic!r}")
         if version != _FORMAT_VERSION:
             raise CacheError(
                 f"cache file {path} has format version {version}, expected {_FORMAT_VERSION}"
             )
-        body_end = _HEADER.size + count * _RECORD.itemsize
+        count = side * (side + 1) // 2
+        body_end = _HEADER.size + 8 * count
         if len(blob) != body_end + _TRAILER.size:
             raise CacheError(f"cache file {path} has inconsistent length")
         (crc_stored,) = _TRAILER.unpack_from(blob, body_end)
         if crc_stored != zlib.crc32(blob[:body_end]):
             raise CacheError(f"cache file {path} failed its checksum")
         store = cls(n_trunc=n_trunc or None)
-        records = np.frombuffer(blob, _RECORD, count, _HEADER.size)
-        if np.any(records["method"] != _METHOD_CODES[store.method]) or np.any(
-            records["bound"] != store.error_bound
-        ):
-            raise CacheError(
-                f"cache file {path} has records whose method or bound disagrees with N={n_trunc}")
-        store.put(records["i"], records["j"], records["value"])
+        upper = np.frombuffer(blob, "<f8", count, _HEADER.size)
+        i, j = np.triu_indices(side)
+        store.values = np.empty((side, side))
+        store.values[i, j] = store.values[j, i] = upper
         return store
-
-    def csv_text(self) -> str:
-        """Every entry as CSV, one row per key in sorted order, with a header."""
-        r = self.records()
-        lines = ["l,m,value,error_bound,method"]
-        for i, j, value in zip(r["i"].tolist(), r["j"].tolist(), r["value"].tolist()):
-            lines.append(f"{i},{j},{value!r},{self.error_bound!r},{self.method}")
-        return "\n".join(lines) + "\n"
-
-    def export_csv(self, path) -> None:
-        Path(path).write_text(self.csv_text())
-
-
-def _make_entry_fn(n_trunc: Optional[int]) -> Callable[[int, int], InnerProductResult]:
-    def compute(i: int, j: int) -> InnerProductResult:
-        # Key 0, the constant sequence, is FractionalSequence(None).
-        a, b = FractionalSequence(i or None), FractionalSequence(j or None)
-        if n_trunc is None:
-            return inner_product_closed(a, b)
-        return inner_product_truncated(a, b, n_trunc)
-
-    return compute
 
 
 def _entries_name(n_trunc: Optional[int]) -> str:
@@ -274,15 +239,18 @@ def assemble_gram(
     store: Optional[GramStore] = None,
     n_trunc: Optional[int] = None,
 ) -> GramStore:
-    """Fill `store` with every basis pair (i <= j) for the given cutoff.
+    """Grow `store` to hold every pair of keys 0..L.
 
-    A new store is created for n_trunc when none is given; a store that
-    holds entries of another kind (its n_trunc differs) raises CacheError.
-    Pairs already present are not recomputed, and a call with nothing
-    missing does no other work. Closed-form entries (n_trunc None) are
-    computed row by row, vectorized across the second denominator;
-    truncated entries one pair at a time. Each entry depends only on its
-    own key, so the result is independent of the order and the batch.
+    The fill is the same for every basis: it covers all keys up to L, so a
+    store serves each basis up to its top. A new store is created for
+    n_trunc when none is given; a store that holds entries of another kind
+    (its n_trunc differs) raises CacheError. Only the pairs with a key above
+    the old top are computed, and a call with nothing to add does no other
+    work. Closed-form entries (n_trunc None) are computed row by row,
+    vectorized across the second key; truncated entries one pair at a time,
+    through `GramStore.ensure`. Each entry depends only on its own keys, so
+    the result is independent of the order and the batch. The store takes
+    the grown array only once it is whole (`GramStore.grow`).
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
@@ -292,15 +260,16 @@ def assemble_gram(
         raise CacheError(
             f"store holds {_entries_name(store.n_trunc)}, asked for {_entries_name(n_trunc)}"
         )
-    denoms = np.asarray(basis.denominators(L), dtype=np.intp)
-    compute = _make_entry_fn(n_trunc)
-    for p, i in enumerate(denoms.tolist()):
-        js = store.missing(i, denoms[p:])
-        if n_trunc is not None:
-            for j in js.tolist():
-                store.ensure(i, j, compute)
-        elif js.size:
-            store.put(i, js, inner_products_closed_row(i, js))
+    if n_trunc is None:
+        store.grow(L, inner_products_closed_row)
+        return store
+
+    def truncated(i: int, j: int) -> InnerProductResult:
+        # Key 0, the constant sequence, is FractionalSequence(None).
+        a, b = FractionalSequence(i or None), FractionalSequence(j or None)
+        return inner_product_truncated(a, b, n_trunc)
+
+    store.grow(L, lambda i, js: [store.ensure(i, j, truncated).value for j in js.tolist()])
     return store
 
 
@@ -311,18 +280,14 @@ def gram_system(
     n_trunc: Optional[int] = None,
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Return (denominators, G, g): the Gram matrix of the basis and the
-    cross inner products with the constant sequence.
+    cross inner products with the constant sequence, sliced from the store.
 
     Raises CacheError, as `assemble_gram` does, when `store` holds entries
     of another kind than n_trunc asks for.
     """
-    store = assemble_gram(L, basis, store, n_trunc=n_trunc)
+    values = assemble_gram(L, basis, store, n_trunc=n_trunc).values
     denoms = basis.denominators(L)
     keys = np.asarray(denoms, dtype=np.intp)
-    compute = _make_entry_fn(n_trunc)
-    for l in store.missing(CONSTANT_KEY, keys).tolist():
-        store.ensure(CONSTANT_KEY, l, compute)
-    values = store.values  # one read: a later fill may swap in a grown array
     return denoms, values[np.ix_(keys, keys)], values[CONSTANT_KEY, keys]
 
 

@@ -17,10 +17,6 @@ class UnstablePointError(DomainError):
     """Evaluation refused near a point where the algorithm loses accuracy."""
 
 
-class CapacityError(NBLabError, OverflowError):
-    """An integer result would not fit the 64-bit fields used on disk."""
-
-
 class CacheError(NBLabError, IOError):
     """A Gram cache file is unreadable: bad magic, version, or checksum."""
 

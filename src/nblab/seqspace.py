@@ -192,16 +192,20 @@ _TABLES = _PeriodTables()
 def inner_products_closed_row(a: int, bs) -> np.ndarray:
     """Closed-form <{n/a}, {n/b}> for one denominator a and every b in bs.
 
-    Requires 1 <= a <= b for each b. The computation is elementwise over bs
-    (table lookups and exactly rounded arithmetic, no reductions), so each
-    value is the same bit pattern whether it is computed alone or in any
-    batch. See `inner_product_closed` for the formula.
+    Requires 0 <= a <= b for each b, where 0 stands for the constant
+    sequence: <1, 1> = 1 and <1, {n/b}> = log(b)/b, with log b from the
+    same math.log table as every other entry. The computation is elementwise
+    over bs (table lookups and exactly rounded arithmetic, no reductions),
+    so each value is the same bit pattern whether it is computed alone or in
+    any batch. See `inner_product_closed` for the formula.
     """
     bs = np.asarray(bs, dtype=np.int64)
     if a == 1:
         return np.zeros(bs.size)
     tables = _TABLES.ensure(int(bs.max(initial=a)))
     R, logs = tables.values, tables.logs
+    if a == 0:
+        return np.where(bs == 0, 1.0, logs[bs] / np.maximum(bs, 1))
     g = np.gcd(a, bs)
     a_, b_ = a // g, bs // g
     log_a, log_b = logs[a], logs[bs]

@@ -44,36 +44,6 @@ def finite_complex(s) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class EvalDomain:
-    """A rectangle-style evaluation domain with an exact membership test.
-
-    kind is one of "right-half-plane" (Re s > 0, s != 1),
-    "closed-critical-half-plane" (Re s >= 1/2), or "rectangle"
-    (sigma_min <= Re s <= sigma_max, |Im s| <= t_max).
-    """
-
-    kind: str
-    sigma_min: float = 0.0
-    sigma_max: float = math.inf
-    t_max: float = math.inf
-
-    def contains(self, s) -> bool:
-        z = finite_complex(s)
-        if self.kind == "right-half-plane":
-            return z.real > 0.0 and z != 1.0
-        if self.kind == "closed-critical-half-plane":
-            return z.real >= 0.5
-        return (
-            self.sigma_min <= z.real <= self.sigma_max
-            and abs(z.imag) <= self.t_max
-        )
-
-
-RIGHT_HALF_PLANE = EvalDomain("right-half-plane")
-CLOSED_CRITICAL_HALF_PLANE = EvalDomain("closed-critical-half-plane")
-
-
 # ---------------------------------------------------------------------------
 # digamma
 
@@ -387,7 +357,7 @@ def xi_inequality_check(grid, eps: float) -> XiInequalityReport:
     violations = []
     for raw in grid:
         z = finite_complex(raw)
-        if not CLOSED_CRITICAL_HALF_PLANE.contains(z):
+        if z.real < 0.5:
             raise DomainError(f"xi_inequality_check: grid point {z} has Re s < 1/2")
         a = abs(xi(z))
         b = abs(xi(z + eps))

@@ -12,10 +12,11 @@ from nblab import BasisKind, BasisSelection, GramStore, assemble_gram, sieve_moe
 def shared_store():
     """One Gram store for the whole run.
 
-    The closed-form fill of the full-basis pairs up to 300 takes well under
-    a second on one thread; sharing it spares each distance test its own
-    fill, while every test still exercises the real assembly path (cache
-    hits go through the same ensure()).
+    The closed-form fill of every pair of keys up to 300 takes well under a
+    second on one thread; sharing it spares each distance test its own
+    fill. Tests that use it read slices of the filled store, as a warm
+    cache does; the fill path itself is exercised by tests with stores of
+    their own.
     """
     store = GramStore()
     assemble_gram(300, BasisSelection(BasisKind.ALL), store)

@@ -25,7 +25,6 @@ from nblab.analytic import (
     pieces_for_tolerance,
     reciprocal_kernel_transform,
     run_suite,
-    sample_point,
     scale_inner_function,
     semigroup_identity_check,
     verify_claim,
@@ -285,32 +284,6 @@ class TestXiChecks:
             rep = xi_shift_report(eps, XI_SHIFT_GRID.points)
             assert rep.violations == ()
             assert rep.max_deficit == 0.0
-
-
-class TestSamplePoint:
-    def test_reproducible_and_complete(self):
-        table = sieve_moebius(30)
-        a = sample_point(
-            2.0 + 1.0j,
-            lams=(0.5,),
-            denominators=(2, 3),
-            smoothings=(0.2,),
-            scales=(0.5,),
-            partial_cutoff=30,
-            table=table,
-        )
-        b = sample_point(
-            2.0 + 1.0j,
-            lams=(0.5,),
-            denominators=(2, 3),
-            smoothings=(0.2,),
-            scales=(0.5,),
-            partial_cutoff=30,
-            table=table,
-        )
-        assert a == b
-        assert a.s == 2.0 + 1.0j
-        assert len(a.values) >= 5
 
 
 class TestSuites:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.arith import MoebiusTable, lcm, sieve_moebius, verify_recurrence
-from nblab.errors import CapacityError, DomainError
+from nblab.arith import MoebiusTable, sieve_moebius, verify_recurrence
+from nblab.errors import DomainError
 
 
 def _mu_reference(n: int) -> int:
@@ -89,25 +89,3 @@ class TestSieve:
     def test_mu_matches_reference_property(self, n):
         t = sieve_moebius(10_000)
         assert t.mu[n] == _mu_reference(n)
-
-
-class TestLcm:
-    def test_examples(self):
-        assert lcm(4, 6) == 12
-        assert lcm(1, 9) == 9
-        assert lcm(7, 7) == 7
-        assert lcm(299, 300) == 299 * 300
-
-    def test_capacity_guard(self):
-        big = 2**40
-        with pytest.raises(CapacityError):
-            lcm(big, big - 1)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            lcm(0, 3)
-
-    @given(st.integers(1, 10_000), st.integers(1, 10_000))
-    @settings(max_examples=200, deadline=None)
-    def test_lcm_gcd_identity(self, a, b):
-        assert lcm(a, b) * math.gcd(a, b) == a * b

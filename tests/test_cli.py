@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nblab import cli
@@ -57,6 +58,20 @@ class TestUsage:
 
     def test_unknown_suite(self):
         assert run_cli("verify", "bogus").returncode == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["gram", "--method", "both"],
+        ["gram", "--tol", "1e-30"],
+        ["residual", "--basis", "all"],
+        ["residual", "--method", "det"],
+        ["residual", "--tol", "1e-30"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
+    def test_ignored_solver_flags_are_usage_errors(self, argv, capsys):
+        # Subcommands that have no use for a flag do not accept it.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--L", "5"])
+        assert exc.value.code == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDistanceCommand:
@@ -169,8 +184,13 @@ class TestDistanceCommand:
         # G over denominators 2, 3, 4 is [[1, 2, 0], [2, 1, 0], [0, 0, 1]]:
         # indefinite, so no rung of the ridge ladder factors it.
         store = GramStore()
-        store.put([2, 2, 2, 3, 3, 4], [2, 3, 4, 3, 4, 4], [1.0, 2.0, 0.0, 1.0, 0.0, 1.0])
-        store.put(0, [2, 3, 4], [0.1, 0.1, 0.1])
+        store.values = np.array([
+            [1.0, 0.0, 0.1, 0.1, 0.1],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.1, 0.0, 1.0, 2.0, 0.0],
+            [0.1, 0.0, 2.0, 1.0, 0.0],
+            [0.1, 0.0, 0.0, 0.0, 1.0],
+        ])
         for method in SolveMethod:
             rows = distance_sweep([2, 3, 4], BasisSelection(BasisKind.EXCLUDE_ONE), method, store)
             assert all(r.error and math.isnan(r.d2) for r in rows)
@@ -244,9 +264,10 @@ class TestGramCommand:
         cache = tmp_path / "g.nbbg"
         first = run_cli("gram", "--L", "10", "--cache", str(cache), "--threads", "1")
         assert first.returncode == 0
-        assert "45 newly computed entries, 45 total" in first.stderr
+        # every pair of the keys 0..10, the constant sequence's included
+        assert "66 newly computed entries, 66 total" in first.stderr
         again = run_cli("gram", "--L", "10", "--cache", str(cache), "--threads", "1")
-        assert "0 newly computed entries, 45 total" in again.stderr
+        assert "0 newly computed entries, 66 total" in again.stderr
 
     def test_export_csv(self, tmp_path):
         cache = tmp_path / "g.nbbg"
@@ -258,6 +279,15 @@ class TestGramCommand:
         assert lines[0] == "l,m,value,error_bound,method"
         assert len(lines) == 46
         assert all(line.endswith(",closed") for line in lines[1:])
+
+    def test_export_csv_ignores_the_rest_of_the_cache(self, tmp_path):
+        # The export lists the basis pairs up to L, however far the cache goes.
+        cache = tmp_path / "g.nbbg"
+        assert run_cli("gram", "--L", "40", "--cache", str(cache)).returncode == 0
+        cached = run_cli("gram", "--L", "10", "--cache", str(cache), "--export", "csv")
+        bare = run_cli("gram", "--L", "10", "--export", "csv")
+        assert cached.returncode == 0 and bare.returncode == 0
+        assert cached.stdout == bare.stdout
 
     def test_env_var_cache_dir(self, tmp_path):
         r = run_cli(
@@ -287,16 +317,17 @@ class TestGramCommand:
         r = run_cli("gram", "--L", "5", "--cache", str(cache))
         assert r.returncode == 65
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_one_cache_exits_65(self, tmp_path, version):
         # Format 1 held entries from the earlier residue-class formula, which
         # differ from today's in the last bits. Format 2 cannot tell
-        # closed-form entries from truncated ones. Both are refused, not mixed.
+        # closed-form entries from truncated ones. Format 3 held a partial
+        # store in 33-byte records. All are refused, not mixed.
         cache = tmp_path / "g.nbbg"
         ok = run_cli("gram", "--L", "5", "--cache", str(cache), "--threads", "1")
         assert ok.returncode == 0
         raw = bytearray(cache.read_bytes())
-        assert struct.unpack_from("<I", raw, 4) == (3,)
+        assert struct.unpack_from("<I", raw, 4) == (4,)
         raw[4:8] = struct.pack("<I", version)
         import zlib
 
@@ -321,20 +352,6 @@ class TestGramCommand:
         assert r.returncode == 65
         assert r.stdout == ""
         assert "N=20" in r.stderr
-
-    def test_record_of_another_kind_exits_65(self, tmp_path):
-        # A record whose method disagrees with the header's N is refused.
-        cache = tmp_path / "c.nbbg"
-        assert run_cli("gram", "--L", "5", "--cache", str(cache)).returncode == 0
-        raw = bytearray(cache.read_bytes())
-        raw[24 + 32] = 1  # method byte of the first record: truncated, header N = 0
-        import zlib
-
-        body = bytes(raw[:-4])
-        cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        r = run_cli("distance", "--L", "2..5", "--cache", str(cache))
-        assert r.returncode == 65
-        assert "method or bound" in r.stderr
 
     def test_unchanged_cache_not_rewritten(self, tmp_path):
         cache = tmp_path / "c.nbbg"

@@ -56,12 +56,13 @@ class TestBasisSelection:
 class TestAssemble:
     def test_single_entry_at_cutoff_one(self):
         store = assemble_gram(1, ALL)
-        assert len(store) == 1
-        assert store.get(1, 1).value == 0.0
+        assert len(store) == 3  # keys 0 and 1: <1, 1>, <1, 0> and <0, 0>
+        assert store.values.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_pair_count_exclude_one(self):
         store = assemble_gram(10, EXCL)
-        assert len(store) == 45  # 9 denominators, upper triangle incl. diagonal
+        # Every key 0..10, whatever the basis: upper triangle incl. diagonal.
+        assert len(store) == 66
 
     def test_idempotent(self):
         store = assemble_gram(6, EXCL)
@@ -90,13 +91,17 @@ class TestAssemble:
 
     def test_truncated_entries_marked(self):
         store = assemble_gram(4, EXCL, n_trunc=50_000)
-        records = store.records()
-        assert records.size == 6
-        for i, j in zip(records["i"].tolist(), records["j"].tolist()):
-            r = store.get(i, j)
-            assert r.method == "truncated"
-            assert r.error_bound > 0.0
-        assert (records["method"] == 1).all() and (records["bound"] > 0.0).all()
+        assert len(store) == 15
+
+        def refuse(i, j):
+            raise AssertionError(f"held entry ({i}, {j}) recomputed")
+
+        for i in range(5):
+            for j in range(5):
+                r = store.ensure(i, j, refuse)
+                assert r.method == "truncated"
+                assert r.error_bound == 1.0 / 50_001
+                assert r.value == store.values[i, j]
 
 
 class TestEntryPurity:
@@ -104,9 +109,9 @@ class TestEntryPurity:
 
     @staticmethod
     def _bits(store):
-        r = store.records()
-        keys = zip(r["i"].tolist(), r["j"].tolist())
-        return {key: struct.pack("<d", v) for key, v in zip(keys, r["value"].tolist())}
+        i, j = np.triu_indices(store.top + 1)
+        values = store.values[i, j].tolist()
+        return {key: struct.pack("<d", v) for key, v in zip(zip(i.tolist(), j.tolist()), values)}
 
     @staticmethod
     def _sequence(key):
@@ -138,16 +143,11 @@ class TestEntryPurity:
 class TestGramStoreFile:
     def test_roundtrip_bitwise(self, tmp_path):
         store = assemble_gram(12, ALL)
-        gram_system(12, ALL, store)  # adds constant-side entries
         p = tmp_path / "cache.nbbg"
         store.save(p)
         loaded = GramStore.load(p)
-        assert len(loaded) == len(store)
-        records = store.records()
-        for i, j in zip(records["i"].tolist(), records["j"].tolist()):
-            r, other = store.get(i, j), loaded.get(i, j)
-            assert struct.pack("<d", other.value) == struct.pack("<d", r.value)
-            assert other.method == r.method
+        assert (loaded.n_trunc, len(loaded)) == (store.n_trunc, len(store))
+        assert loaded.values.tobytes() == store.values.tobytes()
         # saving the loaded store reproduces the file byte for byte
         p2 = tmp_path / "cache2.nbbg"
         loaded.save(p2)
@@ -158,7 +158,7 @@ class TestGramStoreFile:
         p = tmp_path / "cache.nbbg"
         store.save(p)
         raw = bytearray(p.read_bytes())
-        raw[25] ^= 0xFF  # flip a byte inside the first record
+        raw[25] ^= 0xFF  # flip a byte inside the first entry
         p.write_bytes(bytes(raw))
         with pytest.raises(CacheError):
             GramStore.load(p)
@@ -197,7 +197,7 @@ class TestGramStoreFile:
         with pytest.raises(OSError):
             assemble_gram(8, EXCL).save(p)
         assert p.read_bytes() == old
-        assert len(GramStore.load(p)) == 3
+        assert len(GramStore.load(p)) == 10  # keys 0..3
         assert os.listdir(tmp_path) == ["cache.nbbg"]
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -208,17 +208,18 @@ class TestGramStoreFile:
         with pytest.raises(CacheError):
             GramStore.load(p)
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         store = assemble_gram(3, ALL)
-        gram_system(3, ALL, store)
-        p = tmp_path / "entries.csv"
-        store.export_csv(p)
-        lines = p.read_text().splitlines()
+        lines = store.csv_text(range(4)).splitlines()
         assert lines[0] == "l,m,value,error_bound,method"
-        assert lines[1] == "0,1,0.0,0.0,closed"
-        assert lines[2].startswith("0,2,0.34657359027997")
+        assert lines[1] == "0,0,1.0,0.0,closed"
+        assert lines[2] == "0,1,0.0,0.0,closed"
+        assert lines[3].startswith("0,2,0.34657359027997")
         # one row per stored entry
         assert len(lines) == 1 + len(store)
+        # a basis picks its own pairs
+        excl = store.csv_text(EXCL.denominators(3)).splitlines()
+        assert excl[1:] == [line for line in lines[1:] if min(map(int, line.split(",")[:2])) >= 2]
 
 
 def assert_rows_close(row, d2, cond):
@@ -228,11 +229,13 @@ def assert_rows_close(row, d2, cond):
     assert abs(row.cond_estimate - cond) <= 1e-10 * cond, (row.L, row.cond_estimate, cond)
 
 
-def _format3_file(n_trunc, records):
-    """A format-3 cache file built field by field with struct, as the format
-    documents it: header, one "<QQddB" record per entry, CRC32 trailer."""
-    body = struct.pack("<4sIQQ", b"NBBG", 3, n_trunc, len(records))
-    body += b"".join(struct.pack("<QQddB", *r) for r in records)
+def _format4_file(n_trunc, upper):
+    """A format-4 cache file built field by field with struct, as the format
+    documents it: header {magic, version, N, side}, the upper triangle row
+    by row as "<d" values, CRC32 trailer. `upper[i]` lists the entries
+    (i, i), (i, i + 1), ... of row i."""
+    body = struct.pack("<4sIQQ", b"NBBG", 4, n_trunc, len(upper))
+    body += b"".join(struct.pack("<d", v) for row in upper for v in row)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -276,57 +279,60 @@ class TestDenseStore:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("n_trunc", [None, 30])
+    def test_square_free_then_all_matches_one_fill(self, n_trunc):
+        stepped = GramStore(n_trunc=n_trunc)
+        assemble_gram(9, SQFREE, stepped, n_trunc=n_trunc)
+        assemble_gram(14, ALL, stepped, n_trunc=n_trunc)
+        whole = assemble_gram(14, ALL, n_trunc=n_trunc)
+        assert stepped.values.tobytes() == whole.values.tobytes()
+
+    @pytest.mark.parametrize("n_trunc", [None, 30])
     def test_struct_built_file_loads_to_same_bits(self, tmp_path, n_trunc):
-        compute = criterion._make_entry_fn(n_trunc)
-        keys = [(0, 0), (0, 2), (0, 7), (2, 2), (2, 7), (3, 5), (7, 7), (7, 11)]
-        results = {key: compute(*key) for key in keys}
-        code = 0 if n_trunc is None else 1
-        rows = [(i, j, r.value, r.error_bound, code) for (i, j), r in results.items()]
+        # Each entry from its own single-pair call, not from a fill.
+        def entry(i, j):
+            a, b = FractionalSequence(i or None), FractionalSequence(j or None)
+            if n_trunc is None:
+                return inner_product_closed(a, b)
+            return seqspace.inner_product_truncated(a, b, n_trunc)
+
+        top = 7
+        results = {(i, j): entry(i, j) for i in range(top + 1) for j in range(i, top + 1)}
+        upper = [[results[i, j].value for j in range(i, top + 1)] for i in range(top + 1)]
         p = tmp_path / "packed.nbbg"
-        p.write_bytes(_format3_file(n_trunc or 0, rows))
+        p.write_bytes(_format4_file(n_trunc or 0, upper))
         loaded = GramStore.load(p)
-        assert loaded.n_trunc == n_trunc and len(loaded) == len(keys)
+        assert (loaded.n_trunc, loaded.top, len(loaded)) == (n_trunc, top, len(results))
+
+        def refuse(i, j):
+            raise AssertionError(f"held entry ({i}, {j}) recomputed")
+
         for (i, j), r in results.items():
             for a, b in ((i, j), (j, i)):
-                got = loaded.get(a, b)
-                assert struct.pack("<d", got.value) == struct.pack("<d", r.value)
+                assert struct.pack("<d", loaded.values[a, b]) == struct.pack("<d", r.value)
+                got = loaded.ensure(a, b, refuse)
                 assert (got.method, got.error_bound) == (r.method, r.error_bound)
-        assert loaded.get(2, 3) is None and loaded.get(0, 11) is None
-        # the dense arrays are symmetric in values and in the held mask
-        assert np.array_equal(loaded.values, loaded.values.T)
-        assert np.array_equal(loaded.held, loaded.held.T)
+        assert loaded.values.tobytes() == assemble_gram(top, ALL, n_trunc=n_trunc).values.tobytes()
         again = tmp_path / "again.nbbg"
         loaded.save(again)
         assert again.read_bytes() == p.read_bytes()
 
-    @pytest.mark.parametrize(
-        "n_trunc, record",
-        [(0, (2, 3, 0.1, 0.0, 1)), (0, (2, 3, 0.1, 0.5, 0)), (20, (2, 3, 0.1, 0.0, 1)),
-         (20, (2, 3, 0.1, 1.0 / 21, 0)), (0, (2, 3, 0.1, 0.0, 7))],
-        ids=["truncated-record-closed-header", "closed-record-with-bound",
-             "bound-zero-under-N", "closed-method-under-N", "unknown-method-code"],
-    )
-    def test_record_of_another_kind_rejected(self, tmp_path, n_trunc, record):
-        p = tmp_path / "mixed.nbbg"
-        good = (2, 2, 0.25, 0.0 if n_trunc == 0 else 1.0 / (n_trunc + 1), 0 if n_trunc == 0 else 1)
-        p.write_bytes(_format3_file(n_trunc, [good, record]))
-        with pytest.raises(CacheError):
-            GramStore.load(p)
-
     def test_grows_without_losing_entries(self):
         store = GramStore()
         assemble_gram(5, EXCL, store)
-        before = store.get(3, 5)
+        before = store.values[:6, :6].copy()
         assemble_gram(40, EXCL, store)
         assert store.values.shape == (41, 41)
-        assert store.get(3, 5) == before
-        assert len(store) == 39 * 40 // 2
+        assert store.values[:6, :6].tobytes() == before.tobytes()
+        assert len(store) == 41 * 42 // 2
 
     def test_negative_key_rejected(self):
+        def refuse(i, j):
+            raise AssertionError("a negative key reached compute")
+
         with pytest.raises(DomainError):
-            GramStore().put(-1, [2, 3], [0.1, 0.2])
+            GramStore().ensure(-1, 2, refuse)
         with pytest.raises(DomainError):
-            GramStore().get(2, -3)
+            GramStore().ensure(2, -3, refuse)
 
 
 class TestDistance:

@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from nblab.errors import DomainError, PoleError
 from nblab.specfun import (
-    CLOSED_CRITICAL_HALF_PLANE,
-    RIGHT_HALF_PLANE,
-    EvalDomain,
     digamma,
     digamma_array,
     euler_gamma,
@@ -244,16 +241,6 @@ class TestXiInequality:
 
 
 class TestEvalDomain:
-    def test_membership(self):
-        assert RIGHT_HALF_PLANE.contains(0.1)
-        assert not RIGHT_HALF_PLANE.contains(1.0)  # the pole is excluded
-        assert not RIGHT_HALF_PLANE.contains(-0.1 + 5.0j)
-        assert CLOSED_CRITICAL_HALF_PLANE.contains(0.5 + 100.0j)
-        assert not CLOSED_CRITICAL_HALF_PLANE.contains(0.49)
-        box = EvalDomain("rectangle", 0.0, 2.0, 30.0)
-        assert box.contains(1.0 + 30.0j)
-        assert not box.contains(1.0 + 30.5j)
-
     def test_finite_complex_guards(self):
         assert finite_complex(2) == 2.0 + 0.0j
         with pytest.raises(DomainError):
