@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -54,16 +53,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    L_values: tuple[int, ...]
-    basis: BasisSelection
-    methods: tuple[SolveMethod, ...]
-    eps: tuple[float, ...]
-    n_trunc: Optional[int]
-    tolerance: Optional[float]
-    cache_path: Optional[Path]
-    out_format: str
+_METHODS = {
+    "ls": (SolveMethod.LEAST_SQUARES,),
+    "det": (SolveMethod.GRAM_DET_RATIO,),
+    "both": (SolveMethod.LEAST_SQUARES, SolveMethod.GRAM_DET_RATIO),
+}
 
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
@@ -121,41 +115,22 @@ def save_store(store: GramStore, path: Optional[Path], loaded: int) -> None:
         store.save(path)
 
 
-def _config_from_args(args) -> RunConfig:
-    methods = {
-        "ls": (SolveMethod.LEAST_SQUARES,),
-        "det": (SolveMethod.GRAM_DET_RATIO,),
-        "both": (SolveMethod.LEAST_SQUARES, SolveMethod.GRAM_DET_RATIO),
-    }[getattr(args, "method", "ls")]
-    return RunConfig(
-        L_values=args.L,
-        basis=BasisSelection.parse(getattr(args, "basis", "exclude-one")),
-        methods=methods,
-        eps=getattr(args, "eps", (0.0,)),
-        n_trunc=args.N,
-        tolerance=getattr(args, "tol", None),
-        cache_path=_cache_file(args.cache),
-        out_format=args.format,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_distance(args) -> int:
-    cfg = _config_from_args(args)
-    store = load_store(cfg.cache_path, cfg.n_trunc)
+    basis, methods = BasisSelection.parse(args.basis), _METHODS[args.method]
+    cache_path = _cache_file(args.cache)
+    store = load_store(cache_path, args.N)
     loaded = len(store)
     rows = []
-    for method in cfg.methods:
-        rows.extend(
-            distance_sweep(list(cfg.L_values), cfg.basis, method, store, n_trunc=cfg.n_trunc)
-        )
+    for method in methods:
+        rows.extend(distance_sweep(list(args.L), basis, method, store, n_trunc=args.N))
     rows.sort(key=lambda r: (r.L, r.method.value))
-    save_store(store, cfg.cache_path, loaded)
+    save_store(store, cache_path, loaded)
 
-    if cfg.out_format == "json":
+    if args.format == "json":
         payload = [r.to_json_dict() for r in rows]
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -163,14 +138,14 @@ def cmd_distance(args) -> int:
         for r in rows:
             print(r.csv_row())
 
-    if cfg.tolerance is not None and len(cfg.methods) == 2:
+    if args.tol is not None and len(methods) == 2:
         by_L = {}
         for r in rows:
             by_L.setdefault(r.L, []).append(r.d2)
         for L, pair in sorted(by_L.items()):
-            if len(pair) == 2 and math.isfinite(pair[0]) and abs(pair[0] - pair[1]) > cfg.tolerance:
+            if len(pair) == 2 and math.isfinite(pair[0]) and abs(pair[0] - pair[1]) > args.tol:
                 print(
-                    f"method disagreement at L={L}: |{pair[0]!r} - {pair[1]!r}| > {cfg.tolerance!r}",
+                    f"method disagreement at L={L}: |{pair[0]!r} - {pair[1]!r}| > {args.tol!r}",
                     file=sys.stderr,
                 )
                 return EXIT_ERROR
@@ -185,17 +160,17 @@ def cmd_distance(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    cfg = _config_from_args(args)
-    store = load_store(cfg.cache_path, cfg.n_trunc)
+    cache_path = _cache_file(args.cache)
+    store = load_store(cache_path, args.N)
     loaded = len(store)
-    table = sieve_moebius(max(cfg.L_values))
+    table = sieve_moebius(max(args.L))
     rows = [
-        (L, eps, moebius_residual(L, eps, table, store, n_trunc=cfg.n_trunc))
-        for L in cfg.L_values
-        for eps in cfg.eps
+        (L, eps, moebius_residual(L, eps, table, store, n_trunc=args.N))
+        for L in args.L
+        for eps in args.eps
     ]
-    save_store(store, cfg.cache_path, loaded)
-    if cfg.out_format == "json":
+    save_store(store, cache_path, loaded)
+    if args.format == "json":
         payload = [{"L": L, "eps": eps, "residual": value} for L, eps, value in rows]
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -213,15 +188,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    cfg = _config_from_args(args)
-    store = load_store(cfg.cache_path, cfg.n_trunc)
+    basis, cache_path = BasisSelection.parse(args.basis), _cache_file(args.cache)
+    store = load_store(cache_path, args.N)
     loaded = len(store)
-    L = max(cfg.L_values)
-    assemble_gram(L, cfg.basis, store, n_trunc=cfg.n_trunc)
+    L = max(args.L)
+    assemble_gram(L, basis, store, n_trunc=args.N)
     print(f"{len(store) - loaded} newly computed entries, {len(store)} total", file=sys.stderr)
-    save_store(store, cfg.cache_path, loaded)
+    save_store(store, cache_path, loaded)
     if args.export == "csv":
-        sys.stdout.write(store.csv_text(cfg.basis.denominators(L)))
+        sys.stdout.write(store.csv_text(basis.denominators(L)))
     return EXIT_OK
 
 
@@ -240,9 +215,11 @@ def build_parser() -> _Parser:
                        help="use truncated sums at this cutoff instead of closed forms")
         p.add_argument("--cache", default=None,
                        help=f"Gram cache file (default: ${CACHE_DIR_ENV}/{_DEFAULT_CACHE_NAME})")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
+
+    def table_format(p):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def basis(p):
         p.add_argument("--basis", choices=("all", "exclude-one", "square-free"),
@@ -250,6 +227,7 @@ def build_parser() -> _Parser:
 
     p_dist = sub.add_parser("distance", help="distance from the constant sequence to the span")
     common(p_dist)
+    table_format(p_dist)
     basis(p_dist)
     p_dist.add_argument("--method", choices=("ls", "det", "both"), default="ls")
     p_dist.add_argument("--tol", type=float, default=None,
@@ -258,6 +236,7 @@ def build_parser() -> _Parser:
 
     p_res = sub.add_parser("residual", help="Moebius approximant residuals")
     common(p_res)
+    table_format(p_res)
     p_res.add_argument("--eps", type=_parse_eps_list, default=(0.0,),
                        help="smoothing exponents, comma-separated")
     p_res.set_defaults(fn=cmd_residual)

@@ -242,15 +242,17 @@ def assemble_gram(
     """Grow `store` to hold every pair of keys 0..L.
 
     The fill is the same for every basis: it covers all keys up to L, so a
-    store serves each basis up to its top. A new store is created for
-    n_trunc when none is given; a store that holds entries of another kind
-    (its n_trunc differs) raises CacheError. Only the pairs with a key above
-    the old top are computed, and a call with nothing to add does no other
-    work. Closed-form entries (n_trunc None) are computed row by row,
-    vectorized across the second key; truncated entries one pair at a time,
-    through `GramStore.ensure`. Each entry depends only on its own keys, so
-    the result is independent of the order and the batch. The store takes
-    the grown array only once it is whole (`GramStore.grow`).
+    store serves each basis up to its top, and `basis` is ignored. A new
+    store is created for n_trunc when none is given; a store that holds
+    entries of another kind (its n_trunc differs) raises CacheError. Only
+    the pairs with a key above the old top are computed, and a call with
+    nothing to add does no other work. Closed-form entries (n_trunc None)
+    are computed row by row, vectorized across the second key, each in O(1)
+    once the period tables reach L; truncated entries one pair at a time,
+    through `GramStore.ensure`, each an O(N) compensated sum. Each entry
+    depends only on its own keys, so the result is independent of the order
+    and the batch. The store takes the grown array only once it is whole
+    (`GramStore.grow`).
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")

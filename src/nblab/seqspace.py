@@ -100,8 +100,10 @@ class FractionalSequence:
     def values_upto(self, n_trunc: int) -> np.ndarray:
         if self.denominator is None:
             return np.ones(n_trunc)
-        n = np.arange(1, n_trunc + 1, dtype=np.int64)
-        return (n % self.denominator) / float(self.denominator)
+        # frac(n/l) has period l: build one period, then repeat it.
+        l = self.denominator
+        n = np.arange(1, min(l, n_trunc) + 1, dtype=np.int64)
+        return np.tile((n % l) / float(l), -(-n_trunc // l))[:n_trunc]
 
 
 SequenceLike = Union[FractionalSequence, "StepSequence"]
@@ -125,6 +127,21 @@ class InnerProductResult:
     error_bound: float
 
 
+@lru_cache(maxsize=2)
+def _fractional_terms(seq: FractionalSequence, n_trunc: int) -> np.ndarray:
+    # A truncated Gram fill pairs one row key with each other key in turn,
+    # so keeping the last two term arrays builds each row key's terms once.
+    terms = seq.values_upto(n_trunc)
+    terms.flags.writeable = False
+    return terms
+
+
+def _terms_upto(seq: SequenceLike, n_trunc: int) -> np.ndarray:
+    if isinstance(seq, FractionalSequence):
+        return _fractional_terms(seq, n_trunc)
+    return seq.values_upto(n_trunc)
+
+
 def inner_product_truncated(a: SequenceLike, b: SequenceLike, n_trunc: int) -> InnerProductResult:
     """Partial sum of sum_n a_n b_n w(n) over n <= n_trunc, compensated.
 
@@ -133,9 +150,9 @@ def inner_product_truncated(a: SequenceLike, b: SequenceLike, n_trunc: int) -> I
     """
     if n_trunc < 1:
         raise DomainError(f"n_trunc must be >= 1, got {n_trunc}")
-    va = a.values_upto(n_trunc)
-    vb = b.values_upto(n_trunc)
-    value = compensated_sum(va * vb * _default_weight_values(n_trunc))
+    terms = _terms_upto(a, n_trunc) * _terms_upto(b, n_trunc)
+    terms *= _default_weight_values(n_trunc)
+    value = compensated_sum(terms)
     bound = a.bound * b.bound * (1.0 / (n_trunc + 1))
     return InnerProductResult(value=value, method="truncated", error_bound=bound)
 

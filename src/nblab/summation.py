@@ -31,7 +31,9 @@ def compensated_sum(values) -> float:
     if isinstance(values, np.ndarray):
         flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
         if flat.size <= _EXACT:
-            return float(math.fsum(flat))
+            # fsum is exactly rounded, so reading Python floats from a list
+            # (faster than iterating the array) gives the same bits.
+            return math.fsum(flat.tolist())
         partials = [float(flat[i : i + _CHUNK].sum()) for i in range(0, flat.size, _CHUNK)]
         return math.fsum(partials)
     return math.fsum(values)

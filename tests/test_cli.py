@@ -62,6 +62,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["gram", "--method", "both"],
         ["gram", "--tol", "1e-30"],
+        ["gram", "--format", "json"],
         ["residual", "--basis", "all"],
         ["residual", "--method", "det"],
         ["residual", "--tol", "1e-30"],

@@ -73,6 +73,16 @@ class TestFractionalSequence:
             assert np.array_equal(v[:l], v[l : 2 * l])
             assert np.array_equal(v[:l], v[2 * l : 3 * l])
 
+    def test_values_upto_matches_terms(self):
+        # Shorter than, equal to, and a ragged multiple of the period.
+        for l in (1, 2, 7, 100):
+            for n_trunc in (1, l - 1, l, 3 * l + 2):
+                if n_trunc < 1:
+                    continue
+                got = seq(l).values_upto(n_trunc)
+                want = [seq(l).term(n) for n in range(1, n_trunc + 1)]
+                assert got.tolist() == want
+
     def test_denominator_one_is_zero_sequence(self):
         assert np.all(seq(1).values_upto(50) == 0.0)
 
