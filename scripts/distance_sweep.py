@@ -2,9 +2,11 @@
 """Sweep the squared distance over a range of cutoffs and report the rate.
 
 Writes one CSV row per cutoff with the squared distance, the rate diagnostic
-d2 * log L, and the gap to the conjectured limiting constant. A Gram cache
-path makes repeat sweeps nearly free; the cache is rewritten only when the
-sweep added entries or the file is missing.
+d2 * log L, and the gap to the conjectured limiting constant. The rows come
+from one `distance_sweep` call with the chosen method: one factorization of
+the Gram matrix at the largest cutoff. A Gram cache path makes repeat sweeps
+nearly free; the cache is rewritten only when the sweep added entries or the
+file is missing.
 """
 
 import argparse
@@ -38,7 +40,7 @@ def run(cfg: SweepConfig) -> int:
     rows = distance_sweep(
         cutoffs,
         BasisSelection.parse(cfg.basis),
-        SolveMethod.parse(cfg.method),
+        (SolveMethod.parse(cfg.method),),
         store,
     )
     save_store(store, cfg.cache, loaded)

@@ -38,7 +38,6 @@ from .seqspace import (
     sequence_of,
 )
 from .specfun import (
-    XiInequalityReport,
     finite_complex,
     xi,
     xi_inequality_check,
@@ -274,14 +273,6 @@ def reciprocal_kernel_transform(l: int, s: complex) -> complex:
     return combined_kernel_transform(1.0 / l, s)
 
 
-def constant_transform(s: complex) -> complex:
-    """1/s: the Mellin transform of the constant function 1 on (0, 1]."""
-    z = finite_complex(s)
-    if z == 0.0:
-        raise PoleError("transform of the constant has a pole at s = 0")
-    return 1.0 / z
-
-
 def scale_inner_function(mu: float, s: complex) -> complex:
     """mu^(s - 1/2): unit modulus on the critical line, multiplicative in mu."""
     if not (0.0 < mu <= 1.0):
@@ -421,11 +412,6 @@ def xi_reflection_check(grid: Sequence[complex]) -> float:
     return worst
 
 
-def xi_shift_report(eps: float, grid: Sequence[complex]) -> XiInequalityReport:
-    """The shift inequality |xi(s)| <= |xi(s+eps)| on the default grid."""
-    return xi_inequality_check(list(grid), eps)
-
-
 # ---------------------------------------------------------------------------
 # verification suites
 
@@ -489,7 +475,7 @@ def suite_xi() -> list[VerificationReport]:
                 xi_reflection_check(XI_REFLECTION_GRID.points), 1e-8)
     ]
     for eps in (0.1, 0.25):
-        rep = xi_shift_report(eps, XI_SHIFT_GRID.points)
+        rep = xi_inequality_check(list(XI_SHIFT_GRID.points), eps)
         reports.append(
             _report("shift-inequality", {"eps": eps, "violations": len(rep.violations)},
                     XI_SHIFT_GRID.grid_id, rep.max_deficit, 0.0)

@@ -124,10 +124,7 @@ def cmd_distance(args) -> int:
     cache_path = _cache_file(args.cache)
     store = load_store(cache_path, args.N)
     loaded = len(store)
-    rows = []
-    for method in methods:
-        rows.extend(distance_sweep(list(args.L), basis, method, store, n_trunc=args.N))
-    rows.sort(key=lambda r: (r.L, r.method.value))
+    rows = distance_sweep(args.L, basis, methods, store, n_trunc=args.N)
     save_store(store, cache_path, loaded)
 
     if args.format == "json":
@@ -139,15 +136,11 @@ def cmd_distance(args) -> int:
             print(r.csv_row())
 
     if args.tol is not None and len(methods) == 2:
-        by_L = {}
-        for r in rows:
-            by_L.setdefault(r.L, []).append(r.d2)
-        for L, pair in sorted(by_L.items()):
-            if len(pair) == 2 and math.isfinite(pair[0]) and abs(pair[0] - pair[1]) > args.tol:
-                print(
-                    f"method disagreement at L={L}: |{pair[0]!r} - {pair[1]!r}| > {args.tol!r}",
-                    file=sys.stderr,
-                )
+        # Rows come in (det, ls) pairs, one pair per cutoff.
+        for det, ls in zip(rows[::2], rows[1::2]):
+            if math.isfinite(det.d2) and abs(det.d2 - ls.d2) > args.tol:
+                gap = f"|{det.d2!r} - {ls.d2!r}| > {args.tol!r}"
+                print(f"method disagreement at L={det.L}: {gap}", file=sys.stderr)
                 return EXIT_ERROR
     if any(r.error for r in rows):
         for r in rows:
@@ -192,7 +185,7 @@ def cmd_gram(args) -> int:
     store = load_store(cache_path, args.N)
     loaded = len(store)
     L = max(args.L)
-    assemble_gram(L, basis, store, n_trunc=args.N)
+    assemble_gram(L, store, n_trunc=args.N)
     print(f"{len(store) - loaded} newly computed entries, {len(store)} total", file=sys.stderr)
     save_store(store, cache_path, loaded)
     if args.export == "csv":

@@ -11,7 +11,12 @@ each from one Cholesky factorization G = R^T R of the largest block:
     sequence, then the basis) to the plain one, from the factors' diagonals.
 
 Because every basis is nested, the leading k entries of z and of the
-diagonals give every smaller cutoff too: a sweep is one prefix solve.
+diagonals give every smaller cutoff too: a sweep is one prefix solve, and
+a sweep of both routes reads both from the one factor of G (the
+determinant route adds the bordered factor). Each row's 1-norm condition
+estimate comes from the same factor, once per cutoff whatever the routes,
+by Higham's estimator on level-3 triangular solves, so it does not depend
+on where arrays lie in memory.
 
 Gram entries come from the closed form in seqspace (or, with n_trunc, from
 truncated sums) and live in a GramStore: a dense symmetric array of every
@@ -235,16 +240,15 @@ def _entries_name(n_trunc: Optional[int]) -> str:
 
 def assemble_gram(
     L: int,
-    basis: BasisSelection = BasisSelection(),
     store: Optional[GramStore] = None,
     n_trunc: Optional[int] = None,
 ) -> GramStore:
     """Grow `store` to hold every pair of keys 0..L.
 
     The fill is the same for every basis: it covers all keys up to L, so a
-    store serves each basis up to its top, and `basis` is ignored. A new
-    store is created for n_trunc when none is given; a store that holds
-    entries of another kind (its n_trunc differs) raises CacheError. Only
+    store serves each basis up to its top. A new store is created for
+    n_trunc when none is given; a store that holds entries of another kind
+    (its n_trunc differs) raises CacheError. Only
     the pairs with a key above the old top are computed, and a call with
     nothing to add does no other work. Closed-form entries (n_trunc None)
     are computed row by row, vectorized across the second key, each in O(1)
@@ -287,7 +291,7 @@ def gram_system(
     Raises CacheError, as `assemble_gram` does, when `store` holds entries
     of another kind than n_trunc asks for.
     """
-    values = assemble_gram(L, basis, store, n_trunc=n_trunc).values
+    values = assemble_gram(L, store, n_trunc=n_trunc).values
     denoms = basis.denominators(L)
     keys = np.asarray(denoms, dtype=np.intp)
     return denoms, values[np.ix_(keys, keys)], values[CONSTANT_KEY, keys]
@@ -352,12 +356,44 @@ def _prune(denoms: Sequence[int], G: np.ndarray):
 
 
 def _cond_estimate(R: np.ndarray, anorm: float) -> float:
-    """1-norm condition estimate of R^T R, from its upper factor R and its 1-norm."""
-    pocon = get_lapack_funcs(("pocon",), (R,))[0]
-    rcond, info = pocon(R, anorm, uplo="U")
-    if info != 0 or rcond <= 0.0:
+    """1-norm condition estimate of A = R^T R, from its upper factor R and its
+    1-norm: Higham's estimate of |A^{-1}|_1, iterated as LAPACK dlacn2 does
+    for pocon. Each solve with A (symmetric, so A^T too) is two `trtrs` on one
+    Fortran copy of R; those go through level-3 BLAS, which packs its
+    operands, so the estimate does not depend on where arrays lie in memory
+    (pocon's does, in its last digit). An exactly zero diagonal, which trtrs
+    would report, gives inf.
+    """
+    R = np.asfortranarray(R)
+    n = R.shape[0]
+    if anorm == 0.0 or not np.diagonal(R).all():
         return math.inf
-    return 1.0 / rcond
+    trtrs = get_lapack_funcs(("trtrs",), (R,))[0]
+
+    def solve(x):
+        return trtrs(R, trtrs(R, x, trans=1)[0])[0]
+
+    def sign(x):
+        return np.where(x >= 0.0, 1.0, -1.0)
+
+    x = solve(np.full(n, 1.0 / n))
+    est = float(np.abs(x).sum())
+    if n > 1:
+        signs = sign(x)
+        j = int(np.argmax(np.abs(solve(signs))))
+        for _ in range(4):  # dlacn2's ITMAX = 5 counts the two steps above
+            x = solve(np.eye(1, n, j)[0])
+            est_old, est = est, float(np.abs(x).sum())
+            if np.array_equal(sign(x), signs) or est <= est_old:
+                break
+            signs = sign(x)
+            x = solve(signs)
+            j_last, j = j, int(np.argmax(np.abs(x)))
+            if x[j_last] == abs(x[j]):
+                break
+        alt = (1.0 + np.arange(n) / (n - 1)) * np.resize([1.0, -1.0], n)
+        est = max(est, 2.0 * (float(np.abs(solve(alt)).sum()) / (3 * n)))
+    return 1.0 / ((1.0 / est) / anorm)
 
 
 def _factor_with_ridge(G: np.ndarray):
@@ -380,36 +416,38 @@ def _factor_with_ridge(G: np.ndarray):
     )
 
 
-def _prefix_solve(G: np.ndarray, g: np.ndarray, method: SolveMethod, sizes: set[int]):
-    """(d2, ridge, cond) for every leading block of (G, g), from one factor.
+def _prefix_solve(
+    G: np.ndarray, g: np.ndarray, methods: Sequence[SolveMethod], sizes: set[int]
+):
+    """(solved, cond) for every leading block of (G, g), from one factor of G.
 
-    d2[k - 1] is the distance for the leading k columns (by least squares
-    1 - cumsum(z^2), non-increasing; by determinants from the factor of
-    B = [[1, g^T], [g, G]]), ridge the one the whole block needed, and cond
-    maps each k in `sizes` to the condition estimate of G's k-block.
+    solved maps each of `methods` to (d2, ridge) or to the ConditioningError
+    of the bordered factor B = [[1, g^T], [g, G]]: d2[k - 1] is the distance
+    for the leading k columns (1 - cumsum(z^2), non-increasing, or from the
+    factors' diagonals), ridge the one the whole block needed. cond maps each
+    k in `sizes` to the condition estimate of G's k-block.
     """
     R, ridge = _factor_with_ridge(G)
-    if method is SolveMethod.LEAST_SQUARES:
+    solved = {}
+    if SolveMethod.LEAST_SQUARES in methods:
         z = solve_triangular(R, g, trans="T", check_finite=False)
-        d2 = 1.0 - np.cumsum(z * z)
-    else:
-        n = g.size
-        B = np.empty((n + 1, n + 1))
-        B[0, 0] = 1.0
-        B[0, 1:] = B[1:, 0] = g
-        B[1:, 1:] = G
-        diag = np.arange(1, n + 1)
-        B[diag, diag] += ridge
-        R_B, ridge_b = _factor_with_ridge(B)
-        ridge = max(ridge, ridge_b)
-        logdet = np.cumsum(2.0 * np.log(np.diag(R)))
-        logdet_b = np.cumsum(2.0 * np.log(np.diag(R_B)))
-        d2 = np.exp(logdet_b[1:] - logdet)
+        solved[SolveMethod.LEAST_SQUARES] = 1.0 - np.cumsum(z * z), ridge
+    if SolveMethod.GRAM_DET_RATIO in methods:
+        B = np.block([[1.0, g], [g[:, None], G]])
+        B[1:, 1:][np.diag_indices(g.size)] += ridge
+        try:
+            R_B, ridge_b = _factor_with_ridge(B)
+            logdet = np.cumsum(2.0 * np.log(np.diag(R)))
+            logdet_b = np.cumsum(2.0 * np.log(np.diag(R_B)))
+            solved[SolveMethod.GRAM_DET_RATIO] = (
+                np.exp(logdet_b[1:] - logdet), max(ridge, ridge_b))
+        except ConditioningError as exc:
+            solved[SolveMethod.GRAM_DET_RATIO] = exc
     # Column k of `colsums` holds the running sums of |G[:, k]|, so the
     # 1-norm of the leading k-block is the largest of colsums[k - 1, :k].
     colsums = np.cumsum(np.abs(G), axis=0)
     cond = {k: _cond_estimate(R[:k, :k], float(colsums[k - 1, :k].max())) for k in sizes}
-    return d2, ridge, cond
+    return solved, cond
 
 
 def distance(
@@ -421,28 +459,28 @@ def distance(
 ) -> DistanceReport:
     """Squared distance from the constant sequence to the span at cutoff L.
 
-    The one-row `distance_sweep`. For L = 1 (or a basis that prunes to
-    nothing) the span is {0}, the distance is the squared norm of the
-    constant sequence, exactly 1; the report is flagged degenerate and no
-    solver runs.
+    The one-row, one-method `distance_sweep`. For L = 1 (or a basis that
+    prunes to nothing) the span is {0}, the distance is the squared norm of
+    the constant sequence, exactly 1; the report is flagged degenerate and
+    no solver runs.
     """
-    return distance_sweep([L], basis, method, store, n_trunc=n_trunc)[0]
+    return distance_sweep([L], basis, (method,), store, n_trunc=n_trunc)[0]
 
 
 def distance_sweep(
     L_values: Sequence[int],
     basis: BasisSelection = BasisSelection(),
-    method: SolveMethod = SolveMethod.LEAST_SQUARES,
+    methods: Sequence[SolveMethod] = (SolveMethod.LEAST_SQUARES,),
     store: Optional[GramStore] = None,
     n_trunc: Optional[int] = None,
 ) -> list[DistanceReport]:
-    """Distance reports over ascending cutoffs, sharing one Gram store.
+    """Distance reports, one per ascending cutoff and method, in (L, method.value) order.
 
-    The system is built, pruned and factored once, at the largest cutoff;
-    each row reads its leading block of that factor, so its last bits
-    depend on the largest cutoff. Every row that needs a solve reports the
-    ridge the largest block needed; if that fails at every ridge, each such
-    row carries the error message and a NaN distance.
+    G is built, pruned and factored once, at the largest cutoff, for all the
+    methods; each row reads its leading block (so its last bits depend on
+    the largest cutoff) and the ridge the largest block needed. A factor
+    that fails at every ridge makes error rows, with a NaN distance, of the
+    rows that read it: all of them for G's, the det rows for the bordered one.
     """
     L_values = list(L_values)
     if L_values != sorted(L_values):
@@ -451,30 +489,34 @@ def distance_sweep(
         return []
     if L_values[0] < 1:
         raise DomainError(f"cutoff must be >= 1, got {L_values[0]}")
+    methods = sorted(set(methods), key=lambda m: m.value)
     denoms, G, g = gram_system(L_values[-1], basis, store, n_trunc=n_trunc)
     keep, dropped = _prune(denoms, G)
     G, g = G[np.ix_(keep, keep)], g[keep]
     kept = np.asarray(denoms, dtype=np.intp)[keep]
     sizes = np.searchsorted(kept, L_values, side="right").tolist()
-    failure: Optional[ConditioningError] = None
+    solved = {}
     if g.size:
         try:
-            d2, ridge, cond = _prefix_solve(G, g, method, set(sizes) - {0})
+            solved, cond = _prefix_solve(G, g, methods, set(sizes) - {0})
         except ConditioningError as exc:
-            failure = exc
+            solved = dict.fromkeys(methods, exc)
     reports = []
     for L, k in zip(L_values, sizes):
-        if k == 0:
-            row = dict(d2=1.0, cond_estimate=math.nan, ridge_used=0.0, degenerate=True)
-        elif failure is not None:
-            row = dict(d2=math.nan, cond_estimate=failure.cond_estimate,
-                       ridge_used=RIDGE_LADDER[-1], error=str(failure))
-        else:
-            row = dict(d2=float(d2[k - 1]), cond_estimate=cond[k], ridge_used=ridge)
-        reports.append(DistanceReport(
-            L=L, basis=basis, method=method, a_est=row["d2"] * math.log(L),
-            pruned=tuple(l for l in dropped if l <= L), **row,
-        ))
+        for method in methods:
+            result = solved.get(method)
+            if k == 0:
+                row = dict(d2=1.0, cond_estimate=math.nan, ridge_used=0.0, degenerate=True)
+            elif isinstance(result, ConditioningError):
+                row = dict(d2=math.nan, cond_estimate=result.cond_estimate,
+                           ridge_used=RIDGE_LADDER[-1], error=str(result))
+            else:
+                d2, ridge = result
+                row = dict(d2=float(d2[k - 1]), cond_estimate=cond[k], ridge_used=ridge)
+            reports.append(DistanceReport(
+                L=L, basis=basis, method=method, a_est=row["d2"] * math.log(L),
+                pruned=tuple(l for l in dropped if l <= L), **row,
+            ))
     return reports
 
 

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from nblab import BasisKind, BasisSelection, GramStore, assemble_gram, sieve_moebius
+from nblab import GramStore, assemble_gram, sieve_moebius
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,7 @@ def shared_store():
     their own.
     """
     store = GramStore()
-    assemble_gram(300, BasisSelection(BasisKind.ALL), store)
+    assemble_gram(300, store)
     return store
 
 

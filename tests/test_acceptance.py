@@ -18,7 +18,6 @@ from nblab.analytic import (
     run_suite,
     verify_claim,
     xi_reflection_check,
-    xi_shift_report,
 )
 from nblab.arith import verify_recurrence
 from nblab.criterion import (
@@ -212,8 +211,8 @@ def test_10_unitary_semigroup_structure():
 
 def test_11_convergence_direction(shared_store):
     cutoffs = [10, 50, 100, 300]
-    rows = distance_sweep(cutoffs, EXCL, SolveMethod.LEAST_SQUARES, shared_store)
-    dets = distance_sweep(cutoffs, EXCL, SolveMethod.GRAM_DET_RATIO, shared_store)
+    rows = distance_sweep(cutoffs, EXCL, (SolveMethod.LEAST_SQUARES,), shared_store)
+    dets = distance_sweep(cutoffs, EXCL, (SolveMethod.GRAM_DET_RATIO,), shared_store)
     d2 = [r.d2 for r in rows]
     a_est = [r.a_est for r in rows]
     limit = asymptotic_rate_constant()

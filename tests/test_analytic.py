@@ -16,7 +16,6 @@ from nblab.analytic import (
     KernelKind,
     MellinKernel,
     combined_kernel_transform,
-    constant_transform,
     inner_function_check,
     inner_product_rule_check,
     mellin_exact,
@@ -29,9 +28,9 @@ from nblab.analytic import (
     semigroup_identity_check,
     verify_claim,
     xi_reflection_check,
-    xi_shift_report,
 )
 from nblab.errors import DomainError, PoleError, UnstablePointError
+from nblab.specfun import xi_inequality_check
 
 
 class TestGridsAreFrozen:
@@ -206,13 +205,6 @@ class TestSemigroupStructure:
             scale_inner_function(0.0, 0.5)
 
 
-class TestConstantTransform:
-    def test_value(self):
-        assert constant_transform(2.0) == 0.5
-        with pytest.raises(PoleError):
-            constant_transform(0.0)
-
-
 class TestMoebiusTransforms:
     def test_partial_matches_direct_sum(self):
         table = sieve_moebius(50)
@@ -281,7 +273,7 @@ class TestXiChecks:
 
     def test_shift_report(self):
         for eps in (0.1, 0.25):
-            rep = xi_shift_report(eps, XI_SHIFT_GRID.points)
+            rep = xi_inequality_check(list(XI_SHIFT_GRID.points), eps)
             assert rep.violations == ()
             assert rep.max_deficit == 0.0
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from nblab import cli
+from nblab import cli, criterion
 from nblab.criterion import (
     BasisKind,
     BasisSelection,
@@ -102,6 +102,27 @@ class TestDistanceCommand:
             ("6", "ls"),
         ]
 
+    @pytest.mark.parametrize("method, factors", [("ls", [29]), ("det", [29, 30]),
+                                                 ("both", [29, 30])])
+    def test_one_sweep_and_one_factor_of_g_per_run(self, method, factors, monkeypatch, capsys):
+        sweeps, factored = [], []
+        sweep, cho_factor = cli.distance_sweep, criterion.cho_factor
+
+        def counting_sweep(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        def counting_factor(M, **kwargs):
+            factored.append(M.shape[0])
+            return cho_factor(M, **kwargs)
+
+        monkeypatch.setattr(cli, "distance_sweep", counting_sweep)
+        monkeypatch.setattr(criterion, "cho_factor", counting_factor)
+        monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
+        assert cli.main(["distance", "--L", "2..30", "--method", method]) == 0
+        assert len(sweeps) == 1
+        assert factored == factors  # G (29 columns), then the bordered matrix
+
     def test_byte_identical_across_runs_and_threads(self):
         a = run_cli("distance", "--L", "2..20", "--threads", "1")
         b = run_cli("distance", "--L", "2..20", "--threads", "1")
@@ -193,7 +214,7 @@ class TestDistanceCommand:
             [0.1, 0.0, 0.0, 0.0, 1.0],
         ])
         for method in SolveMethod:
-            rows = distance_sweep([2, 3, 4], BasisSelection(BasisKind.EXCLUDE_ONE), method, store)
+            rows = distance_sweep([2, 3, 4], BasisSelection(BasisKind.EXCLUDE_ONE), (method,), store)
             assert all(r.error and math.isnan(r.d2) for r in rows)
         cache = tmp_path / "indefinite.nbbg"
         store.save(cache)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import get_lapack_funcs
 
 import oracles
 from nblab.criterion import (
@@ -17,6 +18,7 @@ from nblab.criterion import (
     SolveMethod,
     _cond_estimate,
     _factor_with_ridge,
+    _prefix_solve,
     _prune,
     assemble_gram,
     asymptotic_rate_constant,
@@ -55,28 +57,28 @@ class TestBasisSelection:
 
 class TestAssemble:
     def test_single_entry_at_cutoff_one(self):
-        store = assemble_gram(1, ALL)
+        store = assemble_gram(1)
         assert len(store) == 3  # keys 0 and 1: <1, 1>, <1, 0> and <0, 0>
         assert store.values.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_pair_count_exclude_one(self):
-        store = assemble_gram(10, EXCL)
+        store = assemble_gram(10)
         # Every key 0..10, whatever the basis: upper triangle incl. diagonal.
         assert len(store) == 66
 
     def test_idempotent(self):
-        store = assemble_gram(6, EXCL)
+        store = assemble_gram(6)
         n = len(store)
-        assemble_gram(6, EXCL, store)
+        assemble_gram(6, store)
         assert len(store) == n
 
     def test_truncation_mismatch_rejected(self, tmp_path, moebius_table):
         # A store never mixes closed-form and truncated entries, nor two N.
-        truncated = assemble_gram(4, EXCL, n_trunc=20)
-        closed = assemble_gram(4, EXCL)
+        truncated = assemble_gram(4, n_trunc=20)
+        closed = assemble_gram(4)
         for store, n_trunc in ((truncated, None), (truncated, 21), (closed, 20)):
             with pytest.raises(CacheError):
-                assemble_gram(4, EXCL, store, n_trunc=n_trunc)
+                assemble_gram(4, store, n_trunc=n_trunc)
             with pytest.raises(CacheError):
                 gram_system(4, EXCL, store, n_trunc=n_trunc)
             with pytest.raises(CacheError):
@@ -90,7 +92,7 @@ class TestAssemble:
             assert GramStore.load(p).n_trunc == n_trunc
 
     def test_truncated_entries_marked(self):
-        store = assemble_gram(4, EXCL, n_trunc=50_000)
+        store = assemble_gram(4, n_trunc=50_000)
         assert len(store) == 15
 
         def refuse(i, j):
@@ -142,7 +144,7 @@ class TestEntryPurity:
 
 class TestGramStoreFile:
     def test_roundtrip_bitwise(self, tmp_path):
-        store = assemble_gram(12, ALL)
+        store = assemble_gram(12)
         p = tmp_path / "cache.nbbg"
         store.save(p)
         loaded = GramStore.load(p)
@@ -154,7 +156,7 @@ class TestGramStoreFile:
         assert p.read_bytes() == p2.read_bytes()
 
     def test_crc_corruption_detected(self, tmp_path):
-        store = assemble_gram(5, EXCL)
+        store = assemble_gram(5)
         p = tmp_path / "cache.nbbg"
         store.save(p)
         raw = bytearray(p.read_bytes())
@@ -165,7 +167,7 @@ class TestGramStoreFile:
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "cache.nbbg"
-        store = assemble_gram(3, EXCL)
+        store = assemble_gram(3)
         store.save(p)
         raw = bytearray(p.read_bytes())
         raw[:4] = b"JUNK"
@@ -175,7 +177,7 @@ class TestGramStoreFile:
 
     def test_bad_version_rejected(self, tmp_path):
         p = tmp_path / "cache.nbbg"
-        store = assemble_gram(3, EXCL)
+        store = assemble_gram(3)
         store.save(p)
         raw = bytearray(p.read_bytes())
         raw[4:8] = struct.pack("<I", 99)
@@ -187,7 +189,7 @@ class TestGramStoreFile:
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
         p = tmp_path / "cache.nbbg"
-        assemble_gram(3, EXCL).save(p)
+        assemble_gram(3).save(p)
         old = p.read_bytes()
 
         def refuse(src, dst):
@@ -195,21 +197,21 @@ class TestGramStoreFile:
 
         monkeypatch.setattr(criterion.os, "replace", refuse)
         with pytest.raises(OSError):
-            assemble_gram(8, EXCL).save(p)
+            assemble_gram(8).save(p)
         assert p.read_bytes() == old
         assert len(GramStore.load(p)) == 10  # keys 0..3
         assert os.listdir(tmp_path) == ["cache.nbbg"]
 
     def test_truncated_file_rejected(self, tmp_path):
         p = tmp_path / "cache.nbbg"
-        store = assemble_gram(3, EXCL)
+        store = assemble_gram(3)
         store.save(p)
         p.write_bytes(p.read_bytes()[:-7])
         with pytest.raises(CacheError):
             GramStore.load(p)
 
     def test_csv_export(self):
-        store = assemble_gram(3, ALL)
+        store = assemble_gram(3)
         lines = store.csv_text(range(4)).splitlines()
         assert lines[0] == "l,m,value,error_bound,method"
         assert lines[1] == "0,0,1.0,0.0,closed"
@@ -246,7 +248,7 @@ class TestDenseStore:
         # The sweep reads every row from one factor of the L = 300 block; the
         # oracle factors each row's own block. Only the last bits may differ.
         cutoffs = list(range(2, 301))
-        swept = distance_sweep(cutoffs, basis, method, shared_store)
+        swept = distance_sweep(cutoffs, basis, (method,), shared_store)
         denoms, G, g = gram_system(300, basis, shared_store)
         for r in swept:
             k = sum(1 for l in denoms if l <= r.L)
@@ -261,7 +263,7 @@ class TestDenseStore:
         # A row of a sweep to 60 and `distance` from a store of its own agree
         # to the oracle's bound, in everything but the last bits.
         cutoffs = list(range(2, 61))
-        swept = distance_sweep(cutoffs, basis, method, GramStore())
+        swept = distance_sweep(cutoffs, basis, (method,), GramStore())
         for r in swept:
             fresh = distance(r.L, basis, method, GramStore())
             assert_rows_close(r, fresh.d2, fresh.cond_estimate)
@@ -281,9 +283,9 @@ class TestDenseStore:
     @pytest.mark.parametrize("n_trunc", [None, 30])
     def test_square_free_then_all_matches_one_fill(self, n_trunc):
         stepped = GramStore(n_trunc=n_trunc)
-        assemble_gram(9, SQFREE, stepped, n_trunc=n_trunc)
-        assemble_gram(14, ALL, stepped, n_trunc=n_trunc)
-        whole = assemble_gram(14, ALL, n_trunc=n_trunc)
+        assemble_gram(9, stepped, n_trunc=n_trunc)
+        assemble_gram(14, stepped, n_trunc=n_trunc)
+        whole = assemble_gram(14, n_trunc=n_trunc)
         assert stepped.values.tobytes() == whole.values.tobytes()
 
     @pytest.mark.parametrize("n_trunc", [None, 30])
@@ -311,16 +313,16 @@ class TestDenseStore:
                 assert struct.pack("<d", loaded.values[a, b]) == struct.pack("<d", r.value)
                 got = loaded.ensure(a, b, refuse)
                 assert (got.method, got.error_bound) == (r.method, r.error_bound)
-        assert loaded.values.tobytes() == assemble_gram(top, ALL, n_trunc=n_trunc).values.tobytes()
+        assert loaded.values.tobytes() == assemble_gram(top, n_trunc=n_trunc).values.tobytes()
         again = tmp_path / "again.nbbg"
         loaded.save(again)
         assert again.read_bytes() == p.read_bytes()
 
     def test_grows_without_losing_entries(self):
         store = GramStore()
-        assemble_gram(5, EXCL, store)
+        assemble_gram(5, store)
         before = store.values[:6, :6].copy()
-        assemble_gram(40, EXCL, store)
+        assemble_gram(40, store)
         assert store.values.shape == (41, 41)
         assert store.values[:6, :6].tobytes() == before.tobytes()
         assert len(store) == 41 * 42 // 2
@@ -457,6 +459,89 @@ class TestSolverInternals:
         cond = _cond_estimate(R, 2.5)
         assert ridge == 0.0
         assert cond >= 1.0
+
+    def test_bordered_failure_errors_only_det_rows(self):
+        # G = I factors, but B = [[1, 1, .5], [1, 1, 0], [.5, 0, 1]] has
+        # determinant -1/4, so the bordered factor fails at every ridge.
+        LS, DET = SolveMethod.LEAST_SQUARES, SolveMethod.GRAM_DET_RATIO
+        solved, cond = _prefix_solve(np.eye(2), np.array([1.0, 0.5]), (LS, DET), {1, 2})
+        assert isinstance(solved[DET], ConditioningError)
+        d2, ridge = solved[LS]
+        assert (d2.tolist(), ridge, cond) == ([0.0, -0.25], 0.0, {1: 1.0, 2: 1.0})
+        # The same system as a store: keys 0..3, denominators 2 and 3.
+        store = GramStore()
+        store.values = np.array([
+            [1.0, 0.0, 1.0, 0.5],
+            [0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 1.0, 0.0],
+            [0.5, 0.0, 0.0, 1.0],
+        ])
+        rows = distance_sweep([2, 3], EXCL, (LS, DET), store)
+        assert [(r.L, r.method) for r in rows] == [(2, DET), (2, LS), (3, DET), (3, LS)]
+        for r in rows:
+            if r.method is DET:
+                assert r.error and math.isnan(r.d2) and r.cond_estimate == math.inf
+            else:
+                assert r.error is None and r.ridge_used == 0.0 and r.cond_estimate == 1.0
+
+    def test_one_factor_of_g_per_sweep(self, shared_store, monkeypatch):
+        calls = []
+        original = criterion.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(criterion, "cho_factor", counting)
+        distance_sweep(range(2, 61), EXCL, tuple(SolveMethod), shared_store)
+        assert calls == [59, 60]  # G, then the bordered matrix
+        calls.clear()
+        distance_sweep(range(2, 61), EXCL, (SolveMethod.LEAST_SQUARES,), shared_store)
+        assert calls == [59]
+
+    @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.kind.value)
+    def test_both_methods_match_single_method_sweeps(self, shared_store, basis):
+        def fields(r):
+            return (r.L, r.method, repr(r.d2), repr(r.cond_estimate), r.ridge_used,
+                    r.pruned, r.degenerate, r.error)
+
+        cutoffs = range(1, 201)
+        both = distance_sweep(cutoffs, basis, tuple(SolveMethod), shared_store)
+        single = [distance_sweep(cutoffs, basis, (m,), shared_store) for m in SolveMethod]
+        expected = sorted((fields(r) for rows in single for r in rows),
+                          key=lambda f: (f[0], f[1].value))
+        assert [fields(r) for r in both] == expected
+
+
+class TestCondEstimate:
+    def test_independent_of_memory_layout(self, shared_store):
+        # LAPACK pocon's estimate moved in its last digit with where its work
+        # arrays landed; allocations between the calls move them.
+        _, G, _ = gram_system(300, EXCL, shared_store)
+        R, _ = _factor_with_ridge(G)
+        for k in (256, 280, 299):
+            anorm = float(np.abs(G[:k, :k]).sum(axis=0).max())
+            junk, values = [], set()
+            for i in range(300):
+                junk.append(np.empty(3 * k + i % 8))
+                values.add(_cond_estimate(R[:k, :k], anorm))
+            assert len(values) == 1, (k, values)
+
+    def test_matches_pocon(self, shared_store):
+        # The same estimator as LAPACK pocon, with other rounding in the solves.
+        _, G, _ = gram_system(300, EXCL, shared_store)
+        R, _ = _factor_with_ridge(G)
+        pocon = get_lapack_funcs("pocon", (R,))
+        colsums = np.cumsum(np.abs(G), axis=0)
+        for k in range(1, G.shape[0] + 1):
+            anorm = float(colsums[k - 1, :k].max())
+            rcond, info = pocon(R[:k, :k], anorm, uplo="U")
+            assert info == 0
+            assert abs(_cond_estimate(R[:k, :k], anorm) * rcond - 1.0) <= 1e-14, k
+
+    def test_zero_diagonal_is_infinite(self):
+        assert _cond_estimate(np.array([[1.0, 1.0], [0.0, 0.0]]), 2.0) == math.inf
+        assert _cond_estimate(np.eye(3), 0.0) == math.inf
 
 
 class TestMoebiusResidual:
