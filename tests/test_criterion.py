@@ -283,8 +283,8 @@ class TestDenseStore:
     @pytest.mark.parametrize("n_trunc", [None, 30])
     def test_square_free_then_all_matches_one_fill(self, n_trunc):
         stepped = GramStore(n_trunc=n_trunc)
-        assemble_gram(9, stepped, n_trunc=n_trunc)
-        assemble_gram(14, stepped, n_trunc=n_trunc)
+        gram_system(9, SQFREE, stepped, n_trunc=n_trunc)
+        gram_system(14, ALL, stepped, n_trunc=n_trunc)
         whole = assemble_gram(14, n_trunc=n_trunc)
         assert stepped.values.tobytes() == whole.values.tobytes()
 
