@@ -12,7 +12,6 @@ file is missing.
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from nblab import (
@@ -24,26 +23,17 @@ from nblab import (
 from nblab.cli import load_store, save_store
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    l_max: int = 300
-    l_step: int = 10
-    basis: str = "exclude-one"
-    method: str = "ls"
-    cache: Path | None = None
-
-
-def run(cfg: SweepConfig) -> int:
-    cutoffs = sorted({2, *range(cfg.l_step, cfg.l_max + 1, cfg.l_step)})
-    store = load_store(cfg.cache)
+def run(l_max: int, l_step: int, basis: str, method: str, cache: Path | None) -> int:
+    cutoffs = sorted({2, *range(l_step, l_max + 1, l_step)})
+    store = load_store(cache)
     loaded = len(store)
     rows = distance_sweep(
         cutoffs,
-        BasisSelection.parse(cfg.basis),
-        (SolveMethod.parse(cfg.method),),
+        BasisSelection.parse(basis),
+        (SolveMethod.parse(method),),
         store,
     )
-    save_store(store, cfg.cache, loaded)
+    save_store(store, cache, loaded)
 
     limit = asymptotic_rate_constant()
     print("L,d2,rate,rate_minus_limit,cond")
@@ -68,8 +58,7 @@ def main() -> int:
         ap.error(f"--l-max must be at least 2, got {a.l_max}")
     if a.l_step < 1:
         ap.error(f"--l-step must be at least 1, got {a.l_step}")
-    cfg = SweepConfig(a.l_max, a.l_step, a.basis, a.method, a.cache)
-    return run(cfg)
+    return run(a.l_max, a.l_step, a.basis, a.method, a.cache)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ transform-side picture of the distance sweep's decay.
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from nblab import sieve_moebius
 from nblab.analytic import (
@@ -21,27 +20,21 @@ from nblab.analytic import (
 from nblab.errors import UnstablePointError
 
 
-@dataclass(frozen=True)
-class HlineConfig:
-    eps: float = 0.1
-    cutoffs: tuple[int, ...] = (10, 30, 100, 300, 1000)
-
-
-def run(cfg: HlineConfig) -> int:
-    table = sieve_moebius(max(cfg.cutoffs))
+def run(eps: float, cutoffs: tuple[int, ...]) -> int:
+    table = sieve_moebius(max(cutoffs))
     limits = {}
     skipped = 0
     for s in CRITICAL_LINE_GRID.points:
         try:
-            limits[s] = moebius_limit_transform(cfg.eps, s)
+            limits[s] = moebius_limit_transform(eps, s)
         except UnstablePointError:
             skipped += 1  # too close to a zeta zero for a trustworthy limit
-    print(f"grid {CRITICAL_LINE_GRID.grid_id}, eps {cfg.eps}, "
+    print(f"grid {CRITICAL_LINE_GRID.grid_id}, eps {eps}, "
           f"{len(limits)} usable points, {skipped} skipped", file=sys.stderr)
     print("L,sup_gap,mean_gap")
-    for L in cfg.cutoffs:
+    for L in cutoffs:
         gaps = [
-            abs(moebius_partial_transform(L, cfg.eps, s, table) - lim)
+            abs(moebius_partial_transform(L, eps, s, table) - lim)
             for s, lim in limits.items()
         ]
         sup = max(gaps)
@@ -66,7 +59,7 @@ def main() -> int:
         ap.error(f"--cutoffs must be comma-separated integers, got {a.cutoffs!r}")
     if cutoffs[0] < 1:
         ap.error(f"--cutoffs must be >= 1, got {cutoffs[0]}")
-    return run(HlineConfig(eps=a.eps, cutoffs=cutoffs))
+    return run(a.eps, cutoffs)
 
 
 if __name__ == "__main__":

@@ -30,24 +30,20 @@ from .errors import (
     UnstablePointError,
 )
 from .seqspace import (
-    FractionalSequence,
     PiecewiseConstant,
     dilate,
     inner_product_closed,
     inner_product_truncated,
     norm_m,
-    sequence_of,
 )
 from .specfun import (
     digamma,
     digamma_array,
-    euler_gamma,
     log_gamma,
     xi,
     xi_inequality_check,
     zeta,
     zeta_deflated,
-    zeta_star,
 )
 from .analytic import (
     MellinKernel,
@@ -70,7 +66,6 @@ __all__ = [
     "ConditioningError",
     "DistanceReport",
     "DomainError",
-    "FractionalSequence",
     "GramStore",
     "MellinKernel",
     "MoebiusTable",
@@ -87,7 +82,6 @@ __all__ = [
     "dilate",
     "distance",
     "distance_sweep",
-    "euler_gamma",
     "gram_system",
     "inner_product_closed",
     "inner_product_truncated",
@@ -100,7 +94,6 @@ __all__ = [
     "reciprocal_kernel_transform",
     "run_suite",
     "scale_inner_function",
-    "sequence_of",
     "sieve_moebius",
     "verify_claim",
     "verify_recurrence",
@@ -108,6 +101,5 @@ __all__ = [
     "xi_inequality_check",
     "zeta",
     "zeta_deflated",
-    "zeta_star",
     "__version__",
 ]

@@ -30,13 +30,7 @@ import numpy as np
 
 from .arith import MoebiusTable
 from .errors import DomainError, PoleError, UnstablePointError
-from .seqspace import (
-    PiecewiseConstant,
-    dilate,
-    inner_product_truncated,
-    norm_m,
-    sequence_of,
-)
+from .seqspace import PiecewiseConstant, dilate, inner_product_truncated, norm_m
 from .specfun import (
     finite_complex,
     xi,
@@ -490,7 +484,7 @@ def suite_unitary() -> list[VerificationReport]:
         n_pieces = int(rng.integers(1, 120))
         head = tuple(float(v) for v in rng.uniform(-2.0, 2.0, n_pieces))
         f = PiecewiseConstant(head=head, tail=(0.0,))
-        lhs = inner_product_truncated(sequence_of(f), sequence_of(f), n_pieces).value
+        lhs = inner_product_truncated(f, f, n_pieces)
         rhs = norm_m(f, n_pieces).value
         worst_norm = max(worst_norm, abs(lhs - rhs))
     reports = [

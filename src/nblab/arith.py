@@ -1,13 +1,12 @@
 """Moebius function tables via a linear sieve.
 
 The sieve tracks the smallest prime factor of every integer up to the limit,
-which yields mu and the square-free flags in a single O(n) pass. Divisor
-enumeration reuses the stored smallest-prime-factor chain.
+which yields mu and the square-free flags in a single O(n) pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,33 +23,11 @@ class MoebiusTable:
             Index 0 is unused and set to 0.
         squarefree: Bool array of length limit+1; squarefree[n] iff n has no
             squared prime factor. Equivalent to mu[n] != 0.
-        spf: Smallest prime factor of each n >= 2 (int64, index 0 and 1
-            unused). Kept for divisor enumeration.
     """
 
     limit: int
     mu: np.ndarray
     squarefree: np.ndarray
-    spf: np.ndarray = field(repr=False)
-
-    def divisors(self, n: int) -> list[int]:
-        """Enumerate all positive divisors of n (requires n <= limit).
-
-        Factorizes n through the smallest-prime-factor chain, then expands
-        the divisor set prime by prime. Output is sorted.
-        """
-        if not 1 <= n <= self.limit:
-            raise DomainError(f"divisors: n={n} outside 1..{self.limit}")
-        divs = [1]
-        m = n
-        while m > 1:
-            p = int(self.spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
 
 
 def sieve_moebius(limit: int) -> MoebiusTable:
@@ -60,7 +37,7 @@ def sieve_moebius(limit: int) -> MoebiusTable:
         limit: Inclusive upper bound, must be >= 1.
 
     Returns:
-        MoebiusTable with mu, squarefree flags, and smallest prime factors.
+        MoebiusTable with mu and squarefree flags.
 
     Raises:
         DomainError: If limit < 1.
@@ -86,7 +63,7 @@ def sieve_moebius(limit: int) -> MoebiusTable:
             mu[ip] = 0 if p == si else -mu[i]
     squarefree = mu != 0
     squarefree[0] = False
-    return MoebiusTable(limit=limit, mu=mu, squarefree=squarefree, spf=spf)
+    return MoebiusTable(limit=limit, mu=mu, squarefree=squarefree)
 
 
 def verify_recurrence(table: MoebiusTable, n_max: int) -> bool:

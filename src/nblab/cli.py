@@ -135,7 +135,7 @@ def cmd_distance(args) -> int:
         for r in rows:
             print(r.csv_row())
 
-    if args.tol is not None and len(methods) == 2:
+    if args.tol is not None:
         # Rows come in (det, ls) pairs, one pair per cutoff.
         for det, ls in zip(rows[::2], rows[1::2]):
             if math.isfinite(det.d2) and abs(det.d2 - ls.d2) > args.tol:
@@ -251,6 +251,8 @@ def build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "tol", None) is not None and args.method != "both":
+        parser.error(f"argument --tol: not allowed with --method {args.method}")
     try:
         return args.fn(args)
     except CacheError as exc:

@@ -18,18 +18,19 @@ estimate comes from the same factor, once per cutoff whatever the routes,
 by Higham's estimator on level-3 triangular solves, so it does not depend
 on where arrays lie in memory.
 
-Gram entries come from the closed form in seqspace (or, with n_trunc, from
-truncated sums) and live in a GramStore: a dense symmetric array of every
-pair of keys up to its top, key 0 the constant sequence and key l the
-denominator l, of one kind only (its truncation N, None for closed form, is
-checked by every fill and carried in the binary cache header). Matrices are
-slices of it, taken once per sweep at its largest cutoff. A Moebius-weighted
-approximant residual and the asymptotic diagnostic d2 * log L round out the
-module.
+Gram entries are floats from the closed form in seqspace (or, with
+n_trunc, from truncated sums over the step-function sequences) and live in a
+GramStore: a dense symmetric array of every pair of keys up to its top, key
+0 the constant sequence and key l the denominator l, of one kind only (its
+truncation N, None for closed form, is checked by every fill and carried in
+the binary cache header). Matrices are slices of it, taken once per sweep at
+its largest cutoff. A Moebius-weighted approximant residual and the
+asymptotic diagnostic d2 * log L round out the module.
 
-The sequence with denominator 1 is identically zero; bases that include it
-produce a singular Gram matrix, so the solver prunes exactly-zero columns
-before factorizing, and the report records what was pruned.
+The sequence with denominator 1 is identically zero, and it is the only
+basis sequence whose Gram diagonal can vanish: `gram_system` leaves it out
+of every basis, and the rows of the bases that include it report it as
+pruned.
 """
 
 from __future__ import annotations
@@ -49,12 +50,7 @@ from scipy.linalg import LinAlgError, cho_factor, get_lapack_funcs, solve_triang
 
 from .arith import MoebiusTable, sieve_moebius
 from .errors import CacheError, ConditioningError, DomainError
-from .seqspace import (
-    FractionalSequence,
-    InnerProductResult,
-    inner_products_closed_row,
-    inner_product_truncated,
-)
+from .seqspace import PiecewiseConstant, inner_products_closed_row, inner_product_truncated
 from .specfun import digamma
 
 # Key 0 in a GramStore denotes the constant sequence; positive keys are
@@ -152,15 +148,13 @@ class GramStore:
         side = self.values.shape[0]
         return side * (side + 1) // 2
 
-    def ensure(
-        self, i: int, j: int, compute: Callable[[int, int], InnerProductResult]
-    ) -> InnerProductResult:
+    def ensure(self, i: int, j: int, compute: Callable[[int, int], float]) -> float:
         """The entry for keys i and j: the held one, or else compute(min, max)."""
         if i < 0 or j < 0:
             raise DomainError(f"store keys must be nonnegative, got ({i}, {j})")
         i, j = min(i, j), max(i, j)
         if j <= self.top:
-            return InnerProductResult(float(self.values[i, j]), self.method, self.error_bound)
+            return float(self.values[i, j])
         return compute(i, j)
 
     def grow(self, top: int, row: Callable[[int, np.ndarray], Sequence[float]]) -> None:
@@ -270,12 +264,13 @@ def assemble_gram(
         store.grow(L, inner_products_closed_row)
         return store
 
-    def truncated(i: int, j: int) -> InnerProductResult:
-        # Key 0, the constant sequence, is FractionalSequence(None).
-        a, b = FractionalSequence(i or None), FractionalSequence(j or None)
-        return inner_product_truncated(a, b, n_trunc)
+    sequences = [PiecewiseConstant.constant_one()]
+    sequences.extend(PiecewiseConstant.fractional_parts(l) for l in range(1, L + 1))
 
-    store.grow(L, lambda i, js: [store.ensure(i, j, truncated).value for j in js.tolist()])
+    def truncated(i: int, j: int) -> float:
+        return inner_product_truncated(sequences[i], sequences[j], n_trunc)
+
+    store.grow(L, lambda i, js: [store.ensure(i, j, truncated) for j in js.tolist()])
     return store
 
 
@@ -288,11 +283,14 @@ def gram_system(
     """Return (denominators, G, g): the Gram matrix of the basis and the
     cross inner products with the constant sequence, sliced from the store.
 
+    Denominator 1, the zero sequence, is left out of every basis. Each other
+    denominator l has a positive diagonal entry (term 1 is 1/l, weighted
+    1/2, for closed-form and truncated entries alike), so G needs no pruning.
     Raises CacheError, as `assemble_gram` does, when `store` holds entries
     of another kind than n_trunc asks for.
     """
     values = assemble_gram(L, store, n_trunc=n_trunc).values
-    denoms = basis.denominators(L)
+    denoms = tuple(l for l in basis.denominators(L) if l > 1)
     keys = np.asarray(denoms, dtype=np.intp)
     return denoms, values[np.ix_(keys, keys)], values[CONSTANT_KEY, keys]
 
@@ -346,13 +344,6 @@ class DistanceReport:
             "pruned": list(self.pruned),
             "error": self.error,
         }
-
-
-def _prune(denoms: Sequence[int], G: np.ndarray):
-    """Positions of the columns with a nonzero diagonal, and the denominators
-    of the others (exactly-zero sequences, in practice l = 1)."""
-    zero = np.diag(G) == 0.0
-    return np.flatnonzero(~zero), tuple(np.asarray(denoms, dtype=np.intp)[zero].tolist())
 
 
 def _cond_estimate(R: np.ndarray, anorm: float) -> float:
@@ -459,10 +450,10 @@ def distance(
 ) -> DistanceReport:
     """Squared distance from the constant sequence to the span at cutoff L.
 
-    The one-row, one-method `distance_sweep`. For L = 1 (or a basis that
-    prunes to nothing) the span is {0}, the distance is the squared norm of
-    the constant sequence, exactly 1; the report is flagged degenerate and
-    no solver runs.
+    The one-row, one-method `distance_sweep`. For L = 1 the span is {0}
+    (every basis is empty once the zero sequence l = 1 is left out), the
+    distance is the squared norm of the constant sequence, exactly 1; the
+    report is flagged degenerate and no solver runs.
     """
     return distance_sweep([L], basis, (method,), store, n_trunc=n_trunc)[0]
 
@@ -476,7 +467,7 @@ def distance_sweep(
 ) -> list[DistanceReport]:
     """Distance reports, one per ascending cutoff and method, in (L, method.value) order.
 
-    G is built, pruned and factored once, at the largest cutoff, for all the
+    G is built and factored once, at the largest cutoff, for all the
     methods; each row reads its leading block (so its last bits depend on
     the largest cutoff) and the ridge the largest block needed. A factor
     that fails at every ridge makes error rows, with a NaN distance, of the
@@ -491,10 +482,9 @@ def distance_sweep(
         raise DomainError(f"cutoff must be >= 1, got {L_values[0]}")
     methods = sorted(set(methods), key=lambda m: m.value)
     denoms, G, g = gram_system(L_values[-1], basis, store, n_trunc=n_trunc)
-    keep, dropped = _prune(denoms, G)
-    G, g = G[np.ix_(keep, keep)], g[keep]
-    kept = np.asarray(denoms, dtype=np.intp)[keep]
-    sizes = np.searchsorted(kept, L_values, side="right").tolist()
+    # gram_system leaves out denominator 1; the bases that hold it report it.
+    pruned = () if basis.kind is BasisKind.EXCLUDE_ONE else (1,)
+    sizes = np.searchsorted(denoms, L_values, side="right").tolist()
     solved = {}
     if g.size:
         try:
@@ -515,7 +505,7 @@ def distance_sweep(
                 row = dict(d2=float(d2[k - 1]), cond_estimate=cond[k], ridge_used=ridge)
             reports.append(DistanceReport(
                 L=L, basis=basis, method=method, a_est=row["d2"] * math.log(L),
-                pruned=tuple(l for l in dropped if l <= L), **row,
+                pruned=pruned, **row,
             ))
     return reports
 
@@ -541,8 +531,8 @@ def moebius_residual(
                           + sum_{l,m} mu(l) mu(m) (l m)^{-eps} <gamma_l, gamma_m>.
 
     The entries are the square-free Gram system of `gram_system` (truncated
-    at n_trunc if given), less its l = 1 row and column. Always at least the
-    projection distance at the same cutoff.
+    at n_trunc if given), which leaves out l = 1, the zero sequence. Always
+    at least the projection distance at the same cutoff.
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
@@ -552,10 +542,7 @@ def moebius_residual(
         raise DomainError(f"cutoff {L} exceeds sieve limit {table.limit}")
     if L == 1:
         return 1.0
-    # mu(l) = 0 terms vanish, and l = 1 (first in the square-free basis)
-    # contributes the zero sequence.
+    # mu(l) = 0 unless l is square-free.
     denoms, G, g = gram_system(L, BasisSelection(BasisKind.SQUARE_FREE), store, n_trunc=n_trunc)
-    rest = np.arange(1, len(denoms))
-    G, g = G[np.ix_(rest, rest)], g[rest]
-    coeff = np.array([float(table.mu[l]) * l ** (-eps) for l in denoms[1:]])
+    coeff = np.array([float(table.mu[l]) * l ** (-eps) for l in denoms])
     return 1.0 + 2.0 * float(coeff @ g) + float(coeff @ G @ coeff)

@@ -2,18 +2,22 @@
 
 The ambient space is the set of real sequences a = (a_n) with
 sum |a_n|^2 w(n) finite, for the one weight w(n) = 1/(n(n+1)) that the
-step-function model fixes. The key players:
+step-function model fixes. The interval (1/(n+1), 1/n] has length exactly
+1/(n(n+1)), so reading a step function constant on each such piece at the
+points 1/n is a unitary map onto the sequence space. One type,
+`PiecewiseConstant`, therefore serves as both the sequence and the step
+function. The key players:
 
-  * the constant sequence (1, 1, 1, ...),
-  * the fractional-part sequences with terms frac(n/l) for integer l >= 1,
-  * step functions on (0, 1] that are constant on each (1/(n+1), 1/n].
+  * the constant sequence (1, 1, 1, ...), `PiecewiseConstant.constant_one()`,
+  * the fractional-part sequences frac(n/l) for integer l >= 1,
+    `PiecewiseConstant.fractional_parts(l)`,
+  * indicators of (0, 1/n] and their dilations.
 
-The interval (1/(n+1), 1/n] has length exactly 1/(n(n+1)), so reading a step
-function at the points 1/n is a unitary map onto the sequence space. Inner
-products of fractional-part sequences are available through two independent
-routes: compensated truncated summation up to N, whose omitted tail weighs
-exactly 1/(N+1), and a closed form. The closed form
-applies Abel summation, <f, h> = sum_n (c_n - c_{n-1}) / n with
+Inner products of the constant and fractional-part sequences are available
+through two independent routes: compensated truncated summation up to N of
+any two step functions, whose omitted tail weighs exactly 1/(N+1), and a
+closed form on Gram store keys (0 the constant, l >= 1 the denominator). The
+closed form applies Abel summation, <f, h> = sum_n (c_n - c_{n-1}) / n with
 c_n = frac(n/a) frac(n/b), and splits the differences into periodic pieces
 with periods a, b, a/g and b/g (g = gcd(a, b)). Each piece is summed with the
 regularized identity for a p-periodic f,
@@ -33,7 +37,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -56,105 +60,29 @@ def _default_weight_values(n_trunc: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sequences
-
-
-@dataclass(frozen=True)
-class FractionalSequence:
-    """The constant sequence, or the sequence n -> frac(n / denominator).
-
-    denominator None marks the constant sequence (1, 1, ...). denominator 1
-    is the zero sequence, since frac(n) = 0 for every integer n.
-    """
-
-    denominator: Optional[int] = None
-
-    def __post_init__(self):
-        if self.denominator is not None and self.denominator < 1:
-            raise DomainError(f"denominator must be >= 1, got {self.denominator}")
-
-    @classmethod
-    def constant(cls) -> "FractionalSequence":
-        return cls(None)
-
-    @classmethod
-    def of(cls, denominator: int) -> "FractionalSequence":
-        return cls(denominator)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.denominator is None
-
-    @property
-    def bound(self) -> float:
-        """Supremum of |terms|."""
-        return 1.0
-
-    def term(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"term index must be >= 1, got {n}")
-        if self.denominator is None:
-            return 1.0
-        return (n % self.denominator) / self.denominator
-
-    def values_upto(self, n_trunc: int) -> np.ndarray:
-        if self.denominator is None:
-            return np.ones(n_trunc)
-        # frac(n/l) has period l: build one period, then repeat it.
-        l = self.denominator
-        n = np.arange(1, min(l, n_trunc) + 1, dtype=np.int64)
-        return np.tile((n % l) / float(l), -(-n_trunc // l))[:n_trunc]
-
-
-SequenceLike = Union[FractionalSequence, "StepSequence"]
-
-
-# ---------------------------------------------------------------------------
 # inner products
 
 
-@dataclass(frozen=True)
-class InnerProductResult:
-    """Value of an inner product plus how it was obtained.
-
-    method is "closed" (Abel-summation digamma formula, error_bound 0 up to
-    evaluator accuracy) or "truncated" (compensated partial sum; error_bound
-    is the exact weight tail 1/(n_trunc+1) times the term bounds).
-    """
-
-    value: float
-    method: str
-    error_bound: float
-
-
-@lru_cache(maxsize=2)
-def _fractional_terms(seq: FractionalSequence, n_trunc: int) -> np.ndarray:
-    # A truncated Gram fill pairs one row key with each other key in turn,
-    # so keeping the last two term arrays builds each row key's terms once.
-    terms = seq.values_upto(n_trunc)
-    terms.flags.writeable = False
-    return terms
-
-
-def _terms_upto(seq: SequenceLike, n_trunc: int) -> np.ndarray:
-    if isinstance(seq, FractionalSequence):
-        return _fractional_terms(seq, n_trunc)
-    return seq.values_upto(n_trunc)
-
-
-def inner_product_truncated(a: SequenceLike, b: SequenceLike, n_trunc: int) -> InnerProductResult:
+def inner_product_truncated(a: PiecewiseConstant, b: PiecewiseConstant, n_trunc: int) -> float:
     """Partial sum of sum_n a_n b_n w(n) over n <= n_trunc, compensated.
 
-    The error bound is sup|a| * sup|b| * (tail weight mass), and the tail
-    weight mass telescopes to exactly 1/(n_trunc + 1).
+    The omitted tail is at most a.max_abs() * b.max_abs() / (n_trunc + 1),
+    since the tail weight mass telescopes to exactly 1/(n_trunc + 1).
     """
     if n_trunc < 1:
         raise DomainError(f"n_trunc must be >= 1, got {n_trunc}")
-    terms = _terms_upto(a, n_trunc) * _terms_upto(b, n_trunc)
+    terms = _terms(a, n_trunc) * _terms(b, n_trunc)
     terms *= _default_weight_values(n_trunc)
-    value = compensated_sum(terms)
-    bound = a.bound * b.bound * (1.0 / (n_trunc + 1))
-    return InnerProductResult(value=value, method="truncated", error_bound=bound)
+    return compensated_sum(terms)
+
+
+@lru_cache(maxsize=2)
+def _terms(f: PiecewiseConstant, n_trunc: int) -> np.ndarray:
+    # A truncated Gram fill pairs one row key with each other key in turn,
+    # so keeping the last two term arrays builds each row key's terms once.
+    terms = f.values_upto(n_trunc)
+    terms.flags.writeable = False
+    return terms
 
 
 # Euler's constant, gamma = -psi(1).
@@ -241,37 +169,31 @@ def inner_products_closed_row(a: int, bs) -> np.ndarray:
     )
 
 
-def inner_product_closed(a: FractionalSequence, b: FractionalSequence) -> InnerProductResult:
-    """Closed-form inner product of two fractional-part sequences.
+def inner_product_closed(a: int, b: int) -> float:
+    """Closed-form inner product of the sequences with Gram store keys a and b.
 
-    With gamma = -psi(1), g = gcd(a, b), m = lcm(a, b), a' = a/g, b' = b/g
-    and R(p, c) as in `_PeriodTables`, for a, b >= 2:
+    Key 0 is the constant sequence and key l >= 1 the sequence {n/l}. With
+    gamma = -psi(1), g = gcd(a, b), m = lcm(a, b), a' = a/g, b' = b/g and
+    R(p, c) as in `_PeriodTables`, for a, b >= 2:
 
         <{n/a}, {n/b}> = S_a/b + S_b/a - T(a, b) - T(b, a)
                          + (gamma - log a - log b)/(ab) - (gamma - log m)/m,
 
     where S_p = R(p, 1), T(a, b) = (R(a', b' mod a') - mu log b)/b and
     mu = (a' - 1)/(2a'). Against the constant, <1, {n/b}> = log(b)/b;
-    <1, 1> = 1, and denominator 1 gives the zero sequence. The entry needs
+    <1, 1> = 1, and key 1 is the zero sequence. The entry needs
     the O(a' + b') terms of R(a', .) and R(b', .); these are tabulated once
     per period (O(p^2) for period p, O(L^3) for every period up to a cutoff
     L), after which each entry costs O(1). The pair is put in ascending
     order first, so the value is exactly symmetric.
     """
-    if not isinstance(a, FractionalSequence) or not isinstance(b, FractionalSequence):
-        raise DomainError("closed-form inner product is defined for fractional sequences")
-    if a.denominator == 1 or b.denominator == 1:
-        # frac(n/1) is identically zero.
-        return InnerProductResult(value=0.0, method="closed", error_bound=0.0)
-    if a.is_constant and b.is_constant:
-        # sum_n w(n) telescopes to exactly 1.
-        return InnerProductResult(value=1.0, method="closed", error_bound=0.0)
-    if a.is_constant or b.is_constant:
-        l = b.denominator if a.is_constant else a.denominator
-        return InnerProductResult(value=math.log(l) / l, method="closed", error_bound=0.0)
-    lo, hi = sorted((a.denominator, b.denominator))
-    value = float(inner_products_closed_row(lo, [hi])[0])
-    return InnerProductResult(value=value, method="closed", error_bound=0.0)
+    lo, hi = sorted((a, b))
+    if lo < 0:
+        raise DomainError(f"keys must be nonnegative, got ({a}, {b})")
+    if lo == 0:
+        # sum_n w(n) telescopes to exactly 1; log(1)/1 = 0 for key 1.
+        return 1.0 if hi == 0 else math.log(hi) / hi
+    return float(inner_products_closed_row(lo, [hi])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +231,7 @@ class PiecewiseConstant:
         """The step model of frac(n/l): piece n carries (n mod l)/l."""
         if l < 1:
             raise DomainError(f"denominator must be >= 1, got {l}")
-        return cls(head=(), tail=tuple(((j + 1) % l) / l for j in range(l)))
+        return cls(head=(), tail=tuple(((np.arange(1, l + 1) % l) / float(l)).tolist()))
 
     def value_at_piece(self, n: int) -> float:
         if n < 1:
@@ -346,28 +268,6 @@ class PiecewiseConstant:
         vals = [abs(v) for v in self.head[n_trunc:]]
         vals.extend(abs(v) for v in self.tail)
         return max(vals, default=0.0)
-
-
-@dataclass(frozen=True)
-class StepSequence:
-    """The sequence of piece values of a step function (its unitary image)."""
-
-    source: PiecewiseConstant
-
-    @property
-    def bound(self) -> float:
-        return self.source.max_abs()
-
-    def term(self, n: int) -> float:
-        return self.source.value_at_piece(n)
-
-    def values_upto(self, n_trunc: int) -> np.ndarray:
-        return self.source.values_upto(n_trunc)
-
-
-def sequence_of(f: PiecewiseConstant) -> StepSequence:
-    """Read a step function at the points 1/n (the unitary map to sequences)."""
-    return StepSequence(source=f)
 
 
 @dataclass(frozen=True)

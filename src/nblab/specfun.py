@@ -274,21 +274,8 @@ def zeta_deflated(s) -> complex:
     return value
 
 
-def euler_gamma() -> float:
-    """Euler's constant, as computed by this module (= -digamma(1))."""
-    return -digamma(1.0)
-
-
 # ---------------------------------------------------------------------------
 # completed zeta and xi
-
-def zeta_star(s) -> complex:
-    """Completed zeta pi^(-s/2) Gamma(s/2) zeta(s); poles at s = 0 and 1."""
-    z = finite_complex(s)
-    if abs(z) <= _POLE_RADIUS:
-        raise PoleError("zeta_star: pole at s = 0")
-    return cmath.exp(log_gamma(0.5 * z) - 0.5 * z * _LN_PI) * zeta(z)
-
 
 _XI_WINDOW = (-2.0, 3.0)
 

@@ -45,6 +45,14 @@ def ln2_alternating() -> float:
     return alternating_sum(lambda k: 1.0 / (k + 1.0))
 
 
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1 in ascending order, by trial division."""
+    if n < 1:
+        raise DomainError(f"divisors: n must be >= 1, got {n}")
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def zeta_highprec(s, dps: int = 40) -> complex:
     with mp.workdps(dps):
         return complex(mp.zeta(mp.mpc(s)))

@@ -29,7 +29,7 @@ from nblab.criterion import (
     distance_sweep,
     moebius_residual,
 )
-from nblab.seqspace import FractionalSequence, inner_product_closed
+from nblab.seqspace import inner_product_closed
 from nblab.specfun import xi, xi_inequality_check, zeta
 
 ALL = BasisSelection(BasisKind.ALL)
@@ -65,21 +65,19 @@ def test_01_closed_form_distance():
 
 
 def test_02_gram_entry_golden_values():
-    const = FractionalSequence.constant()
-    half = FractionalSequence.of(2)
+    # Store keys: 0 is the constant sequence, 2 the sequence {n/2}.
     ln2 = oracles.ln2_alternating()
-    unit = inner_product_closed(const, const)
-    g2 = inner_product_closed(const, half).value
-    g22 = inner_product_closed(half, half).value
+    unit = inner_product_closed(0, 0)
+    g2 = inner_product_closed(0, 2)
+    g22 = inner_product_closed(2, 2)
     ok = (
-        unit.value == 1.0
-        and unit.error_bound == 0.0
+        unit == 1.0
         and abs(g2 - ln2 / 2.0) < 1e-12
         and abs(g22 - ln2 / 4.0) < 1e-12
     )
     _line(2, "Gram entry golden values", ok,
           f"errors {abs(g2 - ln2 / 2):.2e}, {abs(g22 - ln2 / 4):.2e}")
-    assert unit.value == 1.0
+    assert unit == 1.0
     assert abs(g2 - ln2 / 2.0) < 1e-12
     assert abs(g22 - ln2 / 4.0) < 1e-12
 

@@ -66,13 +66,21 @@ class TestUsage:
         ["residual", "--basis", "all"],
         ["residual", "--method", "det"],
         ["residual", "--tol", "1e-30"],
+        pytest.param(["distance", "--method", "ls", "--tol", "1e-9"], id="distance-ls-tol"),
+        pytest.param(["distance", "--method", "det", "--tol", "1e-9"], id="distance-det-tol"),
+        pytest.param(["distance", "--tol", "1e-9"], id="distance-tol"),
     ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
     def test_ignored_solver_flags_are_usage_errors(self, argv, capsys):
-        # Subcommands that have no use for a flag do not accept it.
+        # Subcommands that have no use for a flag do not accept it; `distance`
+        # checks the LS/det gap against --tol only with --method both.
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--L", "5"])
         assert exc.value.code == 64
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if argv[0] == "distance":
+            assert "argument --tol: not allowed with --method" in err
+        else:
+            assert "unrecognized arguments" in err
 
 
 class TestDistanceCommand:
@@ -432,7 +440,7 @@ def load_script(name):
 class TestHlineScript:
     def test_rows_match_frozen_values(self, capsys):
         hline = load_script("hline_convergence")
-        assert hline.run(hline.HlineConfig(cutoffs=(10, 100, 1000))) == 0
+        assert hline.run(0.1, (10, 100, 1000)) == 0
         assert capsys.readouterr().out.splitlines() == ["L,sup_gap,mean_gap", *oracles.HLINE_ROWS]
 
     @pytest.mark.parametrize("argv", [

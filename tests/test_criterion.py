@@ -19,7 +19,6 @@ from nblab.criterion import (
     _cond_estimate,
     _factor_with_ridge,
     _prefix_solve,
-    _prune,
     assemble_gram,
     asymptotic_rate_constant,
     distance,
@@ -29,11 +28,18 @@ from nblab.criterion import (
 )
 from nblab import criterion, seqspace
 from nblab.errors import CacheError, ConditioningError, DomainError
-from nblab.seqspace import FractionalSequence, inner_product_closed
+from nblab.seqspace import PiecewiseConstant, inner_product_closed, inner_product_truncated
 
 ALL = BasisSelection(BasisKind.ALL)
 EXCL = BasisSelection(BasisKind.EXCLUDE_ONE)
 SQFREE = BasisSelection(BasisKind.SQUARE_FREE)
+
+
+def key_sequence(key):
+    """The step-function sequence of a store key: 0 the constant, l the {n/l}."""
+    if key == CONSTANT_KEY:
+        return PiecewiseConstant.constant_one()
+    return PiecewiseConstant.fractional_parts(key)
 
 
 class TestBasisSelection:
@@ -98,12 +104,30 @@ class TestAssemble:
         def refuse(i, j):
             raise AssertionError(f"held entry ({i}, {j}) recomputed")
 
+        assert (store.method, store.error_bound) == ("truncated", 1.0 / 50_001)
         for i in range(5):
             for j in range(5):
-                r = store.ensure(i, j, refuse)
-                assert r.method == "truncated"
-                assert r.error_bound == 1.0 / 50_001
-                assert r.value == store.values[i, j]
+                assert store.ensure(i, j, refuse) == store.values[i, j]
+
+    def test_truncated_fill_matches_single_pairs(self):
+        # Each entry of a truncated fill is the single-pair product of its two
+        # step-function sequences, bit for bit; key 0 is the constant.
+        store = assemble_gram(12, n_trunc=300)
+        for i in range(13):
+            for j in range(i, 13):
+                single = inner_product_truncated(key_sequence(i), key_sequence(j), 300)
+                assert struct.pack("<d", store.values[i, j]) == struct.pack("<d", single), (i, j)
+
+    def test_gram_system_leaves_out_the_zero_sequence(self, shared_store):
+        # l = 1 is left out of every basis; every other diagonal is positive,
+        # closed-form and truncated alike, so the solver needs no pruning.
+        assert gram_system(6, ALL, shared_store)[0] == (2, 3, 4, 5, 6)
+        assert gram_system(6, EXCL, shared_store)[0] == (2, 3, 4, 5, 6)
+        assert gram_system(6, SQFREE, shared_store)[0] == (2, 3, 5, 6)
+        assert gram_system(1, ALL, GramStore())[1].shape == (0, 0)
+        for n_trunc in (None, 1, 20):
+            _, G, _ = gram_system(30, ALL, GramStore(n_trunc), n_trunc=n_trunc)
+            assert (np.diag(G) > 0.0).all()
 
 
 class TestEntryPurity:
@@ -114,10 +138,6 @@ class TestEntryPurity:
         i, j = np.triu_indices(store.top + 1)
         values = store.values[i, j].tolist()
         return {key: struct.pack("<d", v) for key, v in zip(zip(i.tolist(), j.tolist()), values)}
-
-    @staticmethod
-    def _sequence(key):
-        return FractionalSequence.constant() if key == CONSTANT_KEY else FractionalSequence.of(key)
 
     def test_fill_in_steps_matches_one_step_and_single_pairs(self, monkeypatch):
         # Fresh period tables for each route, so each grows them its own way.
@@ -131,15 +151,14 @@ class TestEntryPurity:
         assert self._bits(stepped) == self._bits(whole)
         monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
         for (i, j), bits in self._bits(whole).items():
-            single = inner_product_closed(self._sequence(i), self._sequence(j)).value
+            single = inner_product_closed(i, j)
             assert struct.pack("<d", single) == bits, (i, j)
 
     def test_exactly_symmetric(self):
         for a in range(1, 41):
             for b in range(a, 41):
-                ab = inner_product_closed(FractionalSequence.of(a), FractionalSequence.of(b))
-                ba = inner_product_closed(FractionalSequence.of(b), FractionalSequence.of(a))
-                assert struct.pack("<d", ab.value) == struct.pack("<d", ba.value), (a, b)
+                ab, ba = inner_product_closed(a, b), inner_product_closed(b, a)
+                assert struct.pack("<d", ab) == struct.pack("<d", ba), (a, b)
 
 
 class TestGramStoreFile:
@@ -249,7 +268,10 @@ class TestDenseStore:
         # oracle factors each row's own block. Only the last bits may differ.
         cutoffs = list(range(2, 301))
         swept = distance_sweep(cutoffs, basis, (method,), shared_store)
-        denoms, G, g = gram_system(300, basis, shared_store)
+        # The oracle gets the whole basis, l = 1 too, and prunes on its own.
+        denoms = basis.denominators(300)
+        keys = np.asarray(denoms)
+        G, g = shared_store.values[np.ix_(keys, keys)], shared_store.values[CONSTANT_KEY, keys]
         for r in swept:
             k = sum(1 for l in denoms if l <= r.L)
             ref = oracles.per_row_distance(denoms[:k], G[:k, :k], g[:k], method)
@@ -292,27 +314,26 @@ class TestDenseStore:
     def test_struct_built_file_loads_to_same_bits(self, tmp_path, n_trunc):
         # Each entry from its own single-pair call, not from a fill.
         def entry(i, j):
-            a, b = FractionalSequence(i or None), FractionalSequence(j or None)
             if n_trunc is None:
-                return inner_product_closed(a, b)
-            return seqspace.inner_product_truncated(a, b, n_trunc)
+                return inner_product_closed(i, j)
+            return inner_product_truncated(key_sequence(i), key_sequence(j), n_trunc)
 
         top = 7
         results = {(i, j): entry(i, j) for i in range(top + 1) for j in range(i, top + 1)}
-        upper = [[results[i, j].value for j in range(i, top + 1)] for i in range(top + 1)]
+        upper = [[results[i, j] for j in range(i, top + 1)] for i in range(top + 1)]
         p = tmp_path / "packed.nbbg"
         p.write_bytes(_format4_file(n_trunc or 0, upper))
         loaded = GramStore.load(p)
         assert (loaded.n_trunc, loaded.top, len(loaded)) == (n_trunc, top, len(results))
+        assert loaded.error_bound == (0.0 if n_trunc is None else 1.0 / (n_trunc + 1))
 
         def refuse(i, j):
             raise AssertionError(f"held entry ({i}, {j}) recomputed")
 
         for (i, j), r in results.items():
             for a, b in ((i, j), (j, i)):
-                assert struct.pack("<d", loaded.values[a, b]) == struct.pack("<d", r.value)
-                got = loaded.ensure(a, b, refuse)
-                assert (got.method, got.error_bound) == (r.method, r.error_bound)
+                assert struct.pack("<d", loaded.values[a, b]) == struct.pack("<d", r)
+                assert struct.pack("<d", loaded.ensure(a, b, refuse)) == struct.pack("<d", r)
         assert loaded.values.tobytes() == assemble_gram(top, n_trunc=n_trunc).values.tobytes()
         again = tmp_path / "again.nbbg"
         loaded.save(again)
@@ -426,20 +447,6 @@ class TestSweep:
 
 
 class TestSolverInternals:
-    def test_prune_drops_zero_diagonal(self):
-        G = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [0.0, 2.0, 1.0],
-                [0.0, 1.0, 3.0],
-            ]
-        )
-        g = np.array([0.0, 1.0, 0.5])
-        idx, dropped = _prune((1, 2, 4), G)
-        assert list(idx) == [1, 2]
-        assert dropped == (1,)
-        assert g[idx][0] == 1.0
-
     def test_ridge_ladder_on_singular_matrix(self):
         ones = np.ones((2, 2))
         R, ridge = _factor_with_ridge(ones)

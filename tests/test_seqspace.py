@@ -12,21 +12,18 @@ import oracles
 from nblab import seqspace
 from nblab.errors import DomainError
 from nblab.seqspace import (
-    FractionalSequence,
     PiecewiseConstant,
-    StepSequence,
     dilate,
     inner_product_closed,
     inner_product_truncated,
     norm_m,
-    sequence_of,
 )
 
-GAMMA = FractionalSequence.constant()
+GAMMA = PiecewiseConstant.constant_one()
 
 
 def seq(l):
-    return FractionalSequence.of(l)
+    return PiecewiseConstant.fractional_parts(l)
 
 
 class TestWeightScheme:
@@ -38,23 +35,24 @@ class TestWeightScheme:
             f = PiecewiseConstant(head=(0.0,) * (n - 1) + (1.0,), tail=(0.0,))
             w = 1.0 / (n * (n + 1.0))
             assert norm_m(f, 5).value == w
-            assert inner_product_truncated(sequence_of(f), GAMMA, 5).value == w
+            assert inner_product_truncated(f, GAMMA, 5) == w
 
     def test_tail_bound_is_exact_for_default(self):
         # sum_{n>N} 1/(n(n+1)) telescopes to exactly 1/(N+1)
         for n_trunc in (1, 10, 1000):
             r = inner_product_truncated(GAMMA, GAMMA, n_trunc)
-            assert r.error_bound == 1.0 / (n_trunc + 1)
-            assert abs(r.value + r.error_bound - 1.0) <= 1e-15
+            assert abs(r + 1.0 / (n_trunc + 1) - 1.0) <= 1e-15
             norm = norm_m(PiecewiseConstant.constant_one(), n_trunc)
             assert norm.tail_bound == 1.0 / (n_trunc + 1)
-            assert norm.value == r.value
+            assert norm.value == r
 
 
 class TestFractionalSequence:
+    """{n/l} as the step function `PiecewiseConstant.fractional_parts(l)`."""
+
     def test_terms(self):
         s = seq(3)
-        assert [s.term(n) for n in range(1, 8)] == [
+        assert [s.value_at_piece(n) for n in range(1, 8)] == [
             1 / 3,
             2 / 3,
             0.0,
@@ -63,8 +61,8 @@ class TestFractionalSequence:
             0.0,
             1 / 3,
         ]
-        assert GAMMA.term(1) == 1.0
-        assert GAMMA.term(10**9) == 1.0
+        assert GAMMA.value_at_piece(1) == 1.0
+        assert GAMMA.value_at_piece(10**9) == 1.0
 
     def test_periodicity_exact(self):
         for l in (2, 7, 100):
@@ -74,54 +72,65 @@ class TestFractionalSequence:
             assert np.array_equal(v[:l], v[2 * l : 3 * l])
 
     def test_values_upto_matches_terms(self):
-        # Shorter than, equal to, and a ragged multiple of the period.
-        for l in (1, 2, 7, 100):
+        # Shorter than, equal to, and a ragged multiple of the period, bit
+        # for bit against the integer-arithmetic terms (n mod l)/l.
+        for l in (1, 2, 7, 100, 399, 1000):
             for n_trunc in (1, l - 1, l, 3 * l + 2):
                 if n_trunc < 1:
                     continue
                 got = seq(l).values_upto(n_trunc)
-                want = [seq(l).term(n) for n in range(1, n_trunc + 1)]
-                assert got.tolist() == want
+                want = np.array([(n % l) / l for n in range(1, n_trunc + 1)])
+                assert got.tobytes() == want.tobytes(), (l, n_trunc)
 
     def test_denominator_one_is_zero_sequence(self):
         assert np.all(seq(1).values_upto(50) == 0.0)
+        assert seq(1).max_abs() == 0.0
 
     def test_rejects_bad_denominator(self):
-        with pytest.raises(DomainError):
-            seq(0)
+        for l in (0, -3):
+            with pytest.raises(DomainError):
+                seq(l)
 
 
 class TestInnerProducts:
+    """Closed forms take store keys: 0 the constant sequence, l >= 1 {n/l}."""
+
     def test_constant_with_itself_is_exactly_one(self):
-        r = inner_product_closed(GAMMA, GAMMA)
-        assert r.value == 1.0
-        assert r.error_bound == 0.0
-        assert r.method == "closed"
+        r = inner_product_closed(0, 0)
+        assert r == 1.0
+        assert type(r) is float
 
     def test_golden_values_against_alternating_series_oracle(self):
         ln2 = oracles.ln2_alternating()
-        g2 = inner_product_closed(GAMMA, seq(2))
-        g22 = inner_product_closed(seq(2), seq(2))
-        assert abs(g2.value - ln2 / 2.0) < 1e-12
-        assert abs(g22.value - ln2 / 4.0) < 1e-12
+        g2 = inner_product_closed(0, 2)
+        g22 = inner_product_closed(2, 2)
+        assert abs(g2 - ln2 / 2.0) < 1e-12
+        assert abs(g22 - ln2 / 4.0) < 1e-12
 
     def test_denominator_one_gives_exact_zero(self):
-        assert inner_product_closed(GAMMA, seq(1)).value == 0.0
-        assert inner_product_closed(seq(1), seq(5)).value == 0.0
+        assert inner_product_closed(0, 1) == 0.0
+        assert inner_product_closed(1, 5) == 0.0
+
+    def test_negative_key_rejected(self):
+        for a, b in ((-1, 3), (3, -1), (-2, -2)):
+            with pytest.raises(DomainError):
+                inner_product_closed(a, b)
 
     def test_symmetry(self):
-        a, b = seq(6), seq(15)
-        assert inner_product_closed(a, b).value == inner_product_closed(b, a).value
+        assert inner_product_closed(6, 15) == inner_product_closed(15, 6)
 
     def test_closed_vs_truncated_within_certified_bound(self):
+        # The truncated sum misses at most max|a| max|b| / (N + 1), which for
+        # fractional parts is below the weight tail 1/(N + 1).
         n_trunc = 200_000
         for l in range(2, 13):
             for m in range(l, 13):
                 a, b = seq(l), seq(m)
-                closed = inner_product_closed(a, b)
+                closed = inner_product_closed(l, m)
                 trunc = inner_product_truncated(a, b, n_trunc)
-                assert abs(closed.value - trunc.value) <= trunc.error_bound + 1e-12
-                assert trunc.method == "truncated"
+                bound = a.max_abs() * b.max_abs() / (n_trunc + 1)
+                assert bound <= 1.0 / (n_trunc + 1)
+                assert abs(closed - trunc) <= bound + 1e-12
 
     def test_truncated_against_raw_numpy(self):
         n = np.arange(1, 100_001, dtype=np.float64)
@@ -130,7 +139,7 @@ class TestInnerProducts:
         vb = (np.arange(1, 100_001) % 6) / 6.0
         raw = float(np.sum(va * vb * w))
         r = inner_product_truncated(seq(4), seq(6), 100_000)
-        assert abs(r.value - raw) < 1e-14
+        assert abs(r - raw) < 1e-14
 
     @given(
         st.integers(min_value=2, max_value=40),
@@ -138,9 +147,9 @@ class TestInnerProducts:
     )
     @settings(max_examples=60, deadline=None)
     def test_cauchy_schwarz_property(self, l, m):
-        ab = inner_product_closed(seq(l), seq(m)).value
-        aa = inner_product_closed(seq(l), seq(l)).value
-        bb = inner_product_closed(seq(m), seq(m)).value
+        ab = inner_product_closed(l, m)
+        aa = inner_product_closed(l, l)
+        bb = inner_product_closed(m, m)
         assert ab * ab <= aa * bb * (1.0 + 1e-12)
         assert aa > 0.0
 
@@ -151,10 +160,10 @@ class TestClosedFormAgainstResidueClassOracle:
     def test_every_pair_up_to_40(self):
         worst = 0.0
         for b in range(1, 41):
-            got = inner_product_closed(GAMMA, seq(b)).value
+            got = inner_product_closed(0, b)
             worst = max(worst, abs(got - oracles.residue_class_entry(None, b)))
             for a in range(1, b + 1):
-                got = inner_product_closed(seq(a), seq(b)).value
+                got = inner_product_closed(a, b)
                 worst = max(worst, abs(got - oracles.residue_class_entry(a, b)))
         assert worst <= 1e-14
 
@@ -163,12 +172,12 @@ class TestClosedFormAgainstResidueClassOracle:
         # same bits as one thread growing them pair by pair.
         pairs = [(a, b) for a in range(2, 61) for b in range(a, 61)]
         monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
-        serial = [inner_product_closed(seq(a), seq(b)).value for a, b in pairs]
+        serial = [inner_product_closed(a, b) for a, b in pairs]
         monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
 
         def work(k):
             mine = pairs[k::8] if k % 2 else pairs[k::8][::-1]
-            return {(a, b): inner_product_closed(seq(a), seq(b)).value for a, b in mine}
+            return {(a, b): inner_product_closed(a, b) for a, b in mine}
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -188,7 +197,7 @@ class TestClosedFormAgainstResidueClassOracle:
         rng = np.random.default_rng(20261018)
         worst = 0.0
         for a, b in rng.integers(1, 301, size=(200, 2)).tolist():
-            got = inner_product_closed(seq(a), seq(b)).value
+            got = inner_product_closed(a, b)
             worst = max(worst, abs(got - oracles.residue_class_entry(a, b)))
         assert worst <= 1e-14
 
@@ -208,9 +217,8 @@ class TestPiecewiseConstant:
     def test_fractional_parts_matches_sequence(self):
         for l in (2, 5, 9):
             f = PiecewiseConstant.fractional_parts(l)
-            s = seq(l)
             for n in range(1, 4 * l):
-                assert f.value_at_piece(n) == s.term(n)
+                assert f.value_at_piece(n) == (n % l) / l
 
     def test_values_upto_tiles_tail(self):
         f = PiecewiseConstant.fractional_parts(3)
@@ -247,7 +255,7 @@ class TestNorm:
         f = PiecewiseConstant.fractional_parts(6)
         r = norm_m(f, 50_000)
         s = inner_product_truncated(seq(6), seq(6), 50_000)
-        assert r.value == pytest.approx(s.value, abs=1e-15)
+        assert r.value == pytest.approx(s, abs=1e-15)
 
 
 class TestDilation:
@@ -299,20 +307,3 @@ class TestDilation:
         f = PiecewiseConstant(head=(1.0,), tail=None)
         with pytest.raises(DomainError):
             norm_m(f, 100)
-
-
-class TestStepSequence:
-    def test_sequence_of_roundtrip(self):
-        f = PiecewiseConstant.fractional_parts(5)
-        s = sequence_of(f)
-        assert isinstance(s, StepSequence)
-        v = s.values_upto(20)
-        assert np.array_equal(v, f.values_upto(20))
-        assert s.term(7) == f.value_at_piece(7)
-
-    def test_inner_product_with_fractional(self):
-        # bridging representation: same numbers through either object
-        f = sequence_of(PiecewiseConstant.fractional_parts(3))
-        r1 = inner_product_truncated(f, seq(3), 10_000)
-        r2 = inner_product_truncated(seq(3), seq(3), 10_000)
-        assert r1.value == pytest.approx(r2.value, abs=0)

@@ -11,14 +11,12 @@ from nblab.errors import DomainError, PoleError
 from nblab.specfun import (
     digamma,
     digamma_array,
-    euler_gamma,
     finite_complex,
     log_gamma,
     xi,
     xi_inequality_check,
     zeta,
     zeta_deflated,
-    zeta_star,
 )
 from nblab.analytic import XI_REFLECTION_GRID, XI_SHIFT_GRID
 
@@ -165,23 +163,7 @@ class TestZeta:
         # d/ds [(s-1) zeta(s)] at 1 is the Euler constant
         h = 1e-6
         slope = (zeta_deflated(1 + h) - zeta_deflated(1 - h)) / (2 * h)
-        assert abs(slope - euler_gamma()) < 1e-9
-
-    def test_euler_gamma(self):
-        assert abs(euler_gamma() - oracles.EULER_GAMMA) < 1e-13
-
-
-class TestZetaStar:
-    def test_reflection_symmetry(self):
-        # pi^(-s/2) Gamma(s/2) zeta(s) is invariant under s -> 1-s
-        for s in (0.3 + 6.0j, 0.5 + 14.13j, 0.8 - 21.0j):
-            a, b = zeta_star(s), zeta_star(1.0 - s)
-            assert abs(a - b) < 1e-10 * max(1.0, abs(a))
-
-    def test_poles(self):
-        for s in (0.0, 1.0):
-            with pytest.raises(PoleError):
-                zeta_star(s)
+        assert abs(slope - oracles.EULER_GAMMA) < 1e-9
 
 
 class TestXi:
