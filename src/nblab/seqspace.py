@@ -243,16 +243,18 @@ class PiecewiseConstant:
         return self.tail[(n - len(self.head) - 1) % len(self.tail)]
 
     def values_upto(self, n_trunc: int) -> np.ndarray:
-        h = len(self.head)
-        out = np.empty(n_trunc)
-        take = min(h, n_trunc)
-        out[:take] = self.head[:take]
-        if n_trunc > h:
-            if self.tail is None:
-                raise DomainError("values requested beyond head with no tail descriptor")
-            reps = -(-(n_trunc - h) // len(self.tail))
-            out[h:] = np.tile(np.asarray(self.tail), reps)[: n_trunc - h]
-        return out
+        h = min(len(self.head), n_trunc)
+        if n_trunc == h:
+            return np.array(self.head[:h], dtype=np.float64)
+        if self.tail is None:
+            raise DomainError("values requested beyond head with no tail descriptor")
+        p = len(self.tail)
+        # One buffer: the head, then whole periods of the tail, broadcast
+        # row by row; the result is its first n_trunc entries.
+        out = np.empty(h + -(-(n_trunc - h) // p) * p)
+        out[:h] = self.head[:h]
+        out[h:].reshape(-1, p)[:] = self.tail
+        return out[:n_trunc]
 
     def max_abs(self) -> float:
         """Supremum of |f| (exact: the function takes finitely many values)."""
