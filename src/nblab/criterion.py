@@ -13,10 +13,10 @@ each from one Cholesky factorization G = R^T R of the largest block:
 Because every basis is nested, the leading k entries of z and of the
 diagonals give every smaller cutoff too: a sweep is one prefix solve, and
 a sweep of both routes reads both from the one factor of G (the
-determinant route adds the bordered factor). Each row's 1-norm condition
-estimate comes from the same factor, once per cutoff whatever the routes,
-by Higham's estimator on level-3 triangular solves, so it does not depend
-on where arrays lie in memory.
+determinant route adds the bordered factor). Each row's condition estimate
+comes from the same factor too: one pass of incremental condition
+estimation over its columns gives a 2-norm estimate for every leading
+block, never above the exact value, in O(k) per column.
 
 Gram entries are floats from the closed form in seqspace (or, with
 n_trunc, from truncated sums over the step-function sequences) and live in a
@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, get_lapack_funcs, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, solve_triangular
 
 from .arith import MoebiusTable, sieve_moebius
 from .errors import CacheError, ConditioningError, DomainError
@@ -346,45 +346,53 @@ class DistanceReport:
         }
 
 
-def _cond_estimate(R: np.ndarray, anorm: float) -> float:
-    """1-norm condition estimate of A = R^T R, from its upper factor R and its
-    1-norm: Higham's estimate of |A^{-1}|_1, iterated as LAPACK dlacn2 does
-    for pocon. Each solve with A (symmetric, so A^T too) is two `trtrs` on one
-    Fortran copy of R; those go through level-3 BLAS, which packs its
-    operands, so the estimate does not depend on where arrays lie in memory
-    (pocon's does, in its last digit). An exactly zero diagonal, which trtrs
-    would report, gives inf.
+def _top_eigenpair(s: float, alpha: float, gamma: float) -> tuple[float, float, float]:
+    """(sqrt(lambda), c, d): the larger eigenvalue of [[s^2 + alpha^2, alpha
+    gamma], [alpha gamma, gamma^2]] and a unit eigenvector of it. (-d, c) is
+    the other eigenvector, for the eigenvalue (s gamma)^2 / lambda."""
+    a, b = s * s + alpha * alpha, alpha * gamma
+    h = 0.5 * (a - gamma * gamma)
+    r = math.hypot(h, b)
+    # Of the two forms of the eigenvector, the one that adds h and r, not subtracts.
+    p, q = (h + r, b) if h >= 0.0 else (b, r - h)
+    norm = math.hypot(p, q)
+    if norm == 0.0:  # a multiple of the identity: any vector will do
+        p, norm = 1.0, 1.0
+    return math.sqrt(0.5 * (a + gamma * gamma) + r), p / norm, q / norm
+
+
+def _ice_cond(R: np.ndarray) -> list[float]:
+    """2-norm condition estimate of every leading block R_k^T R_k, in one pass
+    over the columns of the upper factor R: incremental condition estimation
+    (Bischof 1990, SIAM J. Matrix Anal. Appl. 11).
+
+    Two unit vectors x keep |x^T R_k| near the largest and the smallest
+    singular value of R_k. Column k, v = R[:k, k] over gamma = R[k, k],
+    extends x to (c x, d) with (c, d) an eigenvector of the 2 x 2 matrix
+    whose eigenvalues are the two choices of |x^T R_{k+1}|^2
+    (`_top_eigenpair`, alpha = x.v). Each estimate is a true |x^T R_k| for
+    a unit x, so (s_max / s_min)^2 never exceeds cond_2: it is 1 for an
+    identity block and inf from the first zero diagonal entry on. The
+    smaller eigenvalue comes as a quotient, not a difference, so it does not
+    cancel. Each step is two dots of length k, whose bits do not depend on
+    where the operands lie in memory.
     """
-    R = np.asfortranarray(R)
     n = R.shape[0]
-    if anorm == 0.0 or not np.diagonal(R).all():
-        return math.inf
-    trtrs = get_lapack_funcs(("trtrs",), (R,))[0]
-
-    def solve(x):
-        return trtrs(R, trtrs(R, x, trans=1)[0])[0]
-
-    def sign(x):
-        return np.where(x >= 0.0, 1.0, -1.0)
-
-    x = solve(np.full(n, 1.0 / n))
-    est = float(np.abs(x).sum())
-    if n > 1:
-        signs = sign(x)
-        j = int(np.argmax(np.abs(solve(signs))))
-        for _ in range(4):  # dlacn2's ITMAX = 5 counts the two steps above
-            x = solve(np.eye(1, n, j)[0])
-            est_old, est = est, float(np.abs(x).sum())
-            if np.array_equal(sign(x), signs) or est <= est_old:
-                break
-            signs = sign(x)
-            x = solve(signs)
-            j_last, j = j, int(np.argmax(np.abs(x)))
-            if x[j_last] == abs(x[j]):
-                break
-        alt = (1.0 + np.arange(n) / (n - 1)) * np.resize([1.0, -1.0], n)
-        est = max(est, 2.0 * (float(np.abs(solve(alt)).sum()) / (3 * n)))
-    return 1.0 / ((1.0 / est) / anorm)
+    x_max, x_min = np.zeros(n), np.zeros(n)
+    x_max[0] = x_min[0] = 1.0
+    s_max = s_min = abs(float(R[0, 0]))
+    cond = [1.0 if s_min else math.inf]
+    for k in range(1, n):
+        v, gamma = R[:k, k], float(R[k, k])
+        s_max, c, d = _top_eigenpair(s_max, float(x_max[:k] @ v), gamma)
+        x_max[:k] *= c
+        x_max[k] = d
+        top, c, d = _top_eigenpair(s_min, float(x_min[:k] @ v), gamma)
+        s_min = abs(s_min * gamma) / top if top else 0.0
+        x_min[:k] *= -d
+        x_min[k] = c
+        cond.append((s_max / s_min) ** 2 if s_min else math.inf)
+    return cond
 
 
 def _factor_with_ridge(G: np.ndarray):
@@ -402,21 +410,17 @@ def _factor_with_ridge(G: np.ndarray):
         except LinAlgError as exc:
             last_exc = exc
     raise ConditioningError(
-        f"Gram factorization failed at every ridge in {RIDGE_LADDER}: {last_exc}",
-        cond_estimate=math.inf,
-    )
+        f"Gram factorization failed at every ridge in {RIDGE_LADDER}: {last_exc}")
 
 
-def _prefix_solve(
-    G: np.ndarray, g: np.ndarray, methods: Sequence[SolveMethod], sizes: set[int]
-):
+def _prefix_solve(G: np.ndarray, g: np.ndarray, methods: Sequence[SolveMethod]):
     """(solved, cond) for every leading block of (G, g), from one factor of G.
 
     solved maps each of `methods` to (d2, ridge) or to the ConditioningError
     of the bordered factor B = [[1, g^T], [g, G]]: d2[k - 1] is the distance
     for the leading k columns (1 - cumsum(z^2), non-increasing, or from the
-    factors' diagonals), ridge the one the whole block needed. cond maps each
-    k in `sizes` to the condition estimate of G's k-block.
+    factors' diagonals), ridge the one the whole block needed. cond[k - 1]
+    is the condition estimate of G's k-block (`_ice_cond`).
     """
     R, ridge = _factor_with_ridge(G)
     solved = {}
@@ -434,11 +438,7 @@ def _prefix_solve(
                 np.exp(logdet_b[1:] - logdet), max(ridge, ridge_b))
         except ConditioningError as exc:
             solved[SolveMethod.GRAM_DET_RATIO] = exc
-    # Column k of `colsums` holds the running sums of |G[:, k]|, so the
-    # 1-norm of the leading k-block is the largest of colsums[k - 1, :k].
-    colsums = np.cumsum(np.abs(G), axis=0)
-    cond = {k: _cond_estimate(R[:k, :k], float(colsums[k - 1, :k].max())) for k in sizes}
-    return solved, cond
+    return solved, _ice_cond(R)
 
 
 def distance(
@@ -488,7 +488,7 @@ def distance_sweep(
     solved = {}
     if g.size:
         try:
-            solved, cond = _prefix_solve(G, g, methods, set(sizes) - {0})
+            solved, cond = _prefix_solve(G, g, methods)
         except ConditioningError as exc:
             solved = dict.fromkeys(methods, exc)
     reports = []
@@ -498,11 +498,11 @@ def distance_sweep(
             if k == 0:
                 row = dict(d2=1.0, cond_estimate=math.nan, ridge_used=0.0, degenerate=True)
             elif isinstance(result, ConditioningError):
-                row = dict(d2=math.nan, cond_estimate=result.cond_estimate,
+                row = dict(d2=math.nan, cond_estimate=math.inf,
                            ridge_used=RIDGE_LADDER[-1], error=str(result))
             else:
                 d2, ridge = result
-                row = dict(d2=float(d2[k - 1]), cond_estimate=cond[k], ridge_used=ridge)
+                row = dict(d2=float(d2[k - 1]), cond_estimate=cond[k - 1], ridge_used=ridge)
             reports.append(DistanceReport(
                 L=L, basis=basis, method=method, a_est=row["d2"] * math.log(L),
                 pruned=pruned, **row,

@@ -23,7 +23,3 @@ class CacheError(NBLabError, IOError):
 
 class ConditioningError(NBLabError, ArithmeticError):
     """Gram system too ill-conditioned even after the ridge ladder."""
-
-    def __init__(self, message: str, cond_estimate: float = float("inf")):
-        super().__init__(message)
-        self.cond_estimate = cond_estimate

@@ -4,7 +4,9 @@ Everything here deliberately uses different algorithms than the package:
 alternating-series acceleration instead of binomial-transform eta sums,
 brute-force truncated sums instead of closed digamma forms, coordinate
 descent instead of Cholesky solves, a fresh factorization per cutoff
-instead of one prefix solve per sweep, scipy's digamma and an LU solve instead
+instead of one prefix solve per sweep, LAPACK's symmetric eigensolver for
+each step of the incremental condition estimate instead of closed-form
+2 x 2 eigenpairs, scipy's digamma and an LU solve instead
 of the package's digamma and Cholesky factor, and per-piece antiderivatives
 instead of telescoped Euler-Maclaurin remainders. mpmath supplies arbitrary
 precision where a float oracle would be circular.
@@ -17,7 +19,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import digamma
 
 from nblab.criterion import RIDGE_LADDER, SolveMethod
@@ -129,11 +131,42 @@ def coordinate_descent_d2(G, g, sweeps: int = 4000) -> float:
     return float(1.0 - 2.0 * (c @ g) + c @ G @ c)
 
 
+def ice_cond_eigh(R) -> list[float]:
+    """Incremental 2-norm condition estimates of R_k^T R_k for every leading
+    block R_k of an upper factor R, each 2 x 2 step by `np.linalg.eigh`.
+
+    The estimates s of the largest and the smallest singular value of R_k
+    and their unit vectors x (|x^T R_k| = s) take column k, v over gamma,
+    as the top or the bottom eigenpair of [[s^2 + alpha^2, alpha gamma],
+    [alpha gamma, gamma^2]] with alpha = x.v; both steps go through one
+    batched eigh. Entry k - 1 is (s_max / s_min)^2 for R_k.
+    """
+    x = [np.ones(1), np.ones(1)]
+    s = np.full(2, abs(float(R[0, 0])))
+    conds = []
+    for k in range(1, R.shape[0] + 1):
+        conds.append(float((s[0] / s[1]) ** 2) if s[1] else math.inf)
+        if k == R.shape[0]:
+            break
+        v, gamma = R[:k, k], R[k, k]
+        alpha = np.array([x[0] @ v, x[1] @ v])
+        M = np.empty((2, 2, 2))
+        M[:, 0, 0] = s * s + alpha * alpha
+        M[:, 0, 1] = M[:, 1, 0] = alpha * gamma
+        M[:, 1, 1] = gamma * gamma
+        w, V = np.linalg.eigh(M)
+        # eigh sorts eigenvalues ascending: column 1 for s_max, 0 for s_min.
+        x = [np.append(V[0, 0, 1] * x[0], V[0, 1, 1]), np.append(V[1, 0, 0] * x[1], V[1, 1, 0])]
+        s = np.sqrt(np.maximum([w[0, 1], w[1, 0]], 0.0))
+    return conds
+
+
 def per_row_distance(denoms, G, g, method: SolveMethod) -> dict:
     """d2, cond, ridge, pruned and degenerate for the whole system (denoms, G, g),
     solved on its own: prune zero and duplicate columns, factor the pruned
     block (climbing RIDGE_LADDER), then cho_solve for least squares, or the
-    log-determinant ratio of the basis bordered by the constant last.
+    log-determinant ratio of the basis bordered by the constant last; cond
+    by `ice_cond_eigh` on the block's factor.
 
     The package reads every cutoff of a sweep from one factor of the largest
     block; this factors each cutoff's block on its own.
@@ -162,8 +195,7 @@ def per_row_distance(denoms, G, g, method: SolveMethod) -> dict:
 
     Gp, gp = G[np.ix_(keep, keep)], g[keep]
     cho, ridge = factor(Gp)
-    pocon = get_lapack_funcs("pocon", (cho[0],))
-    rcond, _ = pocon(cho[0], float(np.linalg.norm(Gp, 1)), uplo="L" if cho[1] else "U")
+    cond = ice_cond_eigh(cho[0])[-1]
     if method is SolveMethod.LEAST_SQUARES:
         d2 = 1.0 - float(gp @ cho_solve(cho, gp, check_finite=False))
     else:
@@ -174,7 +206,7 @@ def per_row_distance(denoms, G, g, method: SolveMethod) -> dict:
         cho_b, ridge_b = factor(bordered)
         ridge = max(ridge, ridge_b)
         d2 = math.exp(logdet(cho_b) - logdet(cho))
-    return dict(d2=d2, cond=1.0 / rcond, ridge=ridge, pruned=tuple(pruned), degenerate=False)
+    return dict(d2=d2, cond=cond, ridge=ridge, pruned=tuple(pruned), degenerate=False)
 
 
 def residue_class_entry(a: int | None, b: int) -> float:

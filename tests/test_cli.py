@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,21 @@ def run_cli(*args, env_extra=None, timeout=600):
         timeout=timeout,
         env=env,
     )
+
+
+@pytest.fixture
+def main_cli(capsys, monkeypatch):
+    """`run_cli` in this process: `cli.main(args)` with no cache directory
+    from the environment, its exit code and captured output in the fields
+    of a finished subprocess."""
+    monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
+
+    def run(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+    return run
 
 
 class TestUsage:
@@ -84,8 +100,8 @@ class TestUsage:
 
 
 class TestDistanceCommand:
-    def test_header_and_golden_row(self):
-        r = run_cli("distance", "--L", "2", "--threads", "1")
+    def test_header_and_golden_row(self, main_cli):
+        r = main_cli("distance", "--L", "2", "--threads", "1")
         assert r.returncode == 0
         lines = r.stdout.splitlines()
         assert lines[0] == "L,basis,d2,a_est,cond,ridge,method"
@@ -95,13 +111,13 @@ class TestDistanceCommand:
         assert abs(float(fields[2]) - oracles.D2_L2) < 1e-10
         assert fields[6] == "ls"
 
-    def test_range_and_list_syntax(self):
-        r = run_cli("distance", "--L", "2..5,8", "--threads", "1")
+    def test_range_and_list_syntax(self, main_cli):
+        r = main_cli("distance", "--L", "2..5,8", "--threads", "1")
         got = [line.split(",")[0] for line in r.stdout.splitlines()[1:]]
         assert got == ["2", "3", "4", "5", "8"]
 
-    def test_both_methods_two_rows_per_cutoff(self):
-        r = run_cli("distance", "--L", "3,6", "--method", "both", "--threads", "1")
+    def test_both_methods_two_rows_per_cutoff(self, main_cli):
+        r = main_cli("distance", "--L", "3,6", "--method", "both", "--threads", "1")
         rows = [line.split(",") for line in r.stdout.splitlines()[1:]]
         assert [(x[0], x[6]) for x in rows] == [
             ("3", "det"),
@@ -138,8 +154,8 @@ class TestDistanceCommand:
         assert a.stdout == b.stdout == c.stdout
         assert a.returncode == 0
 
-    def test_json_format(self):
-        r = run_cli("distance", "--L", "4", "--format", "json", "--threads", "1")
+    def test_json_format(self, main_cli):
+        r = main_cli("distance", "--L", "4", "--format", "json", "--threads", "1")
         payload = json.loads(r.stdout)
         assert isinstance(payload, list) and len(payload) == 1
         row = payload[0]
@@ -147,8 +163,8 @@ class TestDistanceCommand:
         assert 0.0 <= row["d2"] <= 1.0
         assert row["method"] == "ls"
 
-    def test_truncated_entries_via_N(self):
-        r = run_cli("distance", "--L", "2", "--N", "100000", "--threads", "1")
+    def test_truncated_entries_via_N(self, main_cli):
+        r = main_cli("distance", "--L", "2", "--N", "100000", "--threads", "1")
         assert r.returncode == 0
         d2 = float(r.stdout.splitlines()[1].split(",")[2])
         assert abs(d2 - oracles.D2_L2) < 1.0 / 100_001 + 1e-10
@@ -232,8 +248,8 @@ class TestDistanceCommand:
 
 
 class TestResidualCommand:
-    def test_golden_value(self):
-        r = run_cli("residual", "--L", "2", "--eps", "0", "--threads", "1")
+    def test_golden_value(self, main_cli):
+        r = main_cli("residual", "--L", "2", "--eps", "0", "--threads", "1")
         assert r.returncode == 0
         lines = r.stdout.splitlines()
         assert lines[0] == "L,eps,residual"
@@ -241,18 +257,18 @@ class TestResidualCommand:
         assert (l, eps) == ("2", "0.0")
         assert abs(float(value) - oracles.MOEBIUS_RESIDUAL_L2) < 1e-10
 
-    def test_eps_grid(self):
-        r = run_cli("residual", "--L", "5,10", "--eps", "0,0.1", "--threads", "1")
+    def test_eps_grid(self, main_cli):
+        r = main_cli("residual", "--L", "5,10", "--eps", "0,0.1", "--threads", "1")
         rows = r.stdout.splitlines()[1:]
         assert len(rows) == 4
 
 
-    def test_truncated_N_is_used(self, tmp_path):
+    def test_truncated_N_is_used(self, tmp_path, main_cli):
         from nblab import moebius_residual, sieve_moebius
 
         cache = tmp_path / "t.nbbg"
-        r = run_cli("residual", "--L", "5", "--N", "20", "--cache", str(cache))
-        closed = run_cli("residual", "--L", "5")
+        r = main_cli("residual", "--L", "5", "--N", "20", "--cache", str(cache))
+        closed = main_cli("residual", "--L", "5")
         assert r.returncode == 0 and closed.returncode == 0
         assert r.stdout != closed.stdout
         want = moebius_residual(5, 0.0, sieve_moebius(5), n_trunc=20)
@@ -290,18 +306,18 @@ class TestVerifyCommand:
 
 
 class TestGramCommand:
-    def test_fill_report_and_idempotence(self, tmp_path):
+    def test_fill_report_and_idempotence(self, tmp_path, main_cli):
         cache = tmp_path / "g.nbbg"
-        first = run_cli("gram", "--L", "10", "--cache", str(cache), "--threads", "1")
+        first = main_cli("gram", "--L", "10", "--cache", str(cache), "--threads", "1")
         assert first.returncode == 0
         # every pair of the keys 0..10, the constant sequence's included
         assert "66 newly computed entries, 66 total" in first.stderr
-        again = run_cli("gram", "--L", "10", "--cache", str(cache), "--threads", "1")
+        again = main_cli("gram", "--L", "10", "--cache", str(cache), "--threads", "1")
         assert "0 newly computed entries, 66 total" in again.stderr
 
-    def test_export_csv(self, tmp_path):
+    def test_export_csv(self, tmp_path, main_cli):
         cache = tmp_path / "g.nbbg"
-        r = run_cli(
+        r = main_cli(
             "gram", "--L", "10", "--cache", str(cache),
             "--export", "csv", "--threads", "1",
         )
