@@ -353,7 +353,7 @@ def _top_eigenpair(s: float, alpha: float, gamma: float) -> tuple[float, float, 
     a, b = s * s + alpha * alpha, alpha * gamma
     h = 0.5 * (a - gamma * gamma)
     r = math.hypot(h, b)
-    # Of the two forms of the eigenvector, the one that adds h and r, not subtracts.
+    # Of the two forms of the eigenvector, the one in which nothing cancels.
     p, q = (h + r, b) if h >= 0.0 else (b, r - h)
     norm = math.hypot(p, q)
     if norm == 0.0:  # a multiple of the identity: any vector will do

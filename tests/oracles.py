@@ -135,29 +135,32 @@ def ice_cond_eigh(R) -> list[float]:
     """Incremental 2-norm condition estimates of R_k^T R_k for every leading
     block R_k of an upper factor R, each 2 x 2 step by `np.linalg.eigh`.
 
-    The estimates s of the largest and the smallest singular value of R_k
-    and their unit vectors x (|x^T R_k| = s) take column k, v over gamma,
-    as the top or the bottom eigenpair of [[s^2 + alpha^2, alpha gamma],
-    [alpha gamma, gamma^2]] with alpha = x.v; both steps go through one
-    batched eigh. Entry k - 1 is (s_max / s_min)^2 for R_k.
+    Row 0 of X is a unit vector with |x^T R_k| = s_max, row 1 one with
+    |x^T R_k| = s_min. Column k, v over gamma, extends each x to (c x, d),
+    with (c, d) the top (for s_max) or bottom (for s_min) eigenvector of
+    [[s^2 + alpha^2, alpha gamma], [alpha gamma, gamma^2]], alpha = x.v;
+    both steps go through one batched eigh. Entry k - 1 is
+    (s_max / s_min)^2 for R_k.
     """
-    x = [np.ones(1), np.ones(1)]
-    s = np.full(2, abs(float(R[0, 0])))
-    conds = []
-    for k in range(1, R.shape[0] + 1):
-        conds.append(float((s[0] / s[1]) ** 2) if s[1] else math.inf)
-        if k == R.shape[0]:
-            break
-        v, gamma = R[:k, k], R[k, k]
-        alpha = np.array([x[0] @ v, x[1] @ v])
-        M = np.empty((2, 2, 2))
-        M[:, 0, 0] = s * s + alpha * alpha
-        M[:, 0, 1] = M[:, 1, 0] = alpha * gamma
-        M[:, 1, 1] = gamma * gamma
-        w, V = np.linalg.eigh(M)
+    n = R.shape[0]
+    X = np.zeros((2, n))
+    X[:, 0] = 1.0
+    s_max = s_min = abs(float(R[0, 0]))
+    conds = [1.0 if s_min else math.inf]
+    for k in range(1, n):
+        gamma = float(R[k, k])
+        a_max, a_min = (X[:, :k] @ R[:k, k]).tolist()
+        w, V = np.linalg.eigh([
+            [[s_max**2 + a_max**2, a_max * gamma], [a_max * gamma, gamma**2]],
+            [[s_min**2 + a_min**2, a_min * gamma], [a_min * gamma, gamma**2]],
+        ])
         # eigh sorts eigenvalues ascending: column 1 for s_max, 0 for s_min.
-        x = [np.append(V[0, 0, 1] * x[0], V[0, 1, 1]), np.append(V[1, 0, 0] * x[1], V[1, 1, 0])]
-        s = np.sqrt(np.maximum([w[0, 1], w[1, 0]], 0.0))
+        X[0, :k] *= V[0, 0, 1]
+        X[0, k] = V[0, 1, 1]
+        X[1, :k] *= V[1, 0, 0]
+        X[1, k] = V[1, 1, 0]
+        s_max, s_min = math.sqrt(w[0, 1]), math.sqrt(max(w[1, 0], 0.0))
+        conds.append((s_max / s_min) ** 2 if s_min else math.inf)
     return conds
 
 

@@ -169,13 +169,13 @@ class TestDistanceCommand:
         d2 = float(r.stdout.splitlines()[1].split(",")[2])
         assert abs(d2 - oracles.D2_L2) < 1.0 / 100_001 + 1e-10
 
-    def test_tol_cross_method_gate(self):
-        ok = run_cli(
+    def test_tol_cross_method_gate(self, main_cli):
+        ok = main_cli(
             "distance", "--L", "10", "--method", "both",
             "--tol", "1e-8", "--threads", "1",
         )
         assert ok.returncode == 0
-        bad = run_cli(
+        bad = main_cli(
             "distance", "--L", "10", "--method", "both",
             "--tol", "1e-18", "--threads", "1",
         )
@@ -285,8 +285,8 @@ class TestResidualCommand:
 
 
 class TestVerifyCommand:
-    def test_moebius_suite_json(self):
-        r = run_cli("verify", "moebius")
+    def test_moebius_suite_json(self, main_cli):
+        r = main_cli("verify", "moebius")
         assert r.returncode == 0
         payload = json.loads(r.stdout)
         assert all(item["pass"] for item in payload)
@@ -399,13 +399,13 @@ class TestGramCommand:
         assert r.stdout == ""
         assert "N=20" in r.stderr
 
-    def test_unchanged_cache_not_rewritten(self, tmp_path):
+    def test_unchanged_cache_not_rewritten(self, tmp_path, main_cli):
         cache = tmp_path / "c.nbbg"
         for argv in (("distance", "--L", "2..8"), ("residual", "--L", "2..8"),
                      ("gram", "--L", "8")):
-            assert run_cli(*argv, "--cache", str(cache)).returncode == 0
+            assert main_cli(*argv, "--cache", str(cache)).returncode == 0
             before = os.stat(cache)
-            assert run_cli(*argv, "--cache", str(cache)).returncode == 0
+            assert main_cli(*argv, "--cache", str(cache)).returncode == 0
             after = os.stat(cache)
             assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
