@@ -10,16 +10,10 @@ file is missing.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from nblab import (
-    BasisSelection,
-    SolveMethod,
-    asymptotic_rate_constant,
-    distance_sweep,
-)
+from nblab.criterion import BasisKind, SolveMethod, asymptotic_rate_constant, distance_sweep
 from nblab.cli import load_store, save_store
 
 
@@ -27,12 +21,7 @@ def run(l_max: int, l_step: int, basis: str, method: str, cache: Path | None) ->
     cutoffs = sorted({2, *range(l_step, l_max + 1, l_step)})
     store = load_store(cache)
     loaded = len(store)
-    rows = distance_sweep(
-        cutoffs,
-        BasisSelection.parse(basis),
-        (SolveMethod.parse(method),),
-        store,
-    )
+    rows = distance_sweep(cutoffs, BasisKind(basis), (SolveMethod(method),), store)
     save_store(store, cache, loaded)
 
     limit = asymptotic_rate_constant()

@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from nblab import sieve_moebius
+from nblab.arith import sieve_moebius
 from nblab.analytic import (
     CRITICAL_LINE_GRID,
     moebius_limit_transform,

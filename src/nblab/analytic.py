@@ -21,7 +21,6 @@ run-to-run; every sweep is a pure function of (grid, parameters).
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -93,23 +92,6 @@ UNITARY_SEED = 20260815
 
 # ---------------------------------------------------------------------------
 # kernels and their exact Mellin integrals
-
-
-class KernelKind(enum.Enum):
-    # {lam/x} alone, and the combination {lam/x} - lam*{1/x} whose transform
-    # has no pole at s = 1.
-    FRAC_SCALED = "frac-scaled"
-    COMBINED = "combined"
-
-
-@dataclass(frozen=True)
-class MellinKernel:
-    lam: float
-    kind: KernelKind = KernelKind.COMBINED
-
-    def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0):
-            raise DomainError(f"kernel scale must be in [0, 1], got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -200,12 +182,16 @@ def _frac_scaled_transform(lam: float, s: complex, pieces: int) -> BoundedValue:
     return BoundedValue(value, tail + abs(lam_s) * em_err / abs(s))
 
 
-def mellin_exact(kernel: MellinKernel, s: complex, pieces: int) -> BoundedValue:
-    """Piecewise-exact Mellin integral of the kernel over (0, 1].
+def mellin_exact(lam: float, s: complex, pieces: int) -> BoundedValue:
+    """Piecewise-exact Mellin integral over (0, 1] of the combined kernel
+    {lam/x} - lam {1/x}, whose transform has no pole at s = 1.
 
-    Requires Re s > 0 and s != 1; `pieces` counts how many fractional-part
-    pieces are integrated before the certified tail bound takes over.
+    Requires 0 <= lam <= 1, Re s > 0 and s != 1; `pieces` counts how many
+    fractional-part pieces are integrated before the certified tail bound
+    takes over.
     """
+    if not (0.0 <= lam <= 1.0):
+        raise DomainError(f"kernel scale must be in [0, 1], got {lam}")
     z = finite_complex(s)
     if z.real <= 0.0:
         raise DomainError(f"Mellin integral requires Re s > 0, got {z}")
@@ -213,13 +199,11 @@ def mellin_exact(kernel: MellinKernel, s: complex, pieces: int) -> BoundedValue:
         raise PoleError("Mellin integral is not defined at s = 1")
     if pieces < 1:
         raise DomainError(f"piece count must be >= 1, got {pieces}")
-    if kernel.kind is KernelKind.FRAC_SCALED:
-        return _frac_scaled_transform(kernel.lam, z, pieces)
-    part = _frac_scaled_transform(kernel.lam, z, pieces)
+    part = _frac_scaled_transform(lam, z, pieces)
     whole = _frac_scaled_transform(1.0, z, pieces)
     return BoundedValue(
-        part.value - kernel.lam * whole.value,
-        part.error_bound + kernel.lam * whole.error_bound,
+        part.value - lam * whole.value,
+        part.error_bound + lam * whole.error_bound,
     )
 
 
@@ -343,7 +327,7 @@ def verify_claim(
         if z.real <= 0.5 or z == 1.0:
             raise DomainError(f"claim grid needs Re s > 1/2 and s != 1, got {z}")
         pieces = pieces_for_tolerance(1.0, z.real, tail_tol)
-        got = mellin_exact(MellinKernel(lam, KernelKind.COMBINED), z, pieces)
+        got = mellin_exact(lam, z, pieces)
         residual = abs(got.value + combined_kernel_transform(lam, z))
         worst = max(worst, residual)
     return worst
@@ -539,7 +523,7 @@ def suite_unitary() -> list[VerificationReport]:
 
 def suite_moebius(table: Optional[MoebiusTable] = None) -> list[VerificationReport]:
     from .arith import sieve_moebius, verify_recurrence
-    from .criterion import GramStore, distance, moebius_residual, BasisSelection, BasisKind
+    from .criterion import BasisKind, GramStore, distance, moebius_residual
 
     if table is None:
         table = sieve_moebius(10_000)
@@ -569,9 +553,8 @@ def suite_moebius(table: Optional[MoebiusTable] = None) -> list[VerificationRepo
 
     store = GramStore()
     worst_gap = 0.0
-    basis = BasisSelection(BasisKind.ALL)
     for L in (2, 10, 30):
-        d2 = distance(L, basis, store=store).d2
+        d2 = distance(L, BasisKind.ALL, store=store).d2
         for eps in (0.0, 0.1, 0.5):
             gap = d2 - moebius_residual(L, eps, table, store)
             worst_gap = max(worst_gap, gap)

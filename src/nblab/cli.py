@@ -22,11 +22,10 @@ from typing import Optional, Sequence
 
 from .arith import sieve_moebius
 from .criterion import (
-    BasisSelection,
+    BasisKind,
     GramStore,
     SolveMethod,
     assemble_gram,
-    asymptotic_rate_constant,
     distance_sweep,
     moebius_residual,
 )
@@ -120,7 +119,7 @@ def save_store(store: GramStore, path: Optional[Path], loaded: int) -> None:
 
 
 def cmd_distance(args) -> int:
-    basis, methods = BasisSelection.parse(args.basis), _METHODS[args.method]
+    basis, methods = BasisKind(args.basis), _METHODS[args.method]
     cache_path = _cache_file(args.cache)
     store = load_store(cache_path, args.N)
     loaded = len(store)
@@ -181,7 +180,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    basis, cache_path = BasisSelection.parse(args.basis), _cache_file(args.cache)
+    basis, cache_path = BasisKind(args.basis), _cache_file(args.cache)
     store = load_store(cache_path, args.N)
     loaded = len(store)
     L = max(args.L)

@@ -51,7 +51,7 @@ from scipy.linalg import LinAlgError, cho_factor, solve_triangular
 from .arith import MoebiusTable, sieve_moebius
 from .errors import CacheError, ConditioningError, DomainError
 from .seqspace import PiecewiseConstant, inner_products_closed_row, inner_product_truncated
-from .specfun import digamma
+from .specfun import EULER_GAMMA
 
 # Key 0 in a GramStore denotes the constant sequence; positive keys are
 # fractional-part denominators.
@@ -65,7 +65,7 @@ def asymptotic_rate_constant() -> float:
 
     Reported alongside sweep diagnostics, never asserted.
     """
-    return 2.0 - digamma(1.0) - math.log(4.0 * math.pi)
+    return 2.0 + EULER_GAMMA - math.log(4.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -77,24 +77,12 @@ class BasisKind(enum.Enum):
     EXCLUDE_ONE = "exclude-one"
     SQUARE_FREE = "square-free"
 
-
-@dataclass(frozen=True)
-class BasisSelection:
-    kind: BasisKind = BasisKind.EXCLUDE_ONE
-
-    @classmethod
-    def parse(cls, token: str) -> "BasisSelection":
-        for kind in BasisKind:
-            if kind.value == token:
-                return cls(kind)
-        raise DomainError(f"unknown basis kind {token!r}")
-
     def denominators(self, L: int) -> tuple[int, ...]:
         if L < 1:
             raise DomainError(f"cutoff must be >= 1, got {L}")
-        if self.kind is BasisKind.ALL:
+        if self is BasisKind.ALL:
             return tuple(range(1, L + 1))
-        if self.kind is BasisKind.EXCLUDE_ONE:
+        if self is BasisKind.EXCLUDE_ONE:
             return tuple(range(2, L + 1))
         table = sieve_moebius(L)
         return tuple(l for l in range(1, L + 1) if table.squarefree[l])
@@ -276,7 +264,7 @@ def assemble_gram(
 
 def gram_system(
     L: int,
-    basis: BasisSelection = BasisSelection(),
+    basis: BasisKind = BasisKind.EXCLUDE_ONE,
     store: Optional[GramStore] = None,
     n_trunc: Optional[int] = None,
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -303,18 +291,11 @@ class SolveMethod(enum.Enum):
     LEAST_SQUARES = "ls"
     GRAM_DET_RATIO = "det"
 
-    @classmethod
-    def parse(cls, token: str) -> "SolveMethod":
-        for m in cls:
-            if m.value == token:
-                return m
-        raise DomainError(f"unknown solve method {token!r}")
-
 
 @dataclass(frozen=True)
 class DistanceReport:
     L: int
-    basis: BasisSelection
+    basis: BasisKind
     d2: float
     method: SolveMethod
     cond_estimate: float
@@ -327,14 +308,14 @@ class DistanceReport:
     def csv_row(self) -> str:
         method = "degenerate" if self.degenerate else self.method.value
         return (
-            f"{self.L},{self.basis.kind.value},{self.d2!r},{self.a_est!r},"
+            f"{self.L},{self.basis.value},{self.d2!r},{self.a_est!r},"
             f"{self.cond_estimate!r},{self.ridge_used!r},{method}"
         )
 
     def to_json_dict(self) -> dict:
         return {
             "L": self.L,
-            "basis": self.basis.kind.value,
+            "basis": self.basis.value,
             "d2": self.d2,
             "a_est": self.a_est,
             "cond": self.cond_estimate,
@@ -443,7 +424,7 @@ def _prefix_solve(G: np.ndarray, g: np.ndarray, methods: Sequence[SolveMethod]):
 
 def distance(
     L: int,
-    basis: BasisSelection = BasisSelection(),
+    basis: BasisKind = BasisKind.EXCLUDE_ONE,
     method: SolveMethod = SolveMethod.LEAST_SQUARES,
     store: Optional[GramStore] = None,
     n_trunc: Optional[int] = None,
@@ -460,7 +441,7 @@ def distance(
 
 def distance_sweep(
     L_values: Sequence[int],
-    basis: BasisSelection = BasisSelection(),
+    basis: BasisKind = BasisKind.EXCLUDE_ONE,
     methods: Sequence[SolveMethod] = (SolveMethod.LEAST_SQUARES,),
     store: Optional[GramStore] = None,
     n_trunc: Optional[int] = None,
@@ -483,7 +464,7 @@ def distance_sweep(
     methods = sorted(set(methods), key=lambda m: m.value)
     denoms, G, g = gram_system(L_values[-1], basis, store, n_trunc=n_trunc)
     # gram_system leaves out denominator 1; the bases that hold it report it.
-    pruned = () if basis.kind is BasisKind.EXCLUDE_ONE else (1,)
+    pruned = () if basis is BasisKind.EXCLUDE_ONE else (1,)
     sizes = np.searchsorted(denoms, L_values, side="right").tolist()
     solved = {}
     if g.size:
@@ -543,6 +524,6 @@ def moebius_residual(
     if L == 1:
         return 1.0
     # mu(l) = 0 unless l is square-free.
-    denoms, G, g = gram_system(L, BasisSelection(BasisKind.SQUARE_FREE), store, n_trunc=n_trunc)
+    denoms, G, g = gram_system(L, BasisKind.SQUARE_FREE, store, n_trunc=n_trunc)
     coeff = np.array([float(table.mu[l]) * l ** (-eps) for l in denoms])
     return 1.0 + 2.0 * float(coeff @ g) + float(coeff @ G @ coeff)

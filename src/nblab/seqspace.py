@@ -37,12 +37,11 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .specfun import digamma_array
+from .specfun import EULER_GAMMA, digamma_array
 from .summation import compensated_sum
 
 
@@ -66,7 +65,7 @@ def _default_weight_values(n_trunc: int) -> np.ndarray:
 def inner_product_truncated(a: PiecewiseConstant, b: PiecewiseConstant, n_trunc: int) -> float:
     """Partial sum of sum_n a_n b_n w(n) over n <= n_trunc, compensated.
 
-    The omitted tail is at most a.max_abs() * b.max_abs() / (n_trunc + 1),
+    The omitted tail is at most sup|a| sup|b| / (n_trunc + 1),
     since the tail weight mass telescopes to exactly 1/(n_trunc + 1).
     """
     if n_trunc < 1:
@@ -83,10 +82,6 @@ def _terms(f: PiecewiseConstant, n_trunc: int) -> np.ndarray:
     terms = f.values_upto(n_trunc)
     terms.flags.writeable = False
     return terms
-
-
-# Euler's constant, gamma = -psi(1).
-_EULER_GAMMA = 0.5772156649015329
 
 
 class _PeriodTables:
@@ -164,8 +159,8 @@ def inner_products_closed_row(a: int, bs) -> np.ndarray:
     log_m = log_a + log_b - logs[g]
     return (
         s_a / bs + s_b / a - t_ab - t_ba
-        + (_EULER_GAMMA - log_a - log_b) / (a * bs)
-        - (_EULER_GAMMA - log_m) / m
+        + (EULER_GAMMA - log_a - log_b) / (a * bs)
+        - (EULER_GAMMA - log_m) / m
     )
 
 
@@ -206,13 +201,11 @@ class PiecewiseConstant:
 
     Piece n is the interval (1/(n+1), 1/n]. The first len(head) pieces carry
     the explicit values in `head`; beyond them the values repeat the `tail`
-    pattern cyclically. tail None means the behaviour beyond the head is
-    unspecified, which blocks norm computation but still allows pointwise
-    reads inside the head.
+    pattern cyclically.
     """
 
     head: tuple[float, ...]
-    tail: Optional[tuple[float, ...]] = (0.0,)
+    tail: tuple[float, ...] = (0.0,)
 
     @classmethod
     def constant_one(cls) -> "PiecewiseConstant":
@@ -238,16 +231,12 @@ class PiecewiseConstant:
             raise DomainError(f"piece index must be >= 1, got {n}")
         if n <= len(self.head):
             return self.head[n - 1]
-        if self.tail is None:
-            raise DomainError("value requested beyond head with no tail descriptor")
         return self.tail[(n - len(self.head) - 1) % len(self.tail)]
 
     def values_upto(self, n_trunc: int) -> np.ndarray:
         h = min(len(self.head), n_trunc)
         if n_trunc == h:
             return np.array(self.head[:h], dtype=np.float64)
-        if self.tail is None:
-            raise DomainError("values requested beyond head with no tail descriptor")
         p = len(self.tail)
         # One buffer: the head, then whole periods of the tail, broadcast
         # row by row; the result is its first n_trunc entries.
@@ -256,17 +245,8 @@ class PiecewiseConstant:
         out[h:].reshape(-1, p)[:] = self.tail
         return out[:n_trunc]
 
-    def max_abs(self) -> float:
-        """Supremum of |f| (exact: the function takes finitely many values)."""
-        vals = [abs(v) for v in self.head]
-        if self.tail is not None:
-            vals.extend(abs(v) for v in self.tail)
-        return max(vals, default=0.0)
-
     def tail_sup(self, n_trunc: int) -> float:
         """Supremum of |f| over pieces beyond n_trunc."""
-        if self.tail is None:
-            raise DomainError("tail bound requested with no tail descriptor")
         vals = [abs(v) for v in self.head[n_trunc:]]
         vals.extend(abs(v) for v in self.tail)
         return max(vals, default=0.0)
@@ -284,13 +264,10 @@ def norm_m(f: PiecewiseConstant, n_trunc: int) -> NormResult:
     """Squared norm of a step function: integral of f^2 over (1/(n_trunc+1), 1].
 
     The integral over piece n is exactly f_n^2 / (n(n+1)); the remaining mass
-    is bounded through the tail descriptor. Functions without a descriptor
-    are rejected, since their tail cannot be certified.
+    is bounded through the tail.
     """
     if n_trunc < 1:
         raise DomainError(f"n_trunc must be >= 1, got {n_trunc}")
-    if f.tail is None:
-        raise DomainError("norm requires a tail descriptor")
     vals = f.values_upto(n_trunc)
     value = compensated_sum(vals * vals * _default_weight_values(n_trunc))
     bound = f.tail_sup(n_trunc) ** 2 * (1.0 / (n_trunc + 1))
@@ -315,12 +292,7 @@ def dilate(m: int, f: PiecewiseConstant) -> PiecewiseConstant:
         0.0 if n < m else root * f.value_at_piece(n // m)
         for n in range(1, m * (h + 1))
     )
-    if f.tail is None:
-        new_tail = None
-    else:
-        p = len(f.tail)
-        start = m * (h + 1)
-        new_tail = tuple(
-            root * f.value_at_piece(n // m) for n in range(start, start + m * p)
-        )
+    p = len(f.tail)
+    start = m * (h + 1)
+    new_tail = tuple(root * f.value_at_piece(n // m) for n in range(start, start + m * p))
     return PiecewiseConstant(head=new_head, tail=new_tail)

@@ -28,6 +28,9 @@ import numpy as np
 
 from .errors import DomainError, PoleError, UnstablePointError
 
+# Euler's constant, gamma = -psi(1), correctly rounded.
+EULER_GAMMA = 0.5772156649015329
+
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -311,7 +314,6 @@ class XiComparison:
 @dataclass(frozen=True)
 class XiInequalityReport:
     eps: float
-    points: tuple[XiComparison, ...] = ()
     violations: tuple[XiComparison, ...] = ()
 
     @property
@@ -335,12 +337,11 @@ def xi_inequality_check(grid, eps: float) -> XiInequalityReport:
         eps: Rightward shift, 0 < eps < 1/2.
 
     Returns:
-        XiInequalityReport listing every comparison and any violations of
-        |xi(s)| <= |xi(s + eps)| beyond numerical tolerance.
+        XiInequalityReport listing the violations of |xi(s)| <= |xi(s + eps)|
+        beyond numerical tolerance.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"xi_inequality_check: eps must be in (0, 1/2), got {eps}")
-    points = []
     violations = []
     for raw in grid:
         z = finite_complex(raw)
@@ -349,9 +350,6 @@ def xi_inequality_check(grid, eps: float) -> XiInequalityReport:
         a = abs(xi(z))
         b = abs(xi(z + eps))
         cmp = XiComparison(s=z, xi_abs=a, shifted_abs=b, margin=b - a)
-        points.append(cmp)
         if a > b + _XI_REL_TOL * max(a, b):
             violations.append(cmp)
-    return XiInequalityReport(
-        eps=eps, points=tuple(points), violations=tuple(violations)
-    )
+    return XiInequalityReport(eps=eps, violations=tuple(violations))

@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from nblab import GramStore, assemble_gram, sieve_moebius
+from nblab.arith import sieve_moebius
+from nblab.criterion import GramStore, assemble_gram
 
 
 @pytest.fixture(scope="session")

@@ -164,12 +164,13 @@ def ice_cond_eigh(R) -> list[float]:
     return conds
 
 
-def per_row_distance(denoms, G, g, method: SolveMethod) -> dict:
+def per_row_distance(denoms, G, g) -> dict:
     """d2, cond, ridge, pruned and degenerate for the whole system (denoms, G, g),
     solved on its own: prune zero and duplicate columns, factor the pruned
-    block (climbing RIDGE_LADDER), then cho_solve for least squares, or the
+    block (climbing RIDGE_LADDER), then cho_solve for least squares and the
     log-determinant ratio of the basis bordered by the constant last; cond
-    by `ice_cond_eigh` on the block's factor.
+    by `ice_cond_eigh` on the block's factor. d2 and ridge map each
+    SolveMethod to its value; the factor and cond serve both.
 
     The package reads every cutoff of a sweep from one factor of the largest
     block; this factors each cutoff's block on its own.
@@ -183,7 +184,8 @@ def per_row_distance(denoms, G, g, method: SolveMethod) -> dict:
             seen.add(fingerprint)
             keep.append(p)
     if not keep:
-        return dict(d2=1.0, cond=math.nan, ridge=0.0, pruned=tuple(pruned), degenerate=True)
+        return dict(d2=dict.fromkeys(SolveMethod, 1.0), cond=math.nan,
+                    ridge=dict.fromkeys(SolveMethod, 0.0), pruned=tuple(pruned), degenerate=True)
 
     def factor(M):
         for ridge in RIDGE_LADDER:
@@ -199,17 +201,17 @@ def per_row_distance(denoms, G, g, method: SolveMethod) -> dict:
     Gp, gp = G[np.ix_(keep, keep)], g[keep]
     cho, ridge = factor(Gp)
     cond = ice_cond_eigh(cho[0])[-1]
-    if method is SolveMethod.LEAST_SQUARES:
-        d2 = 1.0 - float(gp @ cho_solve(cho, gp, check_finite=False))
-    else:
-        k = len(keep)
-        bordered = np.ones((k + 1, k + 1))
-        bordered[:k, :k] = Gp + ridge * np.eye(k)
-        bordered[:k, k] = bordered[k, :k] = gp
-        cho_b, ridge_b = factor(bordered)
-        ridge = max(ridge, ridge_b)
-        d2 = math.exp(logdet(cho_b) - logdet(cho))
-    return dict(d2=d2, cond=cond, ridge=ridge, pruned=tuple(pruned), degenerate=False)
+    k = len(keep)
+    bordered = np.ones((k + 1, k + 1))
+    bordered[:k, :k] = Gp + ridge * np.eye(k)
+    bordered[:k, k] = bordered[k, :k] = gp
+    cho_b, ridge_b = factor(bordered)
+    d2 = {
+        SolveMethod.LEAST_SQUARES: 1.0 - float(gp @ cho_solve(cho, gp, check_finite=False)),
+        SolveMethod.GRAM_DET_RATIO: math.exp(logdet(cho_b) - logdet(cho)),
+    }
+    ridges = {SolveMethod.LEAST_SQUARES: ridge, SolveMethod.GRAM_DET_RATIO: max(ridge, ridge_b)}
+    return dict(d2=d2, cond=cond, ridge=ridges, pruned=tuple(pruned), degenerate=False)
 
 
 def residue_class_entry(a: int | None, b: int) -> float:

@@ -22,7 +22,6 @@ from nblab.analytic import (
 from nblab.arith import verify_recurrence
 from nblab.criterion import (
     BasisKind,
-    BasisSelection,
     SolveMethod,
     asymptotic_rate_constant,
     distance,
@@ -32,9 +31,9 @@ from nblab.criterion import (
 from nblab.seqspace import inner_product_closed
 from nblab.specfun import xi, xi_inequality_check, zeta
 
-ALL = BasisSelection(BasisKind.ALL)
-EXCL = BasisSelection(BasisKind.EXCLUDE_ONE)
-SQFREE = BasisSelection(BasisKind.SQUARE_FREE)
+ALL = BasisKind.ALL
+EXCL = BasisKind.EXCLUDE_ONE
+SQFREE = BasisKind.SQUARE_FREE
 
 
 def _line(num, name, ok, detail=""):

@@ -1,20 +1,21 @@
 import cmath
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nblab import sieve_moebius
+from nblab.arith import sieve_moebius
 from nblab.analytic import (
     CRITICAL_LINE_GRID,
     MELLIN_GRID,
     SEMIGROUP_GRID,
     XI_REFLECTION_GRID,
     XI_SHIFT_GRID,
-    KernelKind,
-    MellinKernel,
+    _frac_scaled_transform,
     combined_kernel_transform,
     inner_function_check,
     inner_product_rule_check,
@@ -77,10 +78,13 @@ class TestPiecesForTolerance:
 
 
 class TestMellinExact:
+    """`mellin_exact` integrates the combined kernel {lam/x} - lam {1/x}; the
+    single kernel {lam/x} is `_frac_scaled_transform`, checked directly."""
+
     def test_matches_piecewise_oracle(self):
         for lam in (1.0, 0.5, 1 / 3):
             for s in (2.0, 2.5 + 3.0j, 1.2 - 4.0j):
-                got = mellin_exact(MellinKernel(lam, KernelKind.FRAC_SCALED), s, 4000)
+                got = _frac_scaled_transform(lam, complex(s), 4000)
                 expect = oracles.mellin_piecewise_highprec(lam, s, 4000)
                 assert abs(got.value - expect) < 1e-13
 
@@ -88,17 +92,16 @@ class TestMellinExact:
         s = 1.8 + 2.0j
         unit = oracles.mellin_piecewise_highprec(1.0, s, 4000)
         for lam in (0.5, 0.7):
-            got = mellin_exact(MellinKernel(lam, KernelKind.COMBINED), s, 4000)
+            got = mellin_exact(lam, s, 4000)
             expect = oracles.mellin_piecewise_highprec(lam, s, 4000) - lam * unit
             assert abs(got.value - expect) < 1e-13
 
     def test_remainder_route_crosses_over(self):
         # past the explicit-piece cap the Euler-Maclaurin remainder takes
         # over; both routes must agree where they meet
-        k = MellinKernel(0.5, KernelKind.FRAC_SCALED)
         counts = (4096, 4097, 8000, 20000)
         for pieces, expect in zip(counts, oracles.mellin_piecewise_prefix(0.5, 2.0, counts)):
-            got = mellin_exact(k, 2.0, pieces)
+            got = _frac_scaled_transform(0.5, 2.0 + 0j, pieces)
             assert abs(got.value - expect) < 5e-13, pieces
 
     def test_limit_value_within_certified_tail(self):
@@ -106,30 +109,33 @@ class TestMellinExact:
         # lam/(s-1) - lam^s zeta(s)/s; truncation must sit inside its bound
         for lam, s in ((1.0, 2.0), (0.5, 2.0), (0.5, 3.0 - 2.0j)):
             pieces = 300_000
-            got = mellin_exact(MellinKernel(lam, KernelKind.FRAC_SCALED), s, pieces)
+            got = _frac_scaled_transform(lam, complex(s), pieces)
             lim = oracles.mellin_limit_highprec(lam, s)
             tail = (lam / (pieces + 1)) ** s.real / s.real if lam > 0 else 0.0
             assert abs(got.value - lim) <= got.error_bound + tail + 1e-13
 
     def test_huge_piece_counts_supported(self):
-        k = MellinKernel(1.0, KernelKind.FRAC_SCALED)
-        v1 = mellin_exact(k, 2.0, 10**9)
-        v2 = mellin_exact(k, 2.0, 10**12)
+        v1 = _frac_scaled_transform(1.0, 2.0 + 0j, 10**9)
+        v2 = _frac_scaled_transform(1.0, 2.0 + 0j, 10**12)
         lim = oracles.mellin_limit_highprec(1.0, 2.0)
         assert abs(v1.value - lim) < 1e-8
         assert abs(v2.value - lim) < 1e-11
 
     def test_zero_scale_kernel(self):
-        got = mellin_exact(MellinKernel(0.0, KernelKind.FRAC_SCALED), 2.0, 10)
+        got = _frac_scaled_transform(0.0, 2.0 + 0j, 10)
         assert got.value == 0.0
         assert got.error_bound == 0.0
+        combined = mellin_exact(0.0, 2.0, 10)
+        assert (combined.value, combined.error_bound) == (0.0, 0.0)
 
     def test_rejects_left_half_plane_and_pole(self):
-        k = MellinKernel(0.5, KernelKind.FRAC_SCALED)
         with pytest.raises(DomainError):
-            mellin_exact(k, -0.5, 100)
+            mellin_exact(0.5, -0.5, 100)
         with pytest.raises(PoleError):
-            mellin_exact(k, 1.0, 100)
+            mellin_exact(0.5, 1.0, 100)
+        for lam in (-0.1, 1.5):
+            with pytest.raises(DomainError):
+                mellin_exact(lam, 2.0, 100)
 
 
 class TestCombinedTransform:
@@ -301,3 +307,15 @@ class TestSuites:
         # at the suite's chosen values
         residual = verify_claim(lam, (0.8 + 2.0j, 2.0 - 1.0j))
         assert residual <= 1e-7
+
+
+def test_transform_modules_import_without_criterion():
+    # The transform side (analytic, arith, seqspace) loads neither the
+    # distance engine nor scipy; only the moebius suite imports them, lazily.
+    code = (
+        "import sys, nblab.analytic, nblab.arith, nblab.seqspace; "
+        "print(sorted(m for m in ('scipy', 'nblab.criterion') if m in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -13,7 +13,6 @@ import pytest
 from nblab import cli, criterion
 from nblab.criterion import (
     BasisKind,
-    BasisSelection,
     DistanceReport,
     GramStore,
     SolveMethod,
@@ -71,6 +70,7 @@ class TestUsage:
         assert run_cli("distance", "--L", "0").returncode == 64
         assert run_cli("distance", "--L", "abc").returncode == 64
         assert run_cli("distance", "--method", "magic").returncode == 64
+        assert run_cli("distance", "--basis", "bogus").returncode == 64
 
     def test_unknown_suite(self):
         assert run_cli("verify", "bogus").returncode == 64
@@ -185,7 +185,7 @@ class TestDistanceCommand:
     def test_degraded_solve_exits_two(self, monkeypatch, capsys):
         degraded = DistanceReport(
             L=5,
-            basis=BasisSelection(BasisKind.EXCLUDE_ONE),
+            basis=BasisKind.EXCLUDE_ONE,
             d2=0.1,
             method=SolveMethod.LEAST_SQUARES,
             cond_estimate=1e15,
@@ -201,7 +201,7 @@ class TestDistanceCommand:
     def test_solver_error_row_exits_one(self, monkeypatch, capsys):
         failed = DistanceReport(
             L=7,
-            basis=BasisSelection(BasisKind.EXCLUDE_ONE),
+            basis=BasisKind.EXCLUDE_ONE,
             d2=float("nan"),
             method=SolveMethod.LEAST_SQUARES,
             cond_estimate=float("inf"),
@@ -217,7 +217,7 @@ class TestDistanceCommand:
     def test_sweep_ridge_reported_by_every_row_exits_two(self, tmp_path, capsys):
         # Entries truncated at N = 20 make the L = 40 block need a ridge; it
         # is chosen once for the sweep, so every row reports it.
-        excl = BasisSelection(BasisKind.EXCLUDE_ONE)
+        excl = BasisKind.EXCLUDE_ONE
         rows = distance_sweep(range(2, 41), excl, store=GramStore(n_trunc=20), n_trunc=20)
         assert all(r.ridge_used > 0.0 and math.isfinite(r.d2) for r in rows)
         code = cli.main(["distance", "--L", "2..40", "--N", "20",
@@ -238,7 +238,7 @@ class TestDistanceCommand:
             [0.1, 0.0, 0.0, 0.0, 1.0],
         ])
         for method in SolveMethod:
-            rows = distance_sweep([2, 3, 4], BasisSelection(BasisKind.EXCLUDE_ONE), (method,), store)
+            rows = distance_sweep([2, 3, 4], BasisKind.EXCLUDE_ONE, (method,), store)
             assert all(r.error and math.isnan(r.d2) for r in rows)
         cache = tmp_path / "indefinite.nbbg"
         store.save(cache)
@@ -264,7 +264,8 @@ class TestResidualCommand:
 
 
     def test_truncated_N_is_used(self, tmp_path, main_cli):
-        from nblab import moebius_residual, sieve_moebius
+        from nblab.arith import sieve_moebius
+        from nblab.criterion import moebius_residual
 
         cache = tmp_path / "t.nbbg"
         r = main_cli("residual", "--L", "5", "--N", "20", "--cache", str(cache))
@@ -451,6 +452,28 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestVerifyAllScript:
+    def test_one_row_per_report_of_every_suite(self, monkeypatch, capsys):
+        from nblab import analytic
+
+        reports = {}
+        for name, suite in list(analytic.SUITES.items()):
+            def recorded(name=name, suite=suite):
+                reports[name] = suite()
+                return reports[name]
+            monkeypatch.setitem(analytic.SUITES, name, recorded)
+        verify_all = load_script("verify_all")
+        assert verify_all.main() == 0
+        out, err = capsys.readouterr()
+        rows = json.loads(out)
+        assert sorted(reports) == sorted(analytic.SUITES)
+        assert [row["suite"] for row in rows] == [
+            name for name in sorted(reports) for _ in reports[name]]
+        want = [r.to_json_dict() | {"suite": name} for name in sorted(reports) for r in reports[name]]
+        assert rows == json.loads(json.dumps(want))
+        assert err == f"{len(rows)} checks, 0 failing\n"
 
 
 class TestHlineScript:

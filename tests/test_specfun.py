@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nblab import specfun
 from nblab.errors import DomainError, PoleError
 from nblab.specfun import (
     digamma,
@@ -202,14 +203,18 @@ class TestXiInequality:
     def test_no_violations_on_default_grid(self, eps):
         report = xi_inequality_check(XI_SHIFT_GRID.points, eps)
         assert report.eps == eps
-        assert len(report.points) == len(XI_SHIFT_GRID.points)
         assert report.violations == ()
+        assert report.max_deficit == 0.0
 
-    def test_margin_sign_convention(self):
+    def test_margin_sign_convention(self, monkeypatch):
+        # |1/s| falls as Re s grows, so in place of xi it violates the
+        # inequality: the margin is negative and the deficit its opposite.
+        monkeypatch.setattr(specfun, "xi", lambda z: 1.0 / z)
         report = xi_inequality_check([0.5 + 2.0j], 0.25)
-        (cmp,) = report.points
+        (cmp,) = report.violations
         assert cmp.margin == pytest.approx(cmp.shifted_abs - cmp.xi_abs)
-        assert cmp.margin > 0.0
+        assert cmp.margin < 0.0
+        assert report.max_deficit == -cmp.margin
 
     def test_rejects_left_of_critical_line(self):
         with pytest.raises(DomainError):
