@@ -10,7 +10,7 @@ Import from the modules; the package itself exports nothing:
 
     nblab.criterion   Gram store, distance sweeps, Moebius residual
     nblab.seqspace    step-function sequences and their inner products
-    nblab.specfun     digamma, log-gamma, zeta, xi
+    nblab.specfun     Euler's constant, digamma, log-gamma, zeta, xi
     nblab.analytic    Mellin-side transforms and the verification suites
     nblab.arith       Moebius sieve
     nblab.summation   compensated summation

@@ -8,8 +8,6 @@ edit to library defaults cannot silently loosen the gate.
 import math
 import time
 
-import pytest
-
 import oracles
 from nblab.analytic import (
     MELLIN_GRID,

@@ -30,7 +30,7 @@ from nblab.analytic import (
     verify_claim,
     xi_reflection_check,
 )
-from nblab.errors import DomainError, PoleError, UnstablePointError
+from nblab.errors import DomainError, PoleError
 from nblab.specfun import xi_inequality_check
 
 

@@ -251,27 +251,42 @@ def _format4_file(n_trunc, upper):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+@pytest.fixture(scope="module")
+def per_row_oracle(shared_store):
+    """basis -> {L: `oracles.per_row_distance` of the basis at L}, L = 2..300,
+    from the shared store. Each basis is computed once and serves the tests
+    of both methods: one factor and one cond per row give both d2."""
+    by_basis = {}
+
+    def rows(basis):
+        if basis not in by_basis:
+            # The oracle gets the whole basis, l = 1 too, and prunes on its own.
+            denoms = basis.denominators(300)
+            keys = np.asarray(denoms)
+            G = shared_store.values[np.ix_(keys, keys)]
+            g = shared_store.values[CONSTANT_KEY, keys]
+            by_basis[basis] = {}
+            for L in range(2, 301):
+                k = sum(1 for l in denoms if l <= L)
+                by_basis[basis][L] = oracles.per_row_distance(denoms[:k], G[:k, :k], g[:k])
+        return by_basis[basis]
+
+    return rows
+
+
 class TestDenseStore:
     @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.value)
-    def test_sweep_rows_match_per_row_oracle(self, shared_store, basis):
+    @pytest.mark.parametrize("method", list(SolveMethod), ids=lambda m: m.value)
+    def test_sweep_rows_match_per_row_oracle(self, shared_store, per_row_oracle, basis, method):
         # The sweep reads every row from one factor of the L = 300 block; the
-        # oracle factors each row's own block, once for both methods. Only
-        # the last bits may differ.
-        cutoffs = list(range(2, 301))
-        # The oracle gets the whole basis, l = 1 too, and prunes on its own.
-        denoms = basis.denominators(300)
-        keys = np.asarray(denoms)
-        G, g = shared_store.values[np.ix_(keys, keys)], shared_store.values[CONSTANT_KEY, keys]
-        refs = {}
-        for L in cutoffs:
-            k = sum(1 for l in denoms if l <= L)
-            refs[L] = oracles.per_row_distance(denoms[:k], G[:k, :k], g[:k])
-        for method in SolveMethod:
-            for r in distance_sweep(cutoffs, basis, (method,), shared_store):
-                ref = refs[r.L]
-                assert_rows_close(r, ref["d2"][method], ref["cond"])
-                assert (r.pruned, r.ridge_used, r.degenerate) == (
-                    ref["pruned"], ref["ridge"][method], ref["degenerate"]), r.L
+        # oracle factors each row's own block. Only the last bits may differ.
+        swept = distance_sweep(list(range(2, 301)), basis, (method,), shared_store)
+        refs = per_row_oracle(basis)
+        for r in swept:
+            ref = refs[r.L]
+            assert_rows_close(r, ref["d2"][method], ref["cond"])
+            assert (r.pruned, r.ridge_used, r.degenerate) == (
+                ref["pruned"], ref["ridge"][method], ref["degenerate"]), r.L
 
     @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.value)
     @pytest.mark.parametrize("method", list(SolveMethod), ids=lambda m: m.value)
