@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, solve_triangular
+from numpy.linalg import LinAlgError
 
 from .arith import MoebiusTable, sieve_moebius
 from .errors import CacheError, ConditioningError, DomainError
@@ -376,18 +376,34 @@ def _ice_cond(R: np.ndarray) -> list[float]:
     return cond
 
 
+def cho_factor(M: np.ndarray) -> np.ndarray:
+    """The upper Cholesky factor R of M, with R^T R = M: the transpose of
+    numpy's lower factor, an F-ordered view, so each column R[:k, k] is
+    contiguous. Raises LinAlgError when M is not positive definite."""
+    return np.linalg.cholesky(M).T
+
+
+def _forward(R: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """z with R^T z = g for the upper factor R: forward substitution down the
+    columns of R, one dot of length k per entry."""
+    z = np.empty(g.size)
+    for k in range(g.size):
+        z[k] = (g[k] - R[:k, k] @ z[:k]) / R[k, k]
+    return z
+
+
 def _factor_with_ridge(G: np.ndarray):
     """Upper Cholesky factor of G, climbing the ridge ladder on failure.
 
-    Returns (R, ridge_used) with R^T R = G + ridge_used * I; only the upper
-    triangle of R is meaningful. The ridge is added to the diagonal
-    unscaled; the ladder tops out at 1e-10, far below any Gram diagonal here.
+    Returns (R, ridge_used) with R^T R = G + ridge_used * I; R is zero below
+    its diagonal. The ridge is added to the diagonal unscaled; the ladder
+    tops out at 1e-10, far below any Gram diagonal here.
     """
     last_exc: Optional[Exception] = None
     for ridge in RIDGE_LADDER:
         try:
             M = G if ridge == 0.0 else G + ridge * np.eye(G.shape[0])
-            return cho_factor(M, lower=False, check_finite=False)[0], ridge
+            return cho_factor(M), ridge
         except LinAlgError as exc:
             last_exc = exc
     raise ConditioningError(
@@ -406,7 +422,7 @@ def _prefix_solve(G: np.ndarray, g: np.ndarray, methods: Sequence[SolveMethod]):
     R, ridge = _factor_with_ridge(G)
     solved = {}
     if SolveMethod.LEAST_SQUARES in methods:
-        z = solve_triangular(R, g, trans="T", check_finite=False)
+        z = _forward(R, g)
         solved[SolveMethod.LEAST_SQUARES] = 1.0 - np.cumsum(z * z), ridge
     if SolveMethod.GRAM_DET_RATIO in methods:
         B = np.block([[1.0, g], [g[:, None], G]])

@@ -201,11 +201,15 @@ class PiecewiseConstant:
 
     Piece n is the interval (1/(n+1), 1/n]. The first len(head) pieces carry
     the explicit values in `head`; beyond them the values repeat the `tail`
-    pattern cyclically.
+    pattern cyclically, so the tail holds at least one value.
     """
 
     head: tuple[float, ...]
     tail: tuple[float, ...] = (0.0,)
+
+    def __post_init__(self):
+        if not self.tail:
+            raise DomainError("tail must hold at least one value")
 
     @classmethod
     def constant_one(cls) -> "PiecewiseConstant":

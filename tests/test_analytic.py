@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 import subprocess
 import sys
 
@@ -311,7 +312,8 @@ class TestSuites:
 
 def test_transform_modules_import_without_criterion():
     # The transform side (analytic, arith, seqspace) loads neither the
-    # distance engine nor scipy; only the moebius suite imports them, lazily.
+    # distance engine nor scipy; only the moebius suite imports the engine,
+    # lazily, and no nblab module loads scipy.
     code = (
         "import sys, nblab.analytic, nblab.arith, nblab.seqspace; "
         "print(sorted(m for m in ('scipy', 'nblab.criterion') if m in sys.modules))"
@@ -319,3 +321,22 @@ def test_transform_modules_import_without_criterion():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_cli_runs_without_scipy():
+    # The distance engine factors and solves with numpy alone: neither the
+    # CLI import, nor a sweep of both methods, nor the suite that calls the
+    # engine loads a scipy module. Only the test oracles use scipy.
+    code = (
+        "import sys, contextlib, io\n"
+        "from nblab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['distance', '--L', '2..30', '--method', 'both']),\n"
+        "             cli.main(['verify', 'moebius'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "NBLAB_CACHE_DIR"}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=600, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[0, 0] []\n"

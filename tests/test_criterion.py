@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 import oracles
 from nblab.criterion import (
@@ -15,6 +16,7 @@ from nblab.criterion import (
     GramStore,
     SolveMethod,
     _factor_with_ridge,
+    _forward,
     _ice_cond,
     _prefix_solve,
     assemble_gram,
@@ -474,6 +476,21 @@ class TestSolverInternals:
         cond = _ice_cond(R)[-1]
         assert ridge == 0.0
         assert 1.0 <= cond <= np.linalg.cond(spd) * (1.0 + 1e-12)
+
+    def test_forward_pass_exact_on_small_triangle(self):
+        # R^T z = g with z = (1, -1, 1/2): every step is exact in binary.
+        R = np.array([[2.0, 1.0, 4.0], [0.0, 1.0, 2.0], [0.0, 0.0, 4.0]])
+        assert _forward(R, np.array([2.0, 0.0, 4.0])).tolist() == [1.0, -1.0, 0.5]
+
+    def test_forward_pass_matches_lapack_solve(self, shared_store):
+        # LAPACK's trtrs through scipy as the oracle, on the factor of the
+        # L = 300 exclude-one block. Measured: 2.8e-15 of max |z|.
+        _, G, g = gram_system(300, EXCL, shared_store)
+        R, ridge = _factor_with_ridge(G)
+        assert ridge == 0.0 and R.flags.f_contiguous
+        ref = solve_triangular(R, g, trans="T", check_finite=False)
+        z = _forward(R, g)
+        assert np.max(np.abs(z - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_bordered_failure_errors_only_det_rows(self):
         # G = I factors, but B = [[1, 1, .5], [1, 1, 0], [.5, 0, 1]] has

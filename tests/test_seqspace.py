@@ -235,6 +235,13 @@ class TestPiecewiseConstant:
         assert f.tail_sup(3) == 0.0
         assert PiecewiseConstant.indicator(4).tail_sup(100) == 1.0
 
+    def test_empty_tail_rejected(self):
+        # Every read past the head indexes the tail modulo its length.
+        with pytest.raises(DomainError):
+            PiecewiseConstant(head=(1.0,), tail=())
+        with pytest.raises(DomainError):
+            PiecewiseConstant(head=(), tail=())
+
 
 class TestNorm:
     def test_indicator_norms(self):
