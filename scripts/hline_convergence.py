@@ -32,11 +32,9 @@ def run(eps: float, cutoffs: tuple[int, ...]) -> int:
     print(f"grid {CRITICAL_LINE_GRID.grid_id}, eps {eps}, "
           f"{len(limits)} usable points, {skipped} skipped", file=sys.stderr)
     print("L,sup_gap,mean_gap")
-    for L in cutoffs:
-        gaps = [
-            abs(moebius_partial_transform(L, eps, s, table) - lim)
-            for s, lim in limits.items()
-        ]
+    partials = moebius_partial_transform(cutoffs, eps, list(limits), table)
+    for L, row in zip(cutoffs, partials.tolist()):
+        gaps = [abs(p - lim) for p, lim in zip(row, limits.values())]
         sup = max(gaps)
         mean = sum(gaps) / len(gaps)
         print(f"{L},{sup!r},{mean!r}")

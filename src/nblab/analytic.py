@@ -6,9 +6,9 @@ reports the worst residual:
   * the Mellin transform of the fractional-part kernels, integrated
     piecewise in closed form with a certified truncation bound, against
     the zeta-based closed form;
-  * Moebius-smoothed partial transforms against their fixed-smoothing
-    limit, and the two algebraically equal assembly orders against each
-    other;
+  * Moebius-smoothed partial transforms, evaluated for every cutoff and
+    point of a sweep in one call, against their fixed-smoothing limit, and
+    the two algebraically equal assembly orders against each other;
   * the scaling semigroup: the inner function mu^(s-1/2), its unit modulus
     on the critical line, and the multiplication identity it induces on
     the kernel transforms;
@@ -259,34 +259,51 @@ def scale_inner_function(mu: float, s: complex) -> complex:
 
 
 def moebius_partial_transform(
-    L: int, eps: float, s: complex, table: MoebiusTable
-) -> complex:
-    """(zeta(s)/s) (sum_{l<=L} mu(l) l^(-s-eps) - sum_{l<=L} mu(l) l^(-1-eps)).
+    cutoffs: Sequence[int], eps: float, points: Sequence[complex], table: MoebiusTable
+) -> np.ndarray:
+    """(zeta(s)/s) (sum_{l<=L} mu(l) l^(-s-eps) - sum_{l<=L} mu(l) l^(-1-eps))
+    for every cutoff L in `cutoffs` and point s in `points`, as a complex128
+    array of shape (len(cutoffs), len(points)).
 
     Algebraically equal to sum_{l<=L} mu(l) l^(-eps) times the reciprocal
     kernel transforms; the two assembly orders are compared in tests.
 
-    The terms over square-free l are evaluated by complex128 numpy ufuncs
-    and each sum is taken with math.fsum. The result is bit-identical to
-    the per-term loop `oracles.moebius_partial_transform_loop`: numpy's
-    float64 log and exp are SIMD routines that differ from libm in the last
-    bit, while its complex128 ones agree with math/cmath.
+    The terms over square-free l up to the largest cutoff are evaluated once
+    per point by complex128 numpy ufuncs, and each cutoff's sums are
+    math.fsum over a prefix of them; the s-free sum at s = 1 is taken once
+    per cutoff. Every cell is bit-identical to the per-term loop
+    `oracles.moebius_partial_transform_loop` at that one (L, s), whatever
+    else shares the call: numpy's float64 log and exp are SIMD routines that
+    differ from libm in the last bit, while its complex128 ones agree with
+    math/cmath, and fsum is correctly rounded.
     """
-    if L < 1:
-        raise DomainError(f"cutoff must be >= 1, got {L}")
-    if L > table.limit:
-        raise DomainError(f"cutoff {L} exceeds sieve limit {table.limit}")
+    if len(cutoffs) == 0:
+        raise DomainError("need at least one cutoff")
+    for L in cutoffs:
+        if L < 1:
+            raise DomainError(f"cutoff must be >= 1, got {L}")
+        if L > table.limit:
+            raise DomainError(f"cutoff {L} exceeds sieve limit {table.limit}")
     if eps <= 0.0:
         raise DomainError(f"smoothing must be positive, got {eps}")
-    z = finite_complex(s)
-    zs = zeta(z)
-    l = np.flatnonzero(table.mu[: L + 1])
+    l = np.flatnonzero(table.mu[: max(cutoffs) + 1])
+    ends = np.searchsorted(l, cutoffs, side="right")
     mu_l = table.mu[l].astype(np.float64)
     log_l = np.log(l.astype(np.complex128)).real
-    terms = mu_l * np.exp(-(z + eps) * log_l)
-    dirichlet = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    at_one = math.fsum(mu_l * np.exp((-(1.0 + eps) * log_l).astype(np.complex128)).real)
-    return zs / z * (dirichlet - at_one)
+    weights = mu_l * np.exp((-(1.0 + eps) * log_l).astype(np.complex128)).real
+    at_one = [math.fsum(weights[:e]) for e in ends]
+    out = np.empty((len(cutoffs), len(points)), dtype=np.complex128)
+    for j, s in enumerate(points):
+        z = finite_complex(s)
+        scale = zeta(z) / z
+        terms = mu_l * np.exp(-(z + eps) * log_l)
+        # Zero-copy views whose items are Python floats: fsum reads them
+        # faster than numpy scalars, and no list of terms is ever built.
+        re, im = memoryview(terms.real), memoryview(terms.imag)
+        for i, e in enumerate(ends):
+            dirichlet = complex(math.fsum(re[:e]), math.fsum(im[:e]))
+            out[i, j] = scale * (dirichlet - at_one[i])
+    return out
 
 
 def moebius_limit_transform(eps: float, s: complex) -> complex:
@@ -479,11 +496,10 @@ def suite_unitary() -> list[VerificationReport]:
     worst_ind = 0.0
     for m in range(1, 11):
         for n in range(1, 11):
-            got = dilate(m, PiecewiseConstant.indicator(n))
-            want = math.sqrt(m)
-            for p in range(1, 2 * m * n + 2):
-                expect = want if p >= m * n else 0.0
-                worst_ind = max(worst_ind, abs(got.value_at_piece(p) - expect))
+            got = dilate(m, PiecewiseConstant.indicator(n)).values_upto(2 * m * n + 1)
+            p = np.arange(1, 2 * m * n + 2)
+            expect = np.where(p >= m * n, math.sqrt(m), 0.0)
+            worst_ind = max(worst_ind, float(np.max(np.abs(got - expect))))
     reports.append(
         _report("dilation-of-indicators", {"max_m": 10, "max_n": 10},
                 "indicator-lattice-v1", worst_ind, 0.0)
@@ -492,13 +508,12 @@ def suite_unitary() -> list[VerificationReport]:
     # dilation of the fractional-part model: sqrt(m) ({n/(lm)} - {n/m}/l),
     # checked against exact integer arithmetic.
     worst_frac = 0.0
+    n = np.arange(1, 1001)
     for m in range(1, 11):
         for l in range(1, 11):
-            got = dilate(m, PiecewiseConstant.fractional_parts(l))
-            root = math.sqrt(m)
-            for n in range(1, 1001):
-                expect = root * ((n % (l * m)) / (l * m) - (n % m) / m / l)
-                worst_frac = max(worst_frac, abs(got.value_at_piece(n) - expect))
+            got = dilate(m, PiecewiseConstant.fractional_parts(l)).values_upto(1000)
+            expect = math.sqrt(m) * ((n % (l * m)) / (l * m) - (n % m) / m / l)
+            worst_frac = max(worst_frac, float(np.max(np.abs(got - expect))))
     reports.append(
         _report("dilation-of-fractional-parts", {"max_m": 10, "max_l": 10, "pieces": 1000},
                 "fractional-lattice-v1", worst_frac, 1e-12)
@@ -534,9 +549,10 @@ def suite_moebius(table: Optional[MoebiusTable] = None) -> list[VerificationRepo
     ]
 
     worst_assembly = 0.0
-    for s in (complex(0.5, 10.0), complex(0.8, -4.0), complex(2.0, 1.0)):
-        for L, eps in ((50, 0.1), (100, 0.3)):
-            direct = moebius_partial_transform(L, eps, s, table)
+    points = (complex(0.5, 10.0), complex(0.8, -4.0), complex(2.0, 1.0))
+    for L, eps in ((50, 0.1), (100, 0.3)):
+        row = moebius_partial_transform((L,), eps, points, table)[0].tolist()
+        for s, direct in zip(points, row):
             re_t, im_t = [], []
             for l in range(1, L + 1):
                 if table.mu[l] == 0:

@@ -334,6 +334,45 @@ def moebius_partial_transform_loop(L: int, eps: float, s, table) -> complex:
     return zs / z * (dirichlet - at_one)
 
 
+def dilation_indicator_residual_loop(max_m: int = 10, max_n: int = 10) -> float:
+    """Worst |dilate(m, 1_(0, 1/n]) - sqrt(m) 1_(0, 1/(mn)]| over pieces
+    1..2mn+1, read one piece at a time through `value_at_piece`.
+
+    The package's unitary suite compares whole `values_upto` arrays against
+    numpy-built expectations; the two must report the same residual.
+    """
+    from nblab.seqspace import PiecewiseConstant, dilate
+
+    worst = 0.0
+    for m in range(1, max_m + 1):
+        for n in range(1, max_n + 1):
+            got = dilate(m, PiecewiseConstant.indicator(n))
+            want = math.sqrt(m)
+            for p in range(1, 2 * m * n + 2):
+                expect = want if p >= m * n else 0.0
+                worst = max(worst, abs(got.value_at_piece(p) - expect))
+    return worst
+
+
+def dilation_fractional_residual_loop(
+    max_m: int = 10, max_l: int = 10, pieces: int = 1000
+) -> float:
+    """Worst deviation of dilate(m, {n/l}) from sqrt(m) ({n/(lm)} - {n/m}/l),
+    piece by piece through `value_at_piece`, with the expectation in Python
+    integer arithmetic."""
+    from nblab.seqspace import PiecewiseConstant, dilate
+
+    worst = 0.0
+    for m in range(1, max_m + 1):
+        for l in range(1, max_l + 1):
+            got = dilate(m, PiecewiseConstant.fractional_parts(l))
+            root = math.sqrt(m)
+            for n in range(1, pieces + 1):
+                expect = root * ((n % (l * m)) / (l * m) - (n % m) / m / l)
+                worst = max(worst, abs(got.value_at_piece(n) - expect))
+    return worst
+
+
 # Frozen reference values. Each is reproducible from the oracle functions
 # above; they are pinned as literals so a regression in mpmath or numpy
 # cannot silently move the goalposts.
@@ -350,11 +389,19 @@ D2_EXCL = {
     50: 0.011886970418532594,
     100: 0.010201919284469008,
 }
-# `scripts/hline_convergence.py --cutoffs 10,100,1000` at eps 0.1: the CSV
-# rows (L, sup gap, mean gap) printed by the per-term loop before the
-# partial transform was vectorized.
-HLINE_ROWS = (
-    "10,0.4802959597059715,0.06284127134621935",
-    "100,0.5082258484522062,0.051829527547980855",
-    "1000,0.19012838533697352,0.029714720014262706",
-)
+# `scripts/hline_convergence.py --cutoffs 10,100,1000,10000,30000` at eps
+# 0.1: the CSV row (L, sup gap, mean gap) for each cutoff. The rows at
+# 10..1000 were printed by the per-term loop before the partial transform
+# was vectorized, the rows at 10000 and 30000 by the one-point transform
+# before it was batched over cutoffs and points.
+HLINE_ROWS = {
+    10: "10,0.4802959597059715,0.06284127134621935",
+    100: "100,0.5082258484522062,0.051829527547980855",
+    1000: "1000,0.19012838533697352,0.029714720014262706",
+    10_000: "10000,0.24084485847792614,0.026463040922970082",
+    30_000: "30000,0.11503763483775264,0.018610030163156325",
+}
+# Worst residuals of the unitary suite's dilation checks, as the per-piece
+# loops above report them.
+DILATION_INDICATOR_RESIDUAL = 0.0
+DILATION_FRACTIONAL_RESIDUAL = 4.440892098500626e-16

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,8 +223,9 @@ class TestMoebiusTransforms:
             int(table.mu[l]) * (l ** (-(s + eps)) - l ** (-(1.0 + eps)))
             for l in range(1, 31)
         )
-        got = moebius_partial_transform(30, eps, s, table)
-        assert abs(got - direct) < 1e-11
+        got = moebius_partial_transform((30,), eps, (s,), table)
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - direct) < 1e-11
 
     def test_limit_value(self):
         s = 0.9 + 4.0j
@@ -239,10 +241,7 @@ class TestMoebiusTransforms:
         s = 0.9 + 2.0j
         eps = 0.4
         lim = moebius_limit_transform(eps, s)
-        gaps = [
-            abs(moebius_partial_transform(L, eps, s, table) - lim)
-            for L in (10, 100, 4000)
-        ]
+        gaps = abs(moebius_partial_transform((10, 100, 4000), eps, (s,), table)[:, 0] - lim)
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 2e-2
 
@@ -250,24 +249,47 @@ class TestMoebiusTransforms:
     def test_partial_bit_identical_to_loop(self, eps, moebius_table):
         table = sieve_moebius(4000)
         extra = (0.5 + 10.0j, 0.8 - 4.0j, 2.0 + 1.0j)
-        for L in (1, 2, 10, 100, 1000, 4000):
-            for s in CRITICAL_LINE_GRID.points + extra:
-                got = moebius_partial_transform(L, eps, s, table)
-                assert got == oracles.moebius_partial_transform_loop(L, eps, s, table), (L, s)
+        cutoffs = (1, 2, 10, 100, 1000, 4000)
+        points = CRITICAL_LINE_GRID.points + extra
+        got = moebius_partial_transform(cutoffs, eps, points, table)
+        assert got.shape == (6, 104) and got.dtype == np.complex128
+        for i, L in enumerate(cutoffs):
+            for j, s in enumerate(points):
+                assert got[i, j] == oracles.moebius_partial_transform_loop(L, eps, s, table), (L, s)
         # l = 9170 is the first square-free l whose float64 numpy log differs
         # from libm's in the last bit
-        for s in extra:
-            got = moebius_partial_transform(10_000, eps, s, moebius_table)
-            assert got == oracles.moebius_partial_transform_loop(10_000, eps, s, moebius_table), s
+        got = moebius_partial_transform((10_000,), eps, extra, moebius_table)
+        for j, s in enumerate(extra):
+            assert got[0, j] == oracles.moebius_partial_transform_loop(10_000, eps, s, moebius_table), s
+
+    def test_partial_cell_independent_of_batch(self):
+        # a cell's bits depend only on its own (L, s), not on the cutoffs
+        # and points that share the call, their order or repeats
+        table = sieve_moebius(3000)
+        eps = 0.2
+        cutoffs = (7, 3000, 1, 250, 3000, 30)
+        points = (0.5 + 14.0j, 2.0 - 1.0j, 0.5 + 14.0j, 0.7 + 0.0j)
+        whole = moebius_partial_transform(cutoffs, eps, points, table)
+        for i, L in enumerate(cutoffs):
+            for j, s in enumerate(points):
+                assert whole[i, j] == moebius_partial_transform((L,), eps, (s,), table)[0, 0]
+        assert np.array_equal(whole[1], whole[4])
+        assert np.array_equal(whole[:, 0], whole[:, 2])
+        swapped = moebius_partial_transform(cutoffs[::-1], eps, points[::-1], table)
+        assert np.array_equal(swapped, whole[::-1, ::-1])
 
     def test_guards(self):
         table = sieve_moebius(10)
         with pytest.raises(DomainError):
-            moebius_partial_transform(10, -0.1, 2.0, table)
+            moebius_partial_transform((10,), -0.1, (2.0,), table)
         with pytest.raises(DomainError):
-            moebius_partial_transform(0, 0.1, 2.0, table)
+            moebius_partial_transform((10,), 0.0, (2.0,), table)
         with pytest.raises(DomainError):
-            moebius_partial_transform(table.limit + 1, 0.1, 2.0, table)
+            moebius_partial_transform((), 0.1, (2.0,), table)
+        with pytest.raises(DomainError):
+            moebius_partial_transform((5, 0), 0.1, (2.0,), table)
+        with pytest.raises(DomainError):
+            moebius_partial_transform((5, table.limit + 1), 0.1, (2.0,), table)
         with pytest.raises(DomainError):
             moebius_limit_transform(0.2, 0.3 + 1.0j)  # left of the strip
         with pytest.raises(DomainError):
@@ -296,6 +318,29 @@ class TestSuites:
             d = r.to_json_dict()
             assert d["pass"] is True
             assert d["check"] == r.check
+
+    def test_dilation_residuals_match_per_piece_oracle(self):
+        reports = {r.check: r.max_residual for r in run_suite("unitary")}
+        got = (reports["dilation-of-indicators"], reports["dilation-of-fractional-parts"])
+        want = (oracles.dilation_indicator_residual_loop(),
+                oracles.dilation_fractional_residual_loop())
+        assert got == want
+        assert want == (oracles.DILATION_INDICATOR_RESIDUAL,
+                        oracles.DILATION_FRACTIONAL_RESIDUAL)
+
+    def test_assembly_residual_matches_scalar_loop(self, moebius_table):
+        # the batched direct side reports the same bits as one scalar loop
+        # call per (cutoff, point)
+        worst = 0.0
+        for s in (0.5 + 10.0j, 0.8 - 4.0j, 2.0 + 1.0j):
+            for L, eps in ((50, 0.1), (100, 0.3)):
+                direct = oracles.moebius_partial_transform_loop(L, eps, s, moebius_table)
+                terms = [int(moebius_table.mu[l]) * l ** (-eps) * reciprocal_kernel_transform(l, s)
+                         for l in range(1, L + 1) if moebius_table.mu[l]]
+                by_terms = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+                worst = max(worst, abs(direct - by_terms))
+        reports = {r.check: r.max_residual for r in run_suite("moebius")}
+        assert reports["smoothed-partial-assembly"] == worst
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):

@@ -480,7 +480,16 @@ class TestHlineScript:
     def test_rows_match_frozen_values(self, capsys):
         hline = load_script("hline_convergence")
         assert hline.run(0.1, (10, 100, 1000)) == 0
-        assert capsys.readouterr().out.splitlines() == ["L,sup_gap,mean_gap", *oracles.HLINE_ROWS]
+        assert capsys.readouterr().out.splitlines() == [
+            "L,sup_gap,mean_gap", *(oracles.HLINE_ROWS[L] for L in (10, 100, 1000))]
+
+    def test_benchmark_rows_match_frozen_values(self, capsys):
+        # the cutoffs the transform-verify benchmark runs, bit for bit
+        cutoffs = (10, 100, 1000, 10_000, 30_000)
+        hline = load_script("hline_convergence")
+        assert hline.run(0.1, cutoffs) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "L,sup_gap,mean_gap", *(oracles.HLINE_ROWS[L] for L in cutoffs)]
 
     @pytest.mark.parametrize("argv", [
         ["--cutoffs", "0,10"],
