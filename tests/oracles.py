@@ -60,6 +60,30 @@ def zeta_highprec(s, dps: int = 40) -> complex:
         return complex(mp.zeta(mp.mpc(s)))
 
 
+def zeta_deflated_highprec(s, dps: int = 40) -> complex:
+    """(s - 1) zeta(s), with its limit 1 at s = 1."""
+    with mp.workdps(dps):
+        z = mp.mpc(s)
+        return complex(1.0) if z == 1 else complex((z - 1) * mp.zeta(z))
+
+
+def combined_kernel_highprec(lam: float, s, dps: int = 40) -> complex:
+    """(lam^s - lam) zeta(s) / s, with its limit lam log lam at s = 1."""
+    with mp.workdps(dps):
+        z, l = mp.mpc(s), mp.mpf(lam)
+        if z == 1:
+            return complex(l * mp.log(l))
+        return complex((mp.power(l, z) - l) * mp.zeta(z) / z)
+
+
+def moebius_limit_highprec(eps: float, s, dps: int = 40) -> complex:
+    """(zeta(s)/s) (1/zeta(s+eps) - 1/zeta(1+eps)), with 1/zeta = 0 at the pole."""
+    with mp.workdps(dps):
+        z, w = mp.mpc(s), mp.mpc(s) + mp.mpf(eps)
+        recip = 0 if w == 1 else 1 / mp.zeta(w)
+        return complex(mp.zeta(z) / z * (recip - 1 / mp.zeta(1 + mp.mpf(eps))))
+
+
 def euler_gamma_highprec(dps: int = 40) -> float:
     with mp.workdps(dps):
         return float(mp.euler)

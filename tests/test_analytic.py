@@ -159,6 +159,12 @@ class TestCombinedTransform:
             got = combined_kernel_transform(lam, 1.0)
             assert abs(got - lam * math.log(lam)) < 1e-12
 
+    def test_subnormal_offset_from_one(self):
+        # (z - 1) * log(lam) rounds as a subnormal; the ratio must not
+        for lam in (0.5, 0.1):
+            got = combined_kernel_transform(lam, 1.0 + 1e-320j)
+            assert abs(got.real - lam * math.log(lam)) < 1e-15
+
     def test_smooth_through_the_pole(self):
         lam = 0.4
         center = combined_kernel_transform(lam, 1.0)
@@ -166,10 +172,17 @@ class TestCombinedTransform:
             for direction in (1.0, -1.0, 1.0j):
                 nearby = combined_kernel_transform(lam, 1.0 + h * direction)
                 assert abs(nearby - center) < 1e-3
-        # and the deflated branch matches the direct product at the seam
+        # and points 2e-3 from the pole are finite too
         for s in (1.0 + 2e-3, 1.0 - 2e-3 + 0.5e-3j):
             direct = combined_kernel_transform(0.4, s)
             assert cmath.isfinite(direct)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.25, 0.1])
+    def test_near_pole_against_highprec(self, lam):
+        # just either side of 1e-3 from the pole, where (s-1)*zeta(s) cancels
+        for s in (0.998, 0.9989, 1.0011, 1.002):
+            expect = oracles.combined_kernel_highprec(lam, s)
+            assert abs(combined_kernel_transform(lam, s) - expect) < 2e-15 * abs(expect)
 
     def test_unit_scale_vanishes(self):
         assert combined_kernel_transform(1.0, 2.5 + 2.0j) == 0.0
@@ -235,6 +248,12 @@ class TestMoebiusTransforms:
             1.0 / oracles.zeta_highprec(s + eps) - 1.0 / oracles.zeta_highprec(1.0 + eps)
         )
         assert abs(moebius_limit_transform(eps, s) - expect) < 1e-10
+
+    @pytest.mark.parametrize("eps, s", [(0.1, 0.9), (0.5, 0.5)])
+    def test_limit_where_shift_hits_the_pole(self, eps, s):
+        # 1/zeta(s + eps) -> 0 as s + eps -> 1; the limit stays finite
+        expect = oracles.moebius_limit_highprec(eps, s)
+        assert abs(moebius_limit_transform(eps, s) - expect) < 1e-12 * abs(expect)
 
     def test_partial_converges_to_limit(self):
         table = sieve_moebius(4000)

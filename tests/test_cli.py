@@ -491,6 +491,16 @@ class TestHlineScript:
         assert capsys.readouterr().out.splitlines() == [
             "L,sup_gap,mean_gap", *(oracles.HLINE_ROWS[L] for L in cutoffs)]
 
+    def test_grid_point_on_the_pole_runs(self, monkeypatch, capsys):
+        # at eps 0.5 the grid point s = 1/2 puts s + eps on zeta's pole
+        hline = load_script("hline_convergence")
+        monkeypatch.setattr(sys, "argv", ["hline_convergence.py", "--eps", "0.5", "--cutoffs", "10"])
+        assert hline.main() == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "L,sup_gap,mean_gap"
+        assert out.splitlines()[1].startswith("10,")
+        assert "101 usable points, 0 skipped" in err
+
     @pytest.mark.parametrize("argv", [
         ["--cutoffs", "0,10"],
         ["--cutoffs", "10,x"],

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from nblab import specfun
-from nblab.errors import DomainError, PoleError
+from nblab.errors import DomainError, PoleError, UnstablePointError
 from nblab.specfun import (
-    digamma,
     digamma_array,
     finite_complex,
     log_gamma,
@@ -24,40 +23,41 @@ from nblab.analytic import XI_REFLECTION_GRID, XI_SHIFT_GRID
 
 class TestDigamma:
     def test_at_one_is_minus_euler_gamma(self):
-        assert abs(digamma(1.0) + oracles.EULER_GAMMA) < 5e-14
+        assert abs(digamma_array(1.0) + oracles.EULER_GAMMA) < 5e-14
 
     def test_at_half(self):
         # psi(1/2) = -gamma - 2 ln 2
         expect = -oracles.EULER_GAMMA - 2.0 * oracles.LN2
-        assert abs(digamma(0.5) - expect) < 1e-13
+        assert abs(digamma_array(0.5) - expect) < 1e-13
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 3.0, 10.0])
     def test_recurrence(self, x):
-        assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) < 1e-12
+        assert abs(digamma_array(x + 1.0) - digamma_array(x) - 1.0 / x) < 1e-12
 
     @given(st.floats(min_value=1e-3, max_value=80.0))
     @settings(max_examples=200, deadline=None)
     def test_recurrence_everywhere(self, x):
-        assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) < 1e-11
+        assert abs(digamma_array(x + 1.0) - digamma_array(x) - 1.0 / x) < 1e-11
 
     def test_against_highprec(self):
         for x in (1e-4, 0.017, 0.3, 1.5, 7.25, 42.0, 1e4):
-            assert abs(digamma(x) - oracles.digamma_highprec(x)) < 1e-12 * max(
+            assert abs(digamma_array(x) - oracles.digamma_highprec(x)) < 1e-12 * max(
                 1.0, abs(oracles.digamma_highprec(x))
             )
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            digamma(0.0)
+            digamma_array(0.0)
         with pytest.raises(DomainError):
-            digamma(-2.5)
+            digamma_array(-2.5)
 
-    def test_array_matches_scalar(self):
+    def test_array_matches_highprec(self):
+        # the whole documented range (0, 1e6], against 40-digit mpmath
         x = np.concatenate(
-            [np.geomspace(1e-4, 1e4, 300), np.linspace(0.1, 30.0, 200)]
+            [np.geomspace(1e-4, 1e6, 300), np.linspace(0.1, 30.0, 200)]
         )
         got = digamma_array(x)
-        expect = np.array([digamma(v) for v in x])
+        expect = np.array([oracles.digamma_highprec(v) for v in x])
         rel = np.abs(got - expect) / np.maximum(1.0, np.abs(expect))
         assert np.max(rel) < 1e-13
 
@@ -154,11 +154,26 @@ class TestZeta:
             val = zeta_deflated(z)
             if direct_ok:
                 assert abs(val - (z - 1.0) * zeta(z)) < 1e-12
-        # Taylor patch and direct product meet consistently at the seam
+        # and agrees with the direct product just either side of 1e-3 away
         for t in (1e-3 * 1.0001, 1e-3 * 0.9999):
             inner = zeta_deflated(1.0 + t)
             outer = (1.0 + t - 1.0) * zeta(1.0 + t)
             assert abs(inner - outer) < 1e-11
+
+    @pytest.mark.parametrize("s", [0.999, 1.001, 0.998 + 0.0005j, 0.9989, 1.0011, 1.0 + 1e-12])
+    def test_deflated_near_pole_against_highprec(self, s):
+        # the product (s-1)*zeta(s) cancels here; the eta form must not
+        assert abs(zeta_deflated(s) - oracles.zeta_deflated_highprec(s)) < 1e-15
+
+    @pytest.mark.parametrize("k", [1, -1])
+    @pytest.mark.parametrize("offset", [0.0, 9e-9, -9e-9j, 6e-9 + 6e-9j])
+    def test_unstable_points_raise(self, k, offset):
+        # the zeros 1 + 2 pi i k / ln 2 of 1 - 2^(1-s), k != 0
+        s = complex(1.0, 2.0 * math.pi * k / oracles.LN2) + offset
+        with pytest.raises(UnstablePointError):
+            zeta(s)
+        with pytest.raises(UnstablePointError):
+            zeta_deflated(s)
 
     def test_deflated_derivative_value(self):
         # d/ds [(s-1) zeta(s)] at 1 is the Euler constant
