@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ from .specfun import (
     zeta,
     zeta_deflated,
 )
-from .summation import compensated_sum
+from .summation import compensated_sum, prefix_fsums
 
 # ---------------------------------------------------------------------------
 # fixed evaluation grids
@@ -124,8 +125,13 @@ _EM_NEXT = 5.0 / 66.0 / 3628800.0
 _EXPLICIT_PIECES = 4096
 
 
+@lru_cache(maxsize=64)
 def _power_sum(s: complex, k_max: int) -> complex:
-    """sum_{k=1}^{k_max} k^(-s), compensated; k_max stays <= _EXPLICIT_PIECES."""
+    """sum_{k=1}^{k_max} k^(-s), compensated; k_max stays <= _EXPLICIT_PIECES.
+
+    Memoized: it does not depend on the kernel scale, so a Mellin check over
+    several scales and both kernels of `mellin_exact` repeats each (s, k_max).
+    """
     k = np.arange(1, k_max + 1, dtype=np.float64)
     terms = np.exp(-s * np.log(k))
     return complex(
@@ -255,13 +261,16 @@ def moebius_partial_transform(
     kernel transforms; the two assembly orders are compared in tests.
 
     The terms over square-free l up to the largest cutoff are evaluated once
-    per point by complex128 numpy ufuncs, and each cutoff's sums are
-    math.fsum over a prefix of them; the s-free sum at s = 1 is taken once
-    per cutoff. Every cell is bit-identical to the per-term loop
-    `oracles.moebius_partial_transform_loop` at that one (L, s), whatever
-    else shares the call: numpy's float64 log and exp are SIMD routines that
-    differ from libm in the last bit, while its complex128 ones agree with
-    math/cmath, and fsum is correctly rounded.
+    per point by complex128 numpy ufuncs; the s-free sum at s = 1 is taken
+    once for all cutoffs. `summation.prefix_fsums` sums every cutoff's prefix
+    in one vectorized pass: error-free extraction splits the terms into
+    parts whose prefix sums numpy adds exactly, and math.fsum of those few
+    exact floats rounds each prefix's exact sum correctly. Every cell is
+    bit-identical to the per-term loop `oracles.moebius_partial_transform_loop`
+    at that one (L, s), whatever else shares the call: numpy's float64 log
+    and exp are SIMD routines that differ from libm in the last bit, while
+    its complex128 ones agree with math/cmath, and a correctly rounded sum
+    does not depend on how the exact sum was reached.
     """
     if len(cutoffs) == 0:
         raise DomainError("need at least one cutoff")
@@ -277,18 +286,14 @@ def moebius_partial_transform(
     mu_l = table.mu[l].astype(np.float64)
     log_l = np.log(l.astype(np.complex128)).real
     weights = mu_l * np.exp((-(1.0 + eps) * log_l).astype(np.complex128)).real
-    at_one = [math.fsum(weights[:e]) for e in ends]
+    at_one = prefix_fsums(weights, ends)
     out = np.empty((len(cutoffs), len(points)), dtype=np.complex128)
     for j, s in enumerate(points):
         z = finite_complex(s)
         scale = zeta(z) / z
         terms = mu_l * np.exp(-(z + eps) * log_l)
-        # Zero-copy views whose items are Python floats: fsum reads them
-        # faster than numpy scalars, and no list of terms is ever built.
-        re, im = memoryview(terms.real), memoryview(terms.imag)
-        for i, e in enumerate(ends):
-            dirichlet = complex(math.fsum(re[:e]), math.fsum(im[:e]))
-            out[i, j] = scale * (dirichlet - at_one[i])
+        sums = zip(prefix_fsums(terms.real, ends), prefix_fsums(terms.imag, ends), at_one)
+        out[:, j] = [scale * (complex(re, im) - one) for re, im, one in sums]
     return out
 
 
@@ -315,7 +320,13 @@ def moebius_limit_transform(eps: float, s: complex) -> complex:
                 f"zeta({w}) = {denom} is too close to zero for a stable reciprocal"
             )
         recip = 1.0 / denom
-    return zeta(z) / z * (recip - 1.0 / zeta(1.0 + eps))
+    return zeta(z) / z * (recip - _recip_zeta_one_plus(eps))
+
+
+@lru_cache(maxsize=16)
+def _recip_zeta_one_plus(eps: float) -> complex:
+    """1/zeta(1 + eps), the s-free term of the limit transform, once per eps."""
+    return 1.0 / zeta(1.0 + eps)
 
 
 # ---------------------------------------------------------------------------

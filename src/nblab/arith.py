@@ -1,11 +1,14 @@
-"""Moebius function tables via a linear sieve.
+"""Moebius function tables via a numpy sieve of Eratosthenes.
 
-The sieve tracks the smallest prime factor of every integer up to the limit,
-which yields mu and the square-free flags in a single O(n) pass.
+Every integer up to the limit has at most one prime factor above the square
+root of the limit, so sieving by the primes up to the square root, and
+dividing each one out of a remainder array, yields mu and the square-free
+flags in a few numpy slice operations per prime.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,12 @@ class MoebiusTable:
 
 
 def sieve_moebius(limit: int) -> MoebiusTable:
-    """Build a MoebiusTable for 1..limit with a linear sieve.
+    """Build a MoebiusTable for 1..limit with a numpy sieve.
+
+    For each prime p <= sqrt(limit), mu flips sign on the multiples of p,
+    vanishes on the multiples of p^2, and p is divided out of `rest`. A
+    square-free n whose `rest` stays above 1 has one prime factor left, above
+    sqrt(limit), and flips once more.
 
     Args:
         limit: Inclusive upper bound, must be >= 1.
@@ -44,38 +52,41 @@ def sieve_moebius(limit: int) -> MoebiusTable:
     """
     if limit < 1:
         raise DomainError(f"sieve_moebius: limit must be >= 1, got {limit}")
-    mu = np.zeros(limit + 1, dtype=np.int8)
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    mu[1] = 1
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            mu[i] = -1
-            primes.append(i)
-        si = spf[i]
-        for p in primes:
-            ip = i * p
-            if p > si or ip > limit:
-                break
-            spf[ip] = p
-            # p == spf[i] means p^2 | ip, killing the Moebius value.
-            mu[ip] = 0 if p == si else -mu[i]
+    root = math.isqrt(limit)
+    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(root) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    mu = np.ones(limit + 1, dtype=np.int8)
+    rest = np.arange(limit + 1, dtype=np.int64)
+    for p in np.flatnonzero(is_prime).tolist():
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+        rest[::p] //= p
+    mu[rest > 1] *= -1
+    mu[0] = 0
     squarefree = mu != 0
-    squarefree[0] = False
     return MoebiusTable(limit=limit, mu=mu, squarefree=squarefree)
 
 
 def verify_recurrence(table: MoebiusTable, n_max: int) -> bool:
     """Check sum_{l | n} mu(l) == (1 if n == 1 else 0) for all n <= n_max.
 
-    The divisor sums are accumulated sieve-style (for each l, add mu[l] to
-    every multiple of l), so the check is independent of the table's own
-    factorization data.
+    The divisor sums are accumulated sieve-style over the pairs l * k <= n_max,
+    split at r = isqrt(n_max): each l <= r adds mu[l] to every multiple of l
+    in one slice, and each k <= n_max // (r + 1) adds mu[l] at k * l for all
+    l > r in one indexed add. The check reads only mu, not the table's
+    factorization.
     """
     if not 1 <= n_max <= table.limit:
         raise DomainError(f"verify_recurrence: n_max={n_max} outside 1..{table.limit}")
+    mu = table.mu
     acc = np.zeros(n_max + 1, dtype=np.int64)
-    for l in range(1, n_max + 1):
-        acc[l::l] += table.mu[l]
+    root = math.isqrt(n_max)
+    for l in range(1, root + 1):
+        acc[l::l] += mu[l]
+    for k in range(1, n_max // (root + 1) + 1):
+        ls = np.arange(root + 1, n_max // k + 1)
+        acc[k * ls] += mu[ls]
     return acc[1] == 1 and not acc[2:].any()

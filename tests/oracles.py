@@ -1,15 +1,17 @@
 """Independent oracles the tests freeze expected values against.
 
 Everything here deliberately uses different algorithms than the package:
-alternating-series acceleration instead of binomial-transform eta sums,
-brute-force truncated sums instead of closed digamma forms, coordinate
-descent instead of Cholesky solves, a fresh factorization per cutoff
-instead of one prefix solve per sweep, LAPACK's symmetric eigensolver for
-each step of the incremental condition estimate instead of closed-form
-2 x 2 eigenpairs, scipy's digamma and an LU solve instead
-of the package's digamma and Cholesky factor, and per-piece antiderivatives
-instead of telescoped Euler-Maclaurin remainders. mpmath supplies arbitrary
-precision where a float oracle would be circular.
+a linear smallest-prime-factor sieve instead of numpy slices by the primes
+up to sqrt(limit), alternating-series acceleration instead of
+binomial-transform eta sums, brute-force truncated sums instead of closed
+digamma forms, coordinate descent instead of Cholesky solves, one
+math.fsum per prefix instead of extracted prefix sums, a fresh
+factorization per cutoff instead of one prefix solve per sweep, LAPACK's
+symmetric eigensolver for each step of the incremental condition estimate
+instead of closed-form 2 x 2 eigenpairs, scipy's digamma and an LU solve
+instead of the package's digamma and Cholesky factor, and per-piece
+antiderivatives instead of telescoped Euler-Maclaurin remainders. mpmath
+supplies arbitrary precision where a float oracle would be circular.
 """
 
 from __future__ import annotations
@@ -53,6 +55,34 @@ def divisors(n: int) -> list[int]:
         raise DomainError(f"divisors: n must be >= 1, got {n}")
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def sieve_moebius_linear(limit: int) -> np.ndarray:
+    """mu[0..limit] (mu[0] = 0) by a linear sieve over smallest prime factors.
+
+    The package sieves with numpy slices by the primes up to sqrt(limit);
+    this Python loop visits each composite once, through its smallest prime.
+    """
+    if limit < 1:
+        raise DomainError(f"sieve_moebius_linear: limit must be >= 1, got {limit}")
+    mu = [0] * (limit + 1)
+    spf = [0] * (limit + 1)
+    mu[1] = 1
+    primes: list[int] = []
+    for i in range(2, limit + 1):
+        if spf[i] == 0:
+            spf[i] = i
+            mu[i] = -1
+            primes.append(i)
+        si = spf[i]
+        for p in primes:
+            ip = i * p
+            if p > si or ip > limit:
+                break
+            spf[ip] = p
+            # p == spf[i] means p^2 | ip, killing the Moebius value.
+            mu[ip] = 0 if p == si else -mu[i]
+    return np.array(mu, dtype=np.int8)
 
 
 def zeta_highprec(s, dps: int = 40) -> complex:

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,29 @@ class TestSieve:
         assert oracles.divisors(1) == [1]
         assert oracles.divisors(97) == [1, 97]
         assert oracles.divisors(360)[-3:] == [120, 180, 360]
+
+    @pytest.mark.parametrize("limits", [range(1, 401), (100_000,)], ids=["1..400", "1e5"])
+    def test_matches_linear_sieve(self, limits):
+        # 1..400 covers every limit at and around p^2 and p*q for small primes.
+        for limit in limits:
+            t = sieve_moebius(limit)
+            want = oracles.sieve_moebius_linear(limit)
+            assert np.array_equal(t.mu, want), limit
+            assert np.array_equal(t.squarefree, want != 0), limit
+
+    def test_recurrence_small_limits(self):
+        for n in range(1, 200):
+            assert verify_recurrence(sieve_moebius(n), n), n
+
+    @pytest.mark.parametrize("bad", [6, 9973], ids=["below-root", "above-root"])
+    def test_recurrence_catches_a_bad_value(self, bad):
+        # 6 <= isqrt(10_000) is checked by the slice adds, the prime 9973
+        # above it by the indexed adds.
+        t = sieve_moebius(10_000)
+        for wrong in {-1, 0, 1} - {int(t.mu[bad])}:
+            mu = t.mu.copy()
+            mu[bad] = wrong
+            assert not verify_recurrence(dataclasses.replace(t, mu=mu), 10_000), wrong
 
     def test_rejects_bad_limit(self):
         with pytest.raises(DomainError):
