@@ -279,8 +279,8 @@ def moebius_partial_transform(
             raise DomainError(f"cutoff must be >= 1, got {L}")
         if L > table.limit:
             raise DomainError(f"cutoff {L} exceeds sieve limit {table.limit}")
-    if eps <= 0.0:
-        raise DomainError(f"smoothing must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"smoothing must be positive and finite, got {eps}")
     l = np.flatnonzero(table.mu[: max(cutoffs) + 1])
     ends = np.searchsorted(l, cutoffs, side="right")
     mu_l = table.mu[l].astype(np.float64)
@@ -303,8 +303,8 @@ def moebius_limit_transform(eps: float, s: complex) -> complex:
     Refuses points where zeta(s+eps) is too close to zero for the reciprocal
     to be trustworthy.
     """
-    if eps <= 0.0:
-        raise DomainError(f"smoothing must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"smoothing must be positive and finite, got {eps}")
     z = finite_complex(s)
     if z.real < 0.5:
         raise DomainError(f"limit transform is evaluated on Re s >= 1/2, got {z}")

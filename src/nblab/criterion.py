@@ -92,7 +92,7 @@ class BasisKind(enum.Enum):
 # Gram store and binary cache
 
 _MAGIC = b"NBBG"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 _HEADER = struct.Struct("<4sIQQ")
 _TRAILER = struct.Struct("<I")
 
@@ -533,8 +533,8 @@ def moebius_residual(
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
-    if eps < 0:
-        raise DomainError(f"eps must be >= 0, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
     if L > table.limit:
         raise DomainError(f"cutoff {L} exceeds sieve limit {table.limit}")
     if L == 1:

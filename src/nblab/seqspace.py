@@ -24,8 +24,8 @@ regularized identity for a p-periodic f,
 
     "sum_n f(n)/n" = -(1/p) sum_{r=1..p} f(r) psi(r/p) - mean(f) log p,
 
-which leaves O(a + b) digamma-weighted terms per entry; see
-`inner_product_closed` for the resulting formula.
+which leaves O(a + b) terms per entry, tabulated as Vasyunin's cotangent
+sums (`_PeriodTables`); see `inner_product_closed` for the resulting formula.
 
 Fractional parts are always computed in integer arithmetic, (n mod l)/l,
 never by flooring a floating-point quotient.
@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .specfun import EULER_GAMMA, digamma_array
+from .specfun import EULER_GAMMA
 from .summation import compensated_sum
 
 
@@ -85,16 +85,18 @@ def _terms(f: PiecewiseConstant, n_trunc: int) -> np.ndarray:
 
 
 class _PeriodTables:
-    """Regularized periodic sums R(p, c) for every period p <= limit.
+    """Regularized periodic sums R(p, c) for every period p <= limit,
 
-        R(p, c) = -(1/p) sum_{r=1..p} ((r c mod p)/p) psi(r/p)
-                  - ((p - 1)/(2p)) log p,       c = 0..p-1,
+        R(p, c) = -(1/p) sum_{r=1..p} ((r c mod p)/p) psi(r/p) - ((p - 1)/(2p)) log p
+                = ((p - 1) gamma + log p)/(2p) + (pi/(2p)) V(c/p)   if gcd(c, p) = 1,
 
-    stored flat, period p at offset p(p-1)/2, together with log n for
-    n <= limit. The tables grow on demand and are never recomputed: each
-    period's block is built once from its own psi(r/p) table, and every row
-    is reduced on its own, so a value never depends on which fill (or which
-    single entry) first asked for it.
+    stored flat, period p at offset p(p-1)/2, with log n for n <= limit. The
+    second form pairs r with p - r: Gauss's sum of psi(r/p) gives the even
+    part of psi about 1/2, and its odd part -(pi/2) cot(pi x) gives Vasyunin's
+    cotangent sum V(c/p) = sum_{1 <= r < p/2} (2{rc/p} - 1) cot(pi r/p), folded
+    so that tan is never taken near pi. The fill reads only these slots and
+    R(1, 0) = 0; the rest are NaN. Blocks grow on demand, each built once and
+    reduced row by row, so no value depends on which fill first asked for it.
     """
 
     def __init__(self) -> None:
@@ -117,13 +119,12 @@ class _PeriodTables:
 
     @staticmethod
     def _period(p: int) -> np.ndarray:
-        # r * c < p^2 fits in int32 for every period a Gram fill can reach.
-        r = np.arange(1, p + 1, dtype=np.int32)
-        psi = digamma_array(r / p)
-        residues = np.outer(np.arange(p, dtype=np.int32), r)
-        residues %= p
-        sums = (residues * psi).sum(axis=1)
-        return -sums / (p * p) - ((p - 1) / (2.0 * p)) * math.log(p)
+        # r * c < p^2/2 fits in int32 for every period below 65536.
+        r, c = np.arange(1, (p + 1) // 2, dtype=np.int32), np.arange(p, dtype=np.int32)
+        v = ((2 * (np.outer(c, r) % p) - p) / np.tan(np.pi * r / p)).sum(axis=1) / p
+        values = ((p - 1) * EULER_GAMMA + math.log(p)) / (2.0 * p) + (math.pi / (2.0 * p)) * v
+        values[np.gcd(c, p) > 1] = np.nan
+        return values
 
 
 _TABLES = _PeriodTables()
@@ -178,8 +179,8 @@ def inner_product_closed(a: int, b: int) -> float:
     mu = (a' - 1)/(2a'). Against the constant, <1, {n/b}> = log(b)/b;
     <1, 1> = 1, and key 1 is the zero sequence. The entry needs
     the O(a' + b') terms of R(a', .) and R(b', .); these are tabulated once
-    per period (O(p^2) for period p, O(L^3) for every period up to a cutoff
-    L), after which each entry costs O(1). The pair is put in ascending
+    per period (p^2/2 terms for period p, O(L^3) for every period up to a
+    cutoff L), after which each entry costs O(1). The pair is put in ascending
     order first, so the value is exactly symmetric.
     """
     lo, hi = sorted((a, b))
@@ -251,9 +252,7 @@ class PiecewiseConstant:
 
     def tail_sup(self, n_trunc: int) -> float:
         """Supremum of |f| over pieces beyond n_trunc."""
-        vals = [abs(v) for v in self.head[n_trunc:]]
-        vals.extend(abs(v) for v in self.tail)
-        return max(vals, default=0.0)
+        return max(map(abs, self.head[n_trunc:] + self.tail))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,8 @@ def digamma_array(x: np.ndarray) -> np.ndarray:
 
     The recurrence psi(x) = psi(x + 8) - sum_{j<8} 1/(x+j) holds for every
     x > 0, so the shift is applied unconditionally; this keeps the kernel
-    branch-free.
+    branch-free. The Gram tables no longer call it; it stays only as a
+    boundary that the benchmark wraps.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size and (not np.isfinite(x).all() or (x <= 0.0).any()):

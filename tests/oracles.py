@@ -4,14 +4,14 @@ Everything here deliberately uses different algorithms than the package:
 a linear smallest-prime-factor sieve instead of numpy slices by the primes
 up to sqrt(limit), alternating-series acceleration instead of
 binomial-transform eta sums, brute-force truncated sums instead of closed
-digamma forms, coordinate descent instead of Cholesky solves, one
-math.fsum per prefix instead of extracted prefix sums, a fresh
-factorization per cutoff instead of one prefix solve per sweep, LAPACK's
-symmetric eigensolver for each step of the incremental condition estimate
-instead of closed-form 2 x 2 eigenpairs, scipy's digamma and an LU solve
-instead of the package's digamma and Cholesky factor, and per-piece
-antiderivatives instead of telescoped Euler-Maclaurin remainders. mpmath
-supplies arbitrary precision where a float oracle would be circular.
+forms, coordinate descent instead of Cholesky solves, one math.fsum per
+prefix instead of extracted prefix sums, a fresh factorization per cutoff
+instead of one prefix solve per sweep, LAPACK's symmetric eigensolver for
+each step of the incremental condition estimate instead of closed-form
+2 x 2 eigenpairs, psi sums by scipy's digamma instead of the package's
+folded cotangent sums, an LU solve instead of its Cholesky factor, and
+per-piece antiderivatives instead of telescoped Euler-Maclaurin remainders.
+mpmath supplies arbitrary precision where a float oracle would be circular.
 """
 
 from __future__ import annotations
@@ -122,6 +122,13 @@ def euler_gamma_highprec(dps: int = 40) -> float:
 def digamma_highprec(x: float, dps: int = 40) -> float:
     with mp.workdps(dps):
         return float(mp.digamma(x))
+
+
+def period_entry_highprec(p: int, c: int, dps: int = 40) -> float:
+    """R(p, c) of `period_table_psi` as a direct psi sum at dps digits."""
+    with mp.workdps(dps):
+        terms = (mp.mpf(r * c % p) / p * mp.digamma(mp.mpf(r) / p) for r in range(1, p + 1))
+        return float(-mp.fsum(terms) / p - mp.mpf(p - 1) / (2 * p) * mp.log(p))
 
 
 def xi_highprec(s, dps: int = 40) -> complex:
@@ -266,6 +273,21 @@ def per_row_distance(denoms, G, g) -> dict:
     }
     ridges = {SolveMethod.LEAST_SQUARES: ridge, SolveMethod.GRAM_DET_RATIO: max(ridge, ridge_b)}
     return dict(d2=d2, cond=cond, ridge=ridges, pruned=tuple(pruned), degenerate=False)
+
+
+def period_table_psi(p: int) -> np.ndarray:
+    """The regularized periodic sums R(p, c), c = 0..p-1, by the O(p^2) psi route:
+
+        R(p, c) = -(1/p) sum_{r=1..p} ((r c mod p)/p) psi(r/p) - ((p - 1)/(2p)) log p,
+
+    with scipy's digamma over every residue, where the package folds the
+    coprime slots into Vasyunin cotangent sums over r < p/2. Every slot is
+    finite, coprime or not.
+    """
+    r = np.arange(1, p + 1, dtype=np.int64)
+    residues = np.outer(np.arange(p, dtype=np.int64), r) % p
+    sums = (residues * digamma(r / p)).sum(axis=1)
+    return -sums / (p * p) - ((p - 1) / (2.0 * p)) * math.log(p)
 
 
 def residue_class_entry(a: int | None, b: int) -> float:

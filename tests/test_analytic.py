@@ -303,6 +303,11 @@ class TestMoebiusTransforms:
             moebius_partial_transform((10,), -0.1, (2.0,), table)
         with pytest.raises(DomainError):
             moebius_partial_transform((10,), 0.0, (2.0,), table)
+        for eps in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="smoothing"):
+                moebius_partial_transform((10,), eps, (2.0,), table)
+            with pytest.raises(DomainError, match="smoothing"):
+                moebius_limit_transform(eps, 2.0)
         with pytest.raises(DomainError):
             moebius_partial_transform((), 0.1, (2.0,), table)
         with pytest.raises(DomainError):

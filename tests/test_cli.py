@@ -364,17 +364,19 @@ class TestGramCommand:
         r = run_cli("gram", "--L", "5", "--cache", str(cache))
         assert r.returncode == 65
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_version_one_cache_exits_65(self, tmp_path, version):
         # Format 1 held entries from the earlier residue-class formula, which
         # differ from today's in the last bits. Format 2 cannot tell
         # closed-form entries from truncated ones. Format 3 held a partial
-        # store in 33-byte records. All are refused, not mixed.
+        # store in 33-byte records. Format 4 held entries from digamma period
+        # tables, which differ from the cotangent ones in the last bits. All
+        # are refused, not mixed.
         cache = tmp_path / "g.nbbg"
         ok = run_cli("gram", "--L", "5", "--cache", str(cache), "--threads", "1")
         assert ok.returncode == 0
         raw = bytearray(cache.read_bytes())
-        assert struct.unpack_from("<I", raw, 4) == (4,)
+        assert struct.unpack_from("<I", raw, 4) == (5,)
         raw[4:8] = struct.pack("<I", version)
         import zlib
 

@@ -243,12 +243,12 @@ def assert_rows_close(row, d2, cond):
     assert abs(row.cond_estimate - cond) <= 1e-10 * cond, (row.L, row.cond_estimate, cond)
 
 
-def _format4_file(n_trunc, upper):
-    """A format-4 cache file built field by field with struct, as the format
+def _format5_file(n_trunc, upper):
+    """A format-5 cache file built field by field with struct, as the format
     documents it: header {magic, version, N, side}, the upper triangle row
     by row as "<d" values, CRC32 trailer. `upper[i]` lists the entries
     (i, i), (i, i + 1), ... of row i."""
-    body = struct.pack("<4sIQQ", b"NBBG", 4, n_trunc, len(upper))
+    body = struct.pack("<4sIQQ", b"NBBG", 5, n_trunc, len(upper))
     body += b"".join(struct.pack("<d", v) for row in upper for v in row)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -333,7 +333,7 @@ class TestDenseStore:
         results = {(i, j): entry(i, j) for i in range(top + 1) for j in range(i, top + 1)}
         upper = [[results[i, j] for j in range(i, top + 1)] for i in range(top + 1)]
         p = tmp_path / "packed.nbbg"
-        p.write_bytes(_format4_file(n_trunc or 0, upper))
+        p.write_bytes(_format5_file(n_trunc or 0, upper))
         loaded = GramStore.load(p)
         assert (loaded.n_trunc, loaded.top, len(loaded)) == (n_trunc, top, len(results))
         assert loaded.error_bound == (0.0 if n_trunc is None else 1.0 / (n_trunc + 1))
@@ -609,6 +609,9 @@ class TestMoebiusResidual:
             moebius_residual(0, 0.0, moebius_table)
         with pytest.raises(DomainError):
             moebius_residual(5, -0.1, moebius_table)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                moebius_residual(10, eps, moebius_table)
         with pytest.raises(DomainError):
             moebius_residual(20_000, 0.0, moebius_table)
 

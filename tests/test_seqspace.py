@@ -203,6 +203,48 @@ class TestClosedFormAgainstResidueClassOracle:
         assert worst <= 1e-14
 
 
+class TestPeriodTables:
+    """The folded cotangent tables R(p, c) against the psi route they replaced."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return seqspace._PeriodTables().ensure(400)
+
+    @staticmethod
+    def block(tables, p):
+        return tables.values[p * (p - 1) // 2 : p * (p + 1) // 2]
+
+    def test_coprime_slots_match_psi_oracle_to_400(self, tables):
+        # Every slot the fill can read, p <= 400, within 2e-14 of the O(p^2)
+        # psi sums over scipy's digamma.
+        worst = 0.0
+        for p in range(1, 401):
+            coprime = np.gcd(np.arange(p), p) == 1
+            got, want = self.block(tables, p)[coprime], oracles.period_table_psi(p)[coprime]
+            worst = max(worst, float(np.abs(got - want).max()))
+        assert worst <= 2e-14
+
+    def test_seeded_entries_match_highprec_psi_sum(self, tables):
+        # 16 seeded coprime slots, p <= 400, within 1e-15 of 40-digit sums.
+        rng = np.random.default_rng(20261019)
+        worst = 0.0
+        for p in rng.integers(2, 401, size=16).tolist():
+            c = int(rng.choice(np.flatnonzero(np.gcd(np.arange(p), p) == 1)))
+            want = oracles.period_entry_highprec(p, c)
+            worst = max(worst, abs(float(self.block(tables, p)[c]) - want))
+        assert worst <= 1e-15
+
+    def test_only_noncoprime_slots_are_nan(self, tables):
+        assert tables.values[0] == 0.0  # R(1, 0), read by every a' = 1 entry
+        for p in range(1, 401):
+            nan = np.isnan(self.block(tables, p))
+            assert np.array_equal(nan, np.gcd(np.arange(p), p) > 1), p
+
+    def test_store_filled_to_300_is_finite(self, shared_store):
+        assert shared_store.top >= 300
+        assert np.isfinite(shared_store.values).all()
+
+
 class TestPiecewiseConstant:
     def test_constant_one(self):
         f = PiecewiseConstant.constant_one()
