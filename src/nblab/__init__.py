@@ -16,4 +16,17 @@ Import from the modules; the package itself exports nothing:
     nblab.summation   compensated summation
     nblab.errors      the exception hierarchy
     nblab.cli         the `nblab` command line
+
+Importing nblab before numpy pins numpy's OpenBLAS to one thread unless
+OPENBLAS_NUM_THREADS is already set.
 """
+
+import os
+
+# Every Gram block nblab factors is small enough that a second OpenBLAS
+# thread costs more than it saves: the worker spins on another core, stalls
+# a factorization now and then, and rounds the Cholesky factor differently
+# from one thread, so stdout would depend on the core count. OpenBLAS reads
+# the variable once, when numpy loads it, so this must run before any nblab
+# module imports numpy; an operator's own setting is left as it is.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -87,6 +87,13 @@ def _parse_eps_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _parse_tol(text: str) -> float:
+    tol = float(text)
+    if tol < 0 or not math.isfinite(tol):
+        raise ValueError(f"tol must be finite and >= 0: {text!r}")
+    return tol
+
+
 def _cache_file(explicit: Optional[str]) -> Optional[Path]:
     if explicit is not None:
         return Path(explicit)
@@ -222,7 +229,7 @@ def build_parser() -> _Parser:
     table_format(p_dist)
     basis(p_dist)
     p_dist.add_argument("--method", choices=("ls", "det", "both"), default="ls")
-    p_dist.add_argument("--tol", type=float, default=None,
+    p_dist.add_argument("--tol", type=_parse_tol, default=None,
                         help="with --method both: largest allowed cross-method gap")
     p_dist.set_defaults(fn=cmd_distance)
 

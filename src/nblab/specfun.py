@@ -183,6 +183,16 @@ def _cexprel(x: complex) -> complex:
     return total
 
 
+@lru_cache(maxsize=64)
+def _eta_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signed coefficients (-1)^k c_k and log(k + 1), k < n, as arrays."""
+    signed = np.array(_eta_coefficients(n))
+    signed[1::2] *= -1.0
+    logs = np.array([math.log(k + 1) for k in range(n)])
+    signed.flags.writeable = logs.flags.writeable = False
+    return signed, logs
+
+
 def _eta(z: complex) -> complex:
     """Dirichlet eta(z) = (1 - 2^(1-z)) zeta(z) by the accelerated series.
 
@@ -190,6 +200,13 @@ def _eta(z: complex) -> complex:
     |Im z| <= 300, and UnstablePointError within 1e-8 of the zeros
     1 + 2 pi i k / ln 2, k != 0, of the divisor 1 - 2^(1-z).
     """
+    # 0.0 == -0.0 and both hash alike, so the signs go into the key: a
+    # cached value is returned only for a z whose zeros carry the same signs.
+    return _eta_at(z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+
+
+@lru_cache(maxsize=1024)
+def _eta_at(z: complex, re_sign: float, im_sign: float) -> complex:
     if z.real < 0.0:
         raise DomainError(f"zeta: Re s must be >= 0, got {z.real}")
     if abs(z.imag) > _T_CAP:
@@ -198,16 +215,13 @@ def _eta(z: complex) -> complex:
         k = round(z.imag * _LN2 / (2.0 * math.pi))
         if k != 0 and abs(z - complex(1.0, 2.0 * math.pi * k / _LN2)) <= _POLE_RADIUS:
             raise UnstablePointError("zeta: within 1e-8 of a zero of 1 - 2^(1-s)")
-    coeffs = _eta_coefficients(_eta_term_count(abs(z.imag)))
-    re: list[float] = []
-    im: list[float] = []
-    sign = 1.0
-    for k, c in enumerate(coeffs):
-        term = sign * c * cmath.exp(-z * math.log(k + 1))
-        re.append(term.real)
-        im.append(term.imag)
-        sign = -sign
-    return complex(math.fsum(re), math.fsum(im))
+    signed, logs = _eta_tables(_eta_term_count(abs(z.imag)))
+    # One operand of each product has a zero imaginary part, so numpy's
+    # complex product rounds as Python's does; with numpy's complex exp the
+    # terms are those of the scalar loop bit for bit, which the tests check
+    # against that loop.
+    terms = signed * np.exp(-z * logs)
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
 def zeta(s) -> complex:

@@ -5,6 +5,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+# nblab before numpy or scipy, so this process factors on one OpenBLAS thread
+# with the same rounding as the CLI subprocesses the tests start.
 from nblab.arith import sieve_moebius
 from nblab.criterion import GramStore, assemble_gram
 

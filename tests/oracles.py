@@ -5,7 +5,8 @@ a linear smallest-prime-factor sieve instead of numpy slices by the primes
 up to sqrt(limit), alternating-series acceleration instead of
 binomial-transform eta sums, brute-force truncated sums instead of closed
 forms, coordinate descent instead of Cholesky solves, one math.fsum per
-prefix instead of extracted prefix sums, a fresh factorization per cutoff
+prefix instead of extracted prefix sums, a term-by-term loop instead of
+one vectorized exp for the eta series, a fresh factorization per cutoff
 instead of one prefix solve per sweep, LAPACK's symmetric eigensolver for
 each step of the incremental condition estimate instead of closed-form
 2 x 2 eigenpairs, psi sums by scipy's digamma instead of the package's
@@ -26,7 +27,7 @@ from scipy.special import digamma
 
 from nblab.criterion import RIDGE_LADDER, SolveMethod
 from nblab.errors import DomainError
-from nblab.specfun import finite_complex, zeta
+from nblab.specfun import _eta_coefficients, _eta_term_count, finite_complex, zeta
 
 
 def alternating_sum(term, n: int = 48) -> float:
@@ -408,6 +409,25 @@ def moebius_partial_transform_loop(L: int, eps: float, s, table) -> complex:
     dirichlet = complex(math.fsum(re_a), math.fsum(im_a))
     at_one = math.fsum(re_b)
     return zs / z * (dirichlet - at_one)
+
+
+def eta_loop(z: complex) -> complex:
+    """Dirichlet eta(z) by the package's accelerated series, summed by a
+    Python loop with libm's log and cmath's exp, one term at a time.
+
+    The package evaluates the same terms with numpy ufuncs; the two must
+    agree bit for bit. No domain guards.
+    """
+    coeffs = _eta_coefficients(_eta_term_count(abs(z.imag)))
+    re: list[float] = []
+    im: list[float] = []
+    sign = 1.0
+    for k, c in enumerate(coeffs):
+        term = sign * c * cmath.exp(-z * math.log(k + 1))
+        re.append(term.real)
+        im.append(term.imag)
+        sign = -sign
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def dilation_indicator_residual_loop(max_m: int = 10, max_n: int = 10) -> float:

@@ -182,6 +182,14 @@ class TestDistanceCommand:
         assert bad.returncode == 1
         assert "disagreement" in bad.stderr
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_nonnegative(self, tol, capsys):
+        # nan would never fire the gate, and a negative gap bound is no bound.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["distance", "--L", "2..5", "--method", "both", "--tol", tol])
+        assert exc.value.code == 64
+        assert "argument --tol: invalid" in capsys.readouterr().err
+
     def test_degraded_solve_exits_two(self, monkeypatch, capsys):
         degraded = DistanceReport(
             L=5,

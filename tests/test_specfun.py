@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -174,6 +175,28 @@ class TestZeta:
             zeta(s)
         with pytest.raises(UnstablePointError):
             zeta_deflated(s)
+
+    def test_bit_identical_to_eta_loop(self, monkeypatch):
+        # Re s in [0, 4], |Im s| <= 300, a cluster around the pole, the
+        # critical line, and real points whose zero Im s alternates in
+        # sign, so memoized values are read across the two signs.
+        rng = random.Random(29)
+        grid = [complex(rng.uniform(0.0, 4.0), rng.uniform(-300.0, 300.0))
+                for _ in range(200)]
+        grid += [complex(1.0 + rng.uniform(-1e-6, 1e-6), rng.uniform(-1e-6, 1e-6))
+                 for _ in range(100)]
+        grid += [complex(0.5, 3.0 * t) for t in range(-100, 101)]
+        for x in (0.0, 0.5, 2.0, 3.7):
+            grid += [complex(x, 0.0), complex(x, -0.0), complex(x, 0.0)]
+        grid = [s for s in grid if abs(s - 1.0) > 1e-8]
+
+        def bits(value):
+            return value.real.hex(), value.imag.hex()
+
+        got = [(bits(zeta(s)), bits(zeta_deflated(s))) for s in grid]
+        monkeypatch.setattr(specfun, "_eta", oracles.eta_loop)
+        want = [(bits(zeta(s)), bits(zeta_deflated(s))) for s in grid]
+        assert got == want
 
     def test_deflated_derivative_value(self):
         # d/ds [(s-1) zeta(s)] at 1 is the Euler constant
