@@ -119,12 +119,20 @@ class _PeriodTables:
 
     @staticmethod
     def _period(p: int) -> np.ndarray:
+        # For gcd(c, p) = 1, (p - c) r mod p = p - (c r mod p), so every term
+        # of V((p - c)/p) is the negation of V(c/p)'s and so is the row sum,
+        # exactly: only the coprime c <= p/2 are reduced. The reflections are
+        # written first, so the self-reflections c = p - c (c = 0 at p = 1,
+        # c = 1 at p = 2) end up holding the reduced rows.
         # r * c < p^2/2 fits in int32 for every period below 65536.
-        r, c = np.arange(1, (p + 1) // 2, dtype=np.int32), np.arange(p, dtype=np.int32)
-        v = ((2 * (np.outer(c, r) % p) - p) / np.tan(np.pi * r / p)).sum(axis=1) / p
-        values = ((p - 1) * EULER_GAMMA + math.log(p)) / (2.0 * p) + (math.pi / (2.0 * p)) * v
-        values[np.gcd(c, p) > 1] = np.nan
-        return values
+        r = np.arange(1, (p + 1) // 2, dtype=np.int32)
+        low = np.arange(p // 2 + 1, dtype=np.int32)
+        low = low[np.gcd(low, p) == 1]
+        rows = ((2 * (np.outer(low, r) % p) - p) / np.tan(np.pi * r / p)).sum(axis=1) / p
+        v = np.full(p, np.nan)
+        v[-low] = -rows
+        v[low] = rows
+        return ((p - 1) * EULER_GAMMA + math.log(p)) / (2.0 * p) + (math.pi / (2.0 * p)) * v
 
 
 _TABLES = _PeriodTables()

@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -152,19 +151,18 @@ _T_CAP = 300.0
 def _eta_coefficients(n: int) -> tuple[float, ...]:
     """Normalized acceleration coefficients c_k = (d_n - d_k)/d_n, exact.
 
-    d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), computed in exact
-    rational arithmetic and rounded once at the end.
+    d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), where each summand is
+    n 4^i C(n+i, 2i)/(n+i). Scaled by M = lcm(n..2n), every d_k is an integer,
+    and each c_k is one correctly rounded int/int division.
     """
-    term = Fraction(0)
+    m = math.lcm(*range(n, 2 * n + 1))
+    term = 0
     d = []
     for i in range(n + 1):
-        term += Fraction(
-            n * math.factorial(n + i - 1) * 4**i,
-            math.factorial(n - i) * math.factorial(2 * i),
-        )
+        term += n * 4**i * math.comb(n + i, 2 * i) * (m // (n + i))
         d.append(term)
     dn = d[-1]
-    return tuple(float((dn - dk) / dn) for dk in d[:-1])
+    return tuple((dn - dk) / dn for dk in d[:-1])
 
 
 def _eta_term_count(t_abs: float) -> int:

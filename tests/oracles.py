@@ -10,8 +10,11 @@ one vectorized exp for the eta series, a fresh factorization per cutoff
 instead of one prefix solve per sweep, LAPACK's symmetric eigensolver for
 each step of the incremental condition estimate instead of closed-form
 2 x 2 eigenpairs, psi sums by scipy's digamma instead of the package's
-folded cotangent sums, an LU solve instead of its Cholesky factor, and
-per-piece antiderivatives instead of telescoped Euler-Maclaurin remainders.
+folded cotangent sums, every cotangent row reduced instead of half of them
+negated into the rest, Fractions of factorials instead of lcm-scaled
+integers for the eta coefficients, an LU solve instead of its Cholesky
+factor, and per-piece antiderivatives instead of telescoped Euler-Maclaurin
+remainders.
 mpmath supplies arbitrary precision where a float oracle would be circular.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -291,6 +295,21 @@ def period_table_psi(p: int) -> np.ndarray:
     return -sums / (p * p) - ((p - 1) / (2.0 * p)) * math.log(p)
 
 
+def period_table_cot_rows(p: int) -> np.ndarray:
+    """R(p, c), c = 0..p-1, from the folded cotangent sum reduced on every row c,
+
+        R(p, c) = ((p - 1) gamma + log p)/(2p) + (pi/(2p)) V(c/p),
+
+    with NaN where gcd(c, p) > 1. The package reduces only the coprime
+    c <= p/2 and negates them into V((p - c)/p); both must agree bit for bit.
+    """
+    r, c = np.arange(1, (p + 1) // 2, dtype=np.int32), np.arange(p, dtype=np.int32)
+    v = ((2 * (np.outer(c, r) % p) - p) / np.tan(np.pi * r / p)).sum(axis=1) / p
+    values = ((p - 1) * EULER_GAMMA + math.log(p)) / (2.0 * p) + (math.pi / (2.0 * p)) * v
+    values[np.gcd(c, p) > 1] = np.nan
+    return values
+
+
 def residue_class_entry(a: int | None, b: int) -> float:
     """<{n/a}, {n/b}> (or <1, {n/b}> when a is None) by lcm residue classes.
 
@@ -329,19 +348,21 @@ def mellin_piecewise_prefix(lam: float, s, pieces_list, dps: int = 30) -> list[c
     """`mellin_piecewise_highprec` at every count in `pieces_list`, in one pass.
 
     The pieces are added in ascending k, as for a single count, so each
-    returned value is the running total after that many pieces. The powers
-    x^(s-1) and x^s are computed once per breakpoint: piece k+1's upper end
-    lam/(k+1) is piece k's lower end.
+    returned value is the running total after that many pieces. Each
+    breakpoint takes one `mp.power`, x^(s-1), and x^s = x * x^(s-1); piece
+    k+1's upper end lam/(k+1) is piece k's lower end, so its powers are reused.
     """
     with mp.workdps(dps):
         z = mp.mpc(s)
         lam_mp = mp.mpf(lam)
+        lam_over, inv_z = lam_mp / (z - 1), 1 / z
 
         def powers(x):
-            return x, mp.power(x, z - 1), mp.power(x, z)
+            below = mp.power(x, z - 1)
+            return x, below, x * below
 
         def antider(pw, k):
-            return lam_mp * pw[1] / (z - 1) - k * pw[2] / z
+            return lam_over * pw[1] - k * inv_z * pw[2]
 
         total = mp.mpc(0)
         if lam_mp < 1:
@@ -409,6 +430,25 @@ def moebius_partial_transform_loop(L: int, eps: float, s, table) -> complex:
     dirichlet = complex(math.fsum(re_a), math.fsum(im_a))
     at_one = math.fsum(re_b)
     return zs / z * (dirichlet - at_one)
+
+
+def eta_coefficients_fraction(n: int) -> tuple[float, ...]:
+    """c_k = (d_n - d_k)/d_n with d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!),
+    summed as Fractions of factorials and rounded once by Fraction's float.
+
+    The package scales every d_k by lcm(n..2n) and divides integers instead;
+    both round the same rational once, so they must agree bit for bit.
+    """
+    term = Fraction(0)
+    d = []
+    for i in range(n + 1):
+        term += Fraction(
+            n * math.factorial(n + i - 1) * 4**i,
+            math.factorial(n - i) * math.factorial(2 * i),
+        )
+        d.append(term)
+    dn = d[-1]
+    return tuple(float((dn - dk) / dn) for dk in d[:-1])
 
 
 def eta_loop(z: complex) -> complex:

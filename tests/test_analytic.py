@@ -392,6 +392,34 @@ def test_transform_modules_import_without_criterion():
     assert run.stdout == "[]\n"
 
 
+def test_each_command_loads_only_what_it_runs():
+    # numpy.random, fractions and decimal cost a short process memory and
+    # import time that its work does not need: a distance sweep loads none of
+    # them and no transform-side module, and no suite loads numpy.random or
+    # fractions. A module that `import numpy` loads by itself (numpy.random
+    # on older numpy) is not held against nblab.
+    code = (
+        "import sys, contextlib, io\n"
+        "import nblab, numpy\n"
+        "watch = ('numpy.random', 'fractions', 'decimal', 'nblab.analytic')\n"
+        "base = {m for m in watch if m in sys.modules}\n"
+        "from nblab import cli\n"
+        "def loaded(names):\n"
+        "    return sorted(m for m in names if m in sys.modules and m not in base)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['distance', '--L', '2..30', '--method', 'both'])]\n"
+        "    after_distance = loaded(watch)\n"
+        "    from nblab.analytic import SUITES\n"
+        "    codes += [cli.main(['verify', name]) for name in sorted(SUITES)]\n"
+        "print(codes, after_distance, loaded(watch[:2]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "NBLAB_CACHE_DIR"}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=600, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[0, 0, 0, 0, 0, 0] [] []\n"
+
+
 def test_cli_runs_without_scipy():
     # The distance engine factors and solves with numpy alone: neither the
     # CLI import, nor a sweep of both methods, nor the suite that calls the

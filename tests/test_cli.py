@@ -308,7 +308,7 @@ class TestVerifyCommand:
         import dataclasses
 
         broken = [dataclasses.replace(real[0], passed=False)] + real[1:]
-        monkeypatch.setattr(cli, "run_suite", lambda name: broken)
+        monkeypatch.setattr(analytic, "run_suite", lambda name: broken)
         assert cli.main(["verify", "moebius"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["pass"] is False

@@ -240,6 +240,14 @@ class TestPeriodTables:
             nan = np.isnan(self.block(tables, p))
             assert np.array_equal(nan, np.gcd(np.arange(p), p) > 1), p
 
+    def test_reflected_rows_match_every_row_reduced(self, tables):
+        # Only the coprime c <= p/2 are reduced; the rest are their exact
+        # negations. Bit for bit, NaN slots included, from p = 1 and p = 2
+        # (where c = p - c) to 400.
+        for p in range(1, 401):
+            got = [v.hex() for v in self.block(tables, p).tolist()]
+            assert got == [v.hex() for v in oracles.period_table_cot_rows(p).tolist()], p
+
     def test_store_filled_to_300_is_finite(self, shared_store):
         assert shared_store.top >= 300
         assert np.isfinite(shared_store.values).all()

@@ -198,6 +198,14 @@ class TestZeta:
         want = [(bits(zeta(s)), bits(zeta_deflated(s))) for s in grid]
         assert got == want
 
+    def test_eta_coefficients_match_fraction_oracle(self):
+        # Every term count the series uses, |Im s| <= 300: the lcm-scaled
+        # integer route rounds the same rationals as the Fraction one.
+        counts = sorted({specfun._eta_term_count(t) for t in range(301)})
+        for n in counts:
+            got = [c.hex() for c in specfun._eta_coefficients(n)]
+            assert got == [c.hex() for c in oracles.eta_coefficients_fraction(n)], n
+
     def test_deflated_derivative_value(self):
         # d/ds [(s-1) zeta(s)] at 1 is the Euler constant
         h = 1e-6
