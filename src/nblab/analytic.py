@@ -31,7 +31,7 @@ import numpy as np
 
 from .arith import MoebiusTable
 from .errors import DomainError, PoleError, UnstablePointError
-from .seqspace import PiecewiseConstant, dilate, inner_product_truncated, norm_m
+from .seqspace import PiecewiseConstant, dilate, inner_product_truncated
 from .specfun import (
     _cexprel,
     finite_complex,
@@ -490,9 +490,13 @@ def suite_unitary() -> list[VerificationReport]:
         n_pieces = rng.randrange(1, 120)
         head = tuple(rng.uniform(-2.0, 2.0) for _ in range(n_pieces))
         f = PiecewiseConstant(head=head, tail=(0.0,))
-        lhs = inner_product_truncated(f, f, n_pieces)
-        rhs = norm_m(f, n_pieces).value
-        worst_norm = max(worst_norm, abs(lhs - rhs))
+        # The sequence side weighs term n by 1/(n(n+1)); the function side
+        # integrates f^2 over each piece (1/(n+1), 1/n] from its endpoints.
+        sequence = inner_product_truncated(f, f, n_pieces)
+        function = math.fsum(
+            f.value_at_piece(n) ** 2 * (1 / n - 1 / (n + 1)) for n in range(1, n_pieces + 1)
+        )
+        worst_norm = max(worst_norm, abs(sequence - function))
     reports = [
         _report("sequence-map-preserves-norm", {"functions": 100, "seed": UNITARY_SEED},
                 "random-step-v2", worst_norm, 1e-14)

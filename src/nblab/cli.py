@@ -93,6 +93,13 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
+def _parse_truncation(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"N must be >= 1: {text!r}")
+    return n
+
+
 def _cache_file(explicit: Optional[str]) -> Optional[Path]:
     if explicit is not None:
         return Path(explicit)
@@ -102,15 +109,24 @@ def _cache_file(explicit: Optional[str]) -> Optional[Path]:
     return None
 
 
+def _entries_name(n_trunc: Optional[int]) -> str:
+    return "closed-form entries" if n_trunc is None else f"entries truncated at N={n_trunc}"
+
+
 def load_store(path: Optional[Path], n_trunc: Optional[int] = None) -> GramStore:
     """The cache at `path` if there is one, else an empty store for n_trunc.
 
-    A loaded cache keeps its own n_trunc; a fill that asks for another one
-    raises CacheError.
+    A store holds entries of one kind only, so a cache whose N is not
+    n_trunc (None for closed form) raises CacheError instead of mixing two.
     """
-    if path is not None and path.exists():
-        return GramStore.load(path)
-    return GramStore(n_trunc=n_trunc)
+    if path is None or not path.exists():
+        return GramStore(n_trunc=n_trunc)
+    store = GramStore.load(path)
+    if store.n_trunc != n_trunc:
+        raise CacheError(
+            f"store holds {_entries_name(store.n_trunc)}, asked for {_entries_name(n_trunc)}"
+        )
+    return store
 
 
 def save_store(store: GramStore, path: Optional[Path], loaded: int) -> None:
@@ -129,7 +145,7 @@ def cmd_distance(args) -> int:
     cache_path = _cache_file(args.cache)
     store = load_store(cache_path, args.N)
     loaded = len(store)
-    rows = distance_sweep(args.L, basis, methods, store, n_trunc=args.N)
+    rows = distance_sweep(args.L, basis, methods, store)
     save_store(store, cache_path, loaded)
 
     if args.format == "json":
@@ -163,7 +179,7 @@ def cmd_residual(args) -> int:
     loaded = len(store)
     table = sieve_moebius(max(args.L))
     rows = [
-        (L, eps, moebius_residual(L, eps, table, store, n_trunc=args.N))
+        (L, eps, moebius_residual(L, eps, table, store))
         for L in args.L
         for eps in args.eps
     ]
@@ -193,7 +209,7 @@ def cmd_gram(args) -> int:
     store = load_store(cache_path, args.N)
     loaded = len(store)
     L = max(args.L)
-    assemble_gram(L, store, n_trunc=args.N)
+    assemble_gram(L, store)
     print(f"{len(store) - loaded} newly computed entries, {len(store)} total", file=sys.stderr)
     save_store(store, cache_path, loaded)
     if args.export == "csv":
@@ -212,7 +228,7 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--L", type=_parse_cutoffs, default=(30,),
                        help="cutoff list: '30', '2,5,10', or '2..30'")
-        p.add_argument("--N", type=int, default=None,
+        p.add_argument("--N", type=_parse_truncation, default=None,
                        help="use truncated sums at this cutoff instead of closed forms")
         p.add_argument("--cache", default=None,
                        help=f"Gram cache file (default: ${CACHE_DIR_ENV}/{_DEFAULT_CACHE_NAME})")

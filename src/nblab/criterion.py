@@ -22,7 +22,7 @@ Gram entries are floats from the closed form in seqspace (or, with
 n_trunc, from truncated sums over the step-function sequences) and live in a
 GramStore: a dense symmetric array of every pair of keys up to its top, key
 0 the constant sequence and key l the denominator l, of one kind only (its
-truncation N, None for closed form, is checked by every fill and carried in
+truncation N, None for closed form, decides every fill and is carried in
 the binary cache header). Matrices are slices of it, taken once per sweep at
 its largest cutoff. A Moebius-weighted approximant residual and the
 asymptotic diagnostic d2 * log L round out the module.
@@ -104,7 +104,7 @@ class GramStore:
     Key 0 is the constant sequence; key l >= 1 is the fractional-part
     sequence with denominator l. n_trunc fixes every entry's method and
     error bound: None for closed-form ones (bound 0), an int N for sums
-    truncated at N (bound 1/(N+1)); fills with any other n_trunc are refused.
+    truncated at N (bound 1/(N+1)); every fill computes entries of its kind.
     Persists as a little-endian binary file: header {magic "NBBG", version
     u32, N u64 (0 for closed form), side u64}, the upper triangle of
     `values` row by row as f64, and a CRC32 trailer over everything before
@@ -216,39 +216,26 @@ class GramStore:
         return store
 
 
-def _entries_name(n_trunc: Optional[int]) -> str:
-    return "closed-form entries" if n_trunc is None else f"entries truncated at N={n_trunc}"
-
-
-def assemble_gram(
-    L: int,
-    store: Optional[GramStore] = None,
-    n_trunc: Optional[int] = None,
-) -> GramStore:
-    """Grow `store` to hold every pair of keys 0..L.
+def assemble_gram(L: int, store: Optional[GramStore] = None) -> GramStore:
+    """Grow `store` (a new closed-form one if none is given) to hold every
+    pair of keys 0..L, with entries of the kind its n_trunc names.
 
     The fill is the same for every basis: it covers all keys up to L, so a
-    store serves each basis up to its top. A new store is created for
-    n_trunc when none is given; a store that holds entries of another kind
-    (its n_trunc differs) raises CacheError. Only
-    the pairs with a key above the old top are computed, and a call with
-    nothing to add does no other work. Closed-form entries (n_trunc None)
-    are computed row by row, vectorized across the second key, each in O(1)
-    once the period tables reach L; truncated entries one pair at a time,
-    through `GramStore.ensure`, each an O(N) compensated sum. Each entry
-    depends only on its own keys, so the result is independent of the order
-    and the batch. The store takes the grown array only once it is whole
+    store serves each basis up to its top. Only the pairs with a key above
+    the old top are computed, and a call with nothing to add does no other
+    work. Closed-form entries (n_trunc None) are computed row by row,
+    vectorized across the second key, each in O(1) once the period tables
+    reach L; truncated entries one pair at a time, through
+    `GramStore.ensure`, each an O(N) compensated sum. Each entry depends
+    only on its own keys, so the result is independent of the order and the
+    batch. The store takes the grown array only once it is whole
     (`GramStore.grow`).
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
     if store is None:
-        store = GramStore(n_trunc=n_trunc)
-    if store.n_trunc != n_trunc:
-        raise CacheError(
-            f"store holds {_entries_name(store.n_trunc)}, asked for {_entries_name(n_trunc)}"
-        )
-    if n_trunc is None:
+        store = GramStore()
+    if store.n_trunc is None:
         store.grow(L, inner_products_closed_row)
         return store
 
@@ -256,7 +243,7 @@ def assemble_gram(
     sequences.extend(PiecewiseConstant.fractional_parts(l) for l in range(1, L + 1))
 
     def truncated(i: int, j: int) -> float:
-        return inner_product_truncated(sequences[i], sequences[j], n_trunc)
+        return inner_product_truncated(sequences[i], sequences[j], store.n_trunc)
 
     store.grow(L, lambda i, js: [store.ensure(i, j, truncated) for j in js.tolist()])
     return store
@@ -266,7 +253,6 @@ def gram_system(
     L: int,
     basis: BasisKind = BasisKind.EXCLUDE_ONE,
     store: Optional[GramStore] = None,
-    n_trunc: Optional[int] = None,
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Return (denominators, G, g): the Gram matrix of the basis and the
     cross inner products with the constant sequence, sliced from the store.
@@ -274,10 +260,8 @@ def gram_system(
     Denominator 1, the zero sequence, is left out of every basis. Each other
     denominator l has a positive diagonal entry (term 1 is 1/l, weighted
     1/2, for closed-form and truncated entries alike), so G needs no pruning.
-    Raises CacheError, as `assemble_gram` does, when `store` holds entries
-    of another kind than n_trunc asks for.
     """
-    values = assemble_gram(L, store, n_trunc=n_trunc).values
+    values = assemble_gram(L, store).values
     denoms = tuple(l for l in basis.denominators(L) if l > 1)
     keys = np.asarray(denoms, dtype=np.intp)
     return denoms, values[np.ix_(keys, keys)], values[CONSTANT_KEY, keys]
@@ -443,7 +427,6 @@ def distance(
     basis: BasisKind = BasisKind.EXCLUDE_ONE,
     method: SolveMethod = SolveMethod.LEAST_SQUARES,
     store: Optional[GramStore] = None,
-    n_trunc: Optional[int] = None,
 ) -> DistanceReport:
     """Squared distance from the constant sequence to the span at cutoff L.
 
@@ -452,7 +435,7 @@ def distance(
     distance is the squared norm of the constant sequence, exactly 1; the
     report is flagged degenerate and no solver runs.
     """
-    return distance_sweep([L], basis, (method,), store, n_trunc=n_trunc)[0]
+    return distance_sweep([L], basis, (method,), store)[0]
 
 
 def distance_sweep(
@@ -460,7 +443,6 @@ def distance_sweep(
     basis: BasisKind = BasisKind.EXCLUDE_ONE,
     methods: Sequence[SolveMethod] = (SolveMethod.LEAST_SQUARES,),
     store: Optional[GramStore] = None,
-    n_trunc: Optional[int] = None,
 ) -> list[DistanceReport]:
     """Distance reports, one per ascending cutoff and method, in (L, method.value) order.
 
@@ -478,7 +460,7 @@ def distance_sweep(
     if L_values[0] < 1:
         raise DomainError(f"cutoff must be >= 1, got {L_values[0]}")
     methods = sorted(set(methods), key=lambda m: m.value)
-    denoms, G, g = gram_system(L_values[-1], basis, store, n_trunc=n_trunc)
+    denoms, G, g = gram_system(L_values[-1], basis, store)
     # gram_system leaves out denominator 1; the bases that hold it report it.
     pruned = () if basis is BasisKind.EXCLUDE_ONE else (1,)
     sizes = np.searchsorted(denoms, L_values, side="right").tolist()
@@ -516,7 +498,6 @@ def moebius_residual(
     eps: float,
     table: MoebiusTable,
     store: Optional[GramStore] = None,
-    n_trunc: Optional[int] = None,
 ) -> float:
     """Squared error of the Moebius-smoothed combination at cutoff L.
 
@@ -527,8 +508,8 @@ def moebius_residual(
         |gamma - v|^2 = 1 + 2 sum_l mu(l) l^{-eps} <gamma, gamma_l>
                           + sum_{l,m} mu(l) mu(m) (l m)^{-eps} <gamma_l, gamma_m>.
 
-    The entries are the square-free Gram system of `gram_system` (truncated
-    at n_trunc if given), which leaves out l = 1, the zero sequence. Always
+    The entries are the square-free Gram system of `gram_system`, of the
+    store's kind, which leaves out l = 1, the zero sequence. Always
     at least the projection distance at the same cutoff.
     """
     if L < 1:
@@ -540,6 +521,6 @@ def moebius_residual(
     if L == 1:
         return 1.0
     # mu(l) = 0 unless l is square-free.
-    denoms, G, g = gram_system(L, BasisKind.SQUARE_FREE, store, n_trunc=n_trunc)
+    denoms, G, g = gram_system(L, BasisKind.SQUARE_FREE, store)
     coeff = np.array([float(table.mu[l]) * l ** (-eps) for l in denoms])
     return 1.0 + 2.0 * float(coeff @ g) + float(coeff @ G @ coeff)

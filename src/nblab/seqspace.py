@@ -258,32 +258,6 @@ class PiecewiseConstant:
         out[h:].reshape(-1, p)[:] = self.tail
         return out[:n_trunc]
 
-    def tail_sup(self, n_trunc: int) -> float:
-        """Supremum of |f| over pieces beyond n_trunc."""
-        return max(map(abs, self.head[n_trunc:] + self.tail))
-
-
-@dataclass(frozen=True)
-class NormResult:
-    """Partial squared norm plus a certified bound on the omitted tail."""
-
-    value: float
-    tail_bound: float
-
-
-def norm_m(f: PiecewiseConstant, n_trunc: int) -> NormResult:
-    """Squared norm of a step function: integral of f^2 over (1/(n_trunc+1), 1].
-
-    The integral over piece n is exactly f_n^2 / (n(n+1)); the remaining mass
-    is bounded through the tail.
-    """
-    if n_trunc < 1:
-        raise DomainError(f"n_trunc must be >= 1, got {n_trunc}")
-    vals = f.values_upto(n_trunc)
-    value = compensated_sum(vals * vals * _default_weight_values(n_trunc))
-    bound = f.tail_sup(n_trunc) ** 2 * (1.0 / (n_trunc + 1))
-    return NormResult(value=value, tail_bound=bound)
-
 
 def dilate(m: int, f: PiecewiseConstant) -> PiecewiseConstant:
     """Compress a step function into (0, 1/m] and rescale: x -> sqrt(m) f(mx).

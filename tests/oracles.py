@@ -541,3 +541,27 @@ HLINE_ROWS = {
 # loops above report them.
 DILATION_INDICATOR_RESIDUAL = 0.0
 DILATION_FRACTIONAL_RESIDUAL = 4.440892098500626e-16
+# 30-digit Mellin piece sums, pinned because mpmath takes seconds over each
+# one's 4000 or more pieces. MELLIN_PIECEWISE_4000[lam, s] is
+# mellin_piecewise_highprec(lam, s, 4000); MELLIN_PREFIX_HALF_2[pieces] is
+# mellin_piecewise_prefix(0.5, 2.0, (4096, 4097, 8000, 20000)) at that count.
+MELLIN_PIECEWISE_4000 = {
+    (1.0, 2.0): complex(0.17753295095999747, 0.0),
+    (1.0, 2.5 + 3.0j): complex(0.011947580021437832, -0.0813497921948263),
+    (1.0, 1.2 - 4.0j): complex(-0.04599527015469474, 0.08997456472965061),
+    (0.5, 2.0): complex(0.29438323773999936, 0.0),
+    (0.5, 2.5 + 3.0j): complex(0.10572916932980929, -0.13054544987735708),
+    (0.5, 1.2 - 4.0j): complex(0.05499520045647933, 0.1802228602198204),
+    (1 / 3, 2.0): complex(0.24194810566222194, 0.0),
+    (1 / 3, 2.5 + 3.0j): complex(0.05031249174339608, -0.10183216306093566),
+    (1 / 3, 1.2 - 4.0j): complex(-0.03146846335636012, 0.11131905249446294),
+    (1.0, 1.8 + 2.0j): complex(0.050071491047033206, -0.1276142568063401),
+    (0.5, 1.8 + 2.0j): complex(0.16541710045136657, -0.16499449149725726),
+    (0.7, 1.8 + 2.0j): complex(0.1764897127099489, -0.1388578897133654),
+}
+MELLIN_PREFIX_HALF_2 = {
+    4096: complex(0.2943832379208027, 0.0),
+    4097: complex(0.29438323792261945, 0.0),
+    8000: complex(0.29438324066769395, 0.0),
+    20000: complex(0.2943832414877399, 0.0),
+}

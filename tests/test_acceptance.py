@@ -20,6 +20,7 @@ from nblab.analytic import (
 from nblab.arith import verify_recurrence
 from nblab.criterion import (
     BasisKind,
+    GramStore,
     SolveMethod,
     asymptotic_rate_constant,
     distance,
@@ -45,7 +46,7 @@ def test_01_closed_form_distance():
     t0 = time.perf_counter()
     closed = distance(2, EXCL).d2
     n_trunc = 1_000_000
-    truncated = distance(2, EXCL, n_trunc=n_trunc).d2
+    truncated = distance(2, EXCL, store=GramStore(n_trunc)).d2
     elapsed = time.perf_counter() - t0
     err_closed = abs(closed - oracles.D2_L2)
     err_trunc = abs(truncated - oracles.D2_L2)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nblab import seqspace
 from nblab.arith import sieve_moebius
 from nblab.analytic import (
     CRITICAL_LINE_GRID,
@@ -87,24 +88,28 @@ class TestMellinExact:
         for lam in (1.0, 0.5, 1 / 3):
             for s in (2.0, 2.5 + 3.0j, 1.2 - 4.0j):
                 got = _frac_scaled_transform(lam, complex(s), 4000)
-                expect = oracles.mellin_piecewise_highprec(lam, s, 4000)
+                expect = oracles.MELLIN_PIECEWISE_4000[lam, s]
                 assert abs(got.value - expect) < 1e-13
 
     def test_combined_matches_oracle(self):
         s = 1.8 + 2.0j
-        unit = oracles.mellin_piecewise_highprec(1.0, s, 4000)
+        unit = oracles.MELLIN_PIECEWISE_4000[1.0, s]
         for lam in (0.5, 0.7):
             got = mellin_exact(lam, s, 4000)
-            expect = oracles.mellin_piecewise_highprec(lam, s, 4000) - lam * unit
+            expect = oracles.MELLIN_PIECEWISE_4000[lam, s] - lam * unit
             assert abs(got.value - expect) < 1e-13
 
     def test_remainder_route_crosses_over(self):
         # past the explicit-piece cap the Euler-Maclaurin remainder takes
         # over; both routes must agree where they meet
-        counts = (4096, 4097, 8000, 20000)
-        for pieces, expect in zip(counts, oracles.mellin_piecewise_prefix(0.5, 2.0, counts)):
+        for pieces, expect in oracles.MELLIN_PREFIX_HALF_2.items():
             got = _frac_scaled_transform(0.5, 2.0 + 0j, pieces)
             assert abs(got.value - expect) < 5e-13, pieces
+
+    def test_frozen_piece_sums_match_their_oracle(self):
+        # one pinned literal recomputed, so the table stays tied to its oracle
+        got = oracles.mellin_piecewise_highprec(1.0, 2.0, 4000)
+        assert got == oracles.MELLIN_PIECEWISE_4000[1.0, 2.0]
 
     def test_limit_value_within_certified_tail(self):
         # for sigma > 1 the full integral has the closed form
@@ -365,6 +370,17 @@ class TestSuites:
                 worst = max(worst, abs(direct - by_terms))
         reports = {r.check: r.max_residual for r in run_suite("moebius")}
         assert reports["smoothed-partial-assembly"] == worst
+
+    def test_norm_check_catches_a_shifted_sequence(self, monkeypatch):
+        # The sequence side of the norm check reads values_upto, the function
+        # side value_at_piece: values_upto one piece late must fail it. The
+        # uncached term builder keeps the shifted terms out of the shared cache.
+        values_upto = seqspace.PiecewiseConstant.values_upto
+        monkeypatch.setattr(seqspace, "_terms", seqspace._terms.__wrapped__)
+        monkeypatch.setattr(seqspace.PiecewiseConstant, "values_upto",
+                            lambda f, n: values_upto(f, n + 1)[1:])
+        reports = {r.check: r for r in run_suite("unitary")}
+        assert not reports["sequence-map-preserves-norm"].passed
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):

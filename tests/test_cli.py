@@ -18,6 +18,7 @@ from nblab.criterion import (
     SolveMethod,
     distance_sweep,
 )
+from nblab.errors import CacheError
 
 import oracles
 
@@ -74,6 +75,14 @@ class TestUsage:
 
     def test_unknown_suite(self):
         assert run_cli("verify", "bogus").returncode == 64
+
+    @pytest.mark.parametrize("command", ["distance", "residual", "gram"])
+    @pytest.mark.parametrize("N", ["0", "-5"])
+    def test_N_must_be_positive(self, command, N, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--L", "5", "--N", N])
+        assert exc.value.code == 64
+        assert "argument --N: invalid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["gram", "--method", "both"],
@@ -226,7 +235,7 @@ class TestDistanceCommand:
         # Entries truncated at N = 20 make the L = 40 block need a ridge; it
         # is chosen once for the sweep, so every row reports it.
         excl = BasisKind.EXCLUDE_ONE
-        rows = distance_sweep(range(2, 41), excl, store=GramStore(n_trunc=20), n_trunc=20)
+        rows = distance_sweep(range(2, 41), excl, store=GramStore(n_trunc=20))
         assert all(r.ridge_used > 0.0 and math.isfinite(r.d2) for r in rows)
         code = cli.main(["distance", "--L", "2..40", "--N", "20",
                          "--cache", str(tmp_path / "n20.nbbg")])
@@ -280,7 +289,7 @@ class TestResidualCommand:
         closed = main_cli("residual", "--L", "5")
         assert r.returncode == 0 and closed.returncode == 0
         assert r.stdout != closed.stdout
-        want = moebius_residual(5, 0.0, sieve_moebius(5), n_trunc=20)
+        want = moebius_residual(5, 0.0, sieve_moebius(5), GramStore(20))
         assert r.stdout.splitlines()[1] == f"5,0.0,{want!r}"
         assert cli.GramStore.load(cache).n_trunc == 20
 
@@ -430,6 +439,25 @@ class TestGramCommand:
         assert r.stdout == bare.stdout
         again = run_cli("distance", "--L", "2..20", "--cache", str(cache), "--threads", "1")
         assert again.stdout == bare.stdout
+
+
+class TestLoadStore:
+    def test_cache_of_the_other_kind_is_refused(self, tmp_path):
+        # The one place where a cache file meets --N: a store holds entries
+        # of one kind, closed-form or truncated at one N.
+        truncated, closed = tmp_path / "t.nbbg", tmp_path / "c.nbbg"
+        criterion.assemble_gram(4, GramStore(20)).save(truncated)
+        criterion.assemble_gram(4).save(closed)
+        for path, n_trunc, held, asked in (
+            (truncated, None, "entries truncated at N=20", "closed-form entries"),
+            (truncated, 21, "entries truncated at N=20", "entries truncated at N=21"),
+            (closed, 20, "closed-form entries", "entries truncated at N=20"),
+        ):
+            with pytest.raises(CacheError) as exc:
+                cli.load_store(path, n_trunc)
+            assert str(exc.value) == f"store holds {held}, asked for {asked}"
+        assert (cli.load_store(truncated, 20).n_trunc, cli.load_store(closed).top) == (20, 4)
+        assert cli.load_store(tmp_path / "missing.nbbg", 7).n_trunc == 7
 
 
 class TestDistanceSweepScript:

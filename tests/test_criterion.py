@@ -71,27 +71,17 @@ class TestAssemble:
         assemble_gram(6, store)
         assert len(store) == n
 
-    def test_truncation_mismatch_rejected(self, tmp_path, moebius_table):
-        # A store never mixes closed-form and truncated entries, nor two N.
-        truncated = assemble_gram(4, n_trunc=20)
+    def test_file_keeps_the_store_truncation(self, tmp_path):
+        # The store's N decides every fill's entries, and its file keeps it.
+        truncated = assemble_gram(4, GramStore(20))
         closed = assemble_gram(4)
-        for store, n_trunc in ((truncated, None), (truncated, 21), (closed, 20)):
-            with pytest.raises(CacheError):
-                assemble_gram(4, store, n_trunc=n_trunc)
-            with pytest.raises(CacheError):
-                gram_system(4, EXCL, store, n_trunc=n_trunc)
-            with pytest.raises(CacheError):
-                distance_sweep([2, 4], EXCL, store=store, n_trunc=n_trunc)
-        with pytest.raises(CacheError):
-            moebius_residual(4, 0.0, moebius_table, truncated)
-        # ... and the file keeps the store's N.
         for store, n_trunc in ((truncated, 20), (closed, None)):
             p = tmp_path / f"{n_trunc}.nbbg"
             store.save(p)
             assert GramStore.load(p).n_trunc == n_trunc
 
     def test_truncated_entries_marked(self):
-        store = assemble_gram(4, n_trunc=50_000)
+        store = assemble_gram(4, GramStore(50_000))
         assert len(store) == 15
 
         def refuse(i, j):
@@ -105,7 +95,7 @@ class TestAssemble:
     def test_truncated_fill_matches_single_pairs(self):
         # Each entry of a truncated fill is the single-pair product of its two
         # step-function sequences, bit for bit; key 0 is the constant.
-        store = assemble_gram(12, n_trunc=300)
+        store = assemble_gram(12, GramStore(300))
         for i in range(13):
             for j in range(i, 13):
                 single = inner_product_truncated(key_sequence(i), key_sequence(j), 300)
@@ -119,7 +109,7 @@ class TestAssemble:
         assert gram_system(6, SQFREE, shared_store)[0] == (2, 3, 5, 6)
         assert gram_system(1, ALL, GramStore())[1].shape == (0, 0)
         for n_trunc in (None, 1, 20):
-            _, G, _ = gram_system(30, ALL, GramStore(n_trunc), n_trunc=n_trunc)
+            _, G, _ = gram_system(30, ALL, GramStore(n_trunc))
             assert (np.diag(G) > 0.0).all()
 
 
@@ -306,8 +296,8 @@ class TestDenseStore:
     @pytest.mark.parametrize("n_trunc", [None, 30])
     def test_save_load_save_byte_identical(self, tmp_path, n_trunc):
         store = GramStore(n_trunc=n_trunc)
-        gram_system(9, SQFREE, store, n_trunc=n_trunc)
-        gram_system(14, ALL, store, n_trunc=n_trunc)
+        gram_system(9, SQFREE, store)
+        gram_system(14, ALL, store)
         first, second = tmp_path / "a.nbbg", tmp_path / "b.nbbg"
         store.save(first)
         GramStore.load(first).save(second)
@@ -316,9 +306,9 @@ class TestDenseStore:
     @pytest.mark.parametrize("n_trunc", [None, 30])
     def test_square_free_then_all_matches_one_fill(self, n_trunc):
         stepped = GramStore(n_trunc=n_trunc)
-        gram_system(9, SQFREE, stepped, n_trunc=n_trunc)
-        gram_system(14, ALL, stepped, n_trunc=n_trunc)
-        whole = assemble_gram(14, n_trunc=n_trunc)
+        gram_system(9, SQFREE, stepped)
+        gram_system(14, ALL, stepped)
+        whole = assemble_gram(14, GramStore(n_trunc))
         assert stepped.values.tobytes() == whole.values.tobytes()
 
     @pytest.mark.parametrize("n_trunc", [None, 30])
@@ -345,7 +335,7 @@ class TestDenseStore:
             for a, b in ((i, j), (j, i)):
                 assert struct.pack("<d", loaded.values[a, b]) == struct.pack("<d", r)
                 assert struct.pack("<d", loaded.ensure(a, b, refuse)) == struct.pack("<d", r)
-        assert loaded.values.tobytes() == assemble_gram(top, n_trunc=n_trunc).values.tobytes()
+        assert loaded.values.tobytes() == assemble_gram(top, GramStore(n_trunc)).values.tobytes()
         again = tmp_path / "again.nbbg"
         loaded.save(again)
         assert again.read_bytes() == p.read_bytes()
@@ -378,7 +368,7 @@ class TestDistance:
 
     def test_truncated_cutoff_two(self):
         n_trunc = 1_000_000
-        report = distance(2, EXCL, n_trunc=n_trunc)
+        report = distance(2, EXCL, store=GramStore(n_trunc))
         assert abs(report.d2 - oracles.D2_L2) < 1.0 / (n_trunc + 1) + 1e-10
 
     def test_methods_agree(self, shared_store):
@@ -616,19 +606,17 @@ class TestMoebiusResidual:
             moebius_residual(20_000, 0.0, moebius_table)
 
     def test_truncated_matches_direct_expansion(self, moebius_table):
-        # With n_trunc the expansion runs over truncated entries: it must
-        # differ from the closed form and equal the same expansion over raw
-        # truncated sums (oracles.truncated_gram; <1, 1> stays exactly 1).
+        # Over a truncated store the expansion runs over truncated entries: it
+        # must differ from the closed form and equal the same expansion over
+        # raw truncated sums (oracles.truncated_gram; <1, 1> stays exactly 1).
         n_trunc, L, eps = 20, 5, 0.3
-        got = moebius_residual(L, eps, moebius_table, n_trunc=n_trunc)
+        got = moebius_residual(L, eps, moebius_table, GramStore(n_trunc))
         closed = moebius_residual(L, eps, moebius_table)
         denoms = [l for l in SQFREE.denominators(L) if l > 1]
         G, g = oracles.truncated_gram(denoms, n_trunc)
         c = np.array([moebius_table.mu[l] * l ** (-eps) for l in denoms])
         assert abs(got - (1.0 + 2.0 * float(c @ g) + float(c @ G @ c))) < 1e-13
         assert abs(got - closed) > 1e-3
-        with pytest.raises(CacheError):
-            moebius_residual(L, eps, moebius_table, GramStore(), n_trunc=n_trunc + 1)
 
     @given(st.integers(min_value=2, max_value=60))
     @settings(max_examples=25, deadline=None)

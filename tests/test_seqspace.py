@@ -16,7 +16,6 @@ from nblab.seqspace import (
     dilate,
     inner_product_closed,
     inner_product_truncated,
-    norm_m,
 )
 
 GAMMA = PiecewiseConstant.constant_one()
@@ -34,7 +33,7 @@ class TestWeightScheme:
         for n in range(1, 6):
             f = PiecewiseConstant(head=(0.0,) * (n - 1) + (1.0,), tail=(0.0,))
             w = 1.0 / (n * (n + 1.0))
-            assert norm_m(f, 5).value == w
+            assert inner_product_truncated(f, f, 5) == w
             assert inner_product_truncated(f, GAMMA, 5) == w
 
     def test_tail_bound_is_exact_for_default(self):
@@ -42,9 +41,6 @@ class TestWeightScheme:
         for n_trunc in (1, 10, 1000):
             r = inner_product_truncated(GAMMA, GAMMA, n_trunc)
             assert abs(r + 1.0 / (n_trunc + 1) - 1.0) <= 1e-15
-            norm = norm_m(PiecewiseConstant.constant_one(), n_trunc)
-            assert norm.tail_bound == 1.0 / (n_trunc + 1)
-            assert norm.value == r
 
 
 class TestFractionalSequence:
@@ -277,14 +273,6 @@ class TestPiecewiseConstant:
         expect = [(n % 3) / 3.0 for n in range(1, 11)]
         assert np.array_equal(v, np.array(expect))
 
-    def test_tail_sup(self):
-        f = PiecewiseConstant(head=(3.0, -2.0, 0.5), tail=(0.0,))
-        assert f.tail_sup(0) == 3.0
-        assert f.tail_sup(1) == 2.0
-        assert f.tail_sup(2) == 0.5
-        assert f.tail_sup(3) == 0.0
-        assert PiecewiseConstant.indicator(4).tail_sup(100) == 1.0
-
     def test_empty_tail_rejected(self):
         # Every read past the head indexes the tail modulo its length.
         with pytest.raises(DomainError):
@@ -294,26 +282,30 @@ class TestPiecewiseConstant:
 
 
 class TestNorm:
+    """Squared norms as truncated sums <f, f> up to N."""
+
     def test_indicator_norms(self):
         # squared norm of the (0, 1/n] indicator telescopes to exactly 1/n
         n_big = 100_000
         for n in (1, 2, 10):
-            r = norm_m(PiecewiseConstant.indicator(n), n_big)
+            ind = PiecewiseConstant.indicator(n)
+            value = inner_product_truncated(ind, ind, n_big)
             expect = 1.0 / n - 1.0 / (n_big + 1)
-            assert abs(r.value - expect) < 1e-12
-            assert abs(r.value + r.tail_bound - 1.0 / n) <= 1e-12
+            assert abs(value - expect) < 1e-12
 
     def test_constant_one_norm(self):
-        r = norm_m(PiecewiseConstant.constant_one(), 1_000_000)
-        # telescoping gives value 1 - 1/(N+1); tail bound covers the rest
-        assert abs(r.value + r.tail_bound - 1.0) <= r.tail_bound
-        assert r.value <= 1.0
+        n_big = 1_000_000
+        value = inner_product_truncated(GAMMA, GAMMA, n_big)
+        # telescoping gives value 1 - 1/(N+1); the weight tail covers the rest
+        tail = 1.0 / (n_big + 1)
+        assert abs(value + tail - 1.0) <= tail
+        assert value <= 1.0
 
     def test_norm_matches_sequence_route(self):
-        f = PiecewiseConstant.fractional_parts(6)
-        r = norm_m(f, 50_000)
+        # against raw numpy sums of {n/6}^2 / (n(n+1)), built without the package
         s = inner_product_truncated(seq(6), seq(6), 50_000)
-        assert r.value == pytest.approx(s, abs=1e-15)
+        G, _ = oracles.truncated_gram([6], 50_000)
+        assert s == pytest.approx(G[0, 0], abs=1e-15)
 
 
 class TestDilation:
@@ -339,9 +331,10 @@ class TestDilation:
             f = PiecewiseConstant(head=head, tail=(0.0,))
             m = int(rng.integers(2, 9))
             n_big = 20_000
-            before = norm_m(f, n_big)
-            after = norm_m(dilate(m, f), m * n_big + m)
-            assert abs(before.value - after.value) < 1e-14
+            g = dilate(m, f)
+            before = inner_product_truncated(f, f, n_big)
+            after = inner_product_truncated(g, g, m * n_big + m)
+            assert abs(before - after) < 1e-14
 
     def test_semigroup_composition(self):
         f = PiecewiseConstant.fractional_parts(3)
