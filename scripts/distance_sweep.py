@@ -6,7 +6,8 @@ d2 * log L, and the gap to the conjectured limiting constant. The rows come
 from one `distance_sweep` call with the chosen method: one factorization of
 the Gram matrix at the largest cutoff. A Gram cache path makes repeat sweeps
 nearly free; the cache is rewritten only when the sweep added entries or the
-file is missing.
+file is missing. Exit codes follow `nblab distance`: 65 for a cache it cannot
+use, 1 for other errors.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from nblab.criterion import BasisKind, SolveMethod, asymptotic_rate_constant, distance_sweep
-from nblab.cli import load_store, save_store
+from nblab.cli import exit_code, load_store, save_store
 
 
 def run(l_max: int, l_step: int, basis: str, method: str, cache: Path | None) -> int:
@@ -47,7 +48,7 @@ def main() -> int:
         ap.error(f"--l-max must be at least 2, got {a.l_max}")
     if a.l_step < 1:
         ap.error(f"--l-step must be at least 1, got {a.l_step}")
-    return run(a.l_max, a.l_step, a.basis, a.method, a.cache)
+    return exit_code(run, a.l_max, a.l_step, a.basis, a.method, a.cache)
 
 
 if __name__ == "__main__":

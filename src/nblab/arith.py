@@ -2,8 +2,8 @@
 
 Every integer up to the limit has at most one prime factor above the square
 root of the limit, so sieving by the primes up to the square root, and
-dividing each one out of a remainder array, yields mu and the square-free
-flags in a few numpy slice operations per prime.
+dividing each one out of a remainder array, yields mu in a few numpy slice
+operations per prime; n is square-free exactly where mu[n] != 0.
 """
 
 from __future__ import annotations
@@ -18,19 +18,16 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class MoebiusTable:
-    """Moebius values and square-free flags for 1..limit.
+    """Moebius values for 1..limit.
 
     Attributes:
         limit: Largest argument covered by the table.
-        mu: int8 array of length limit+1; mu[n] is the Moebius value of n.
-            Index 0 is unused and set to 0.
-        squarefree: Bool array of length limit+1; squarefree[n] iff n has no
-            squared prime factor. Equivalent to mu[n] != 0.
+        mu: int8 array of length limit+1; mu[n] is the Moebius value of n,
+            nonzero iff n is square-free. Index 0 is unused and set to 0.
     """
 
     limit: int
     mu: np.ndarray
-    squarefree: np.ndarray
 
 
 def sieve_moebius(limit: int) -> MoebiusTable:
@@ -45,7 +42,7 @@ def sieve_moebius(limit: int) -> MoebiusTable:
         limit: Inclusive upper bound, must be >= 1.
 
     Returns:
-        MoebiusTable with mu and squarefree flags.
+        MoebiusTable with mu.
 
     Raises:
         DomainError: If limit < 1.
@@ -66,8 +63,7 @@ def sieve_moebius(limit: int) -> MoebiusTable:
         rest[::p] //= p
     mu[rest > 1] *= -1
     mu[0] = 0
-    squarefree = mu != 0
-    return MoebiusTable(limit=limit, mu=mu, squarefree=squarefree)
+    return MoebiusTable(limit=limit, mu=mu)
 
 
 def verify_recurrence(table: MoebiusTable, n_max: int) -> bool:

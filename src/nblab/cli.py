@@ -272,19 +272,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is not None and args.method != "both":
-        parser.error(f"argument --tol: not allowed with --method {args.method}")
+def exit_code(fn, *args) -> int:
+    """fn(*args); a CacheError exits 65 and any other NBLabError 1, on one stderr line."""
     try:
-        return args.fn(args)
+        return fn(*args)
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NBLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "tol", None) is not None and args.method != "both":
+        parser.error(f"argument --tol: not allowed with --method {args.method}")
+    return exit_code(args.fn, args)
 
 
 def console_entry() -> None:

@@ -85,7 +85,7 @@ class BasisKind(enum.Enum):
         if self is BasisKind.EXCLUDE_ONE:
             return tuple(range(2, L + 1))
         table = sieve_moebius(L)
-        return tuple(l for l in range(1, L + 1) if table.squarefree[l])
+        return tuple(l for l in range(1, L + 1) if table.mu[l] != 0)
 
 
 # ---------------------------------------------------------------------------

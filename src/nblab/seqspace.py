@@ -194,9 +194,6 @@ def inner_product_closed(a: int, b: int) -> float:
     lo, hi = sorted((a, b))
     if lo < 0:
         raise DomainError(f"keys must be nonnegative, got ({a}, {b})")
-    if lo == 0:
-        # sum_n w(n) telescopes to exactly 1; log(1)/1 = 0 for key 1.
-        return 1.0 if hi == 0 else math.log(hi) / hi
     return float(inner_products_closed_row(lo, [hi])[0])
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -147,7 +146,6 @@ _POLE_RADIUS = 1e-8
 _T_CAP = 300.0
 
 
-@lru_cache(maxsize=64)
 def _eta_coefficients(n: int) -> tuple[float, ...]:
     """Normalized acceleration coefficients c_k = (d_n - d_k)/d_n, exact.
 
@@ -270,35 +268,12 @@ def xi(s) -> complex:
     return -2.0 * cmath.exp(log_gamma(0.5 * z + 1.0) - 0.5 * z * _LN_PI) * zeta_deflated(z)
 
 
-@dataclass(frozen=True)
-class XiComparison:
-    """One grid point of the shifted-modulus comparison."""
-
-    s: complex
-    xi_abs: float
-    shifted_abs: float
-    margin: float  # shifted_abs - xi_abs; negative means a violation
-
-
-@dataclass(frozen=True)
-class XiInequalityReport:
-    eps: float
-    violations: tuple[XiComparison, ...] = ()
-
-    @property
-    def max_deficit(self) -> float:
-        """Largest amount by which |xi(s)| exceeded |xi(s+eps)| (0 if none)."""
-        if not self.violations:
-            return 0.0
-        return max(-v.margin for v in self.violations)
-
-
 # Violations are only flagged beyond this relative slack, so honest float
 # noise on equal magnitudes does not read as a counterexample.
 _XI_REL_TOL = 1e-9
 
 
-def xi_inequality_check(grid, eps: float) -> XiInequalityReport:
+def xi_inequality_check(grid, eps: float) -> tuple[int, float]:
     """Compare |xi(s)| against |xi(s + eps)| over a grid in Re s >= 1/2.
 
     Args:
@@ -306,19 +281,19 @@ def xi_inequality_check(grid, eps: float) -> XiInequalityReport:
         eps: Rightward shift, 0 < eps < 1/2.
 
     Returns:
-        XiInequalityReport listing the violations of |xi(s)| <= |xi(s + eps)|
-        beyond numerical tolerance.
+        (violations, max_deficit): the count of points where |xi(s)| exceeds
+        |xi(s + eps)| beyond numerical tolerance, and the largest excess (0.0 if none).
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"xi_inequality_check: eps must be in (0, 1/2), got {eps}")
-    violations = []
+    violations, max_deficit = 0, 0.0
     for raw in grid:
         z = finite_complex(raw)
         if z.real < 0.5:
             raise DomainError(f"xi_inequality_check: grid point {z} has Re s < 1/2")
         a = abs(xi(z))
         b = abs(xi(z + eps))
-        cmp = XiComparison(s=z, xi_abs=a, shifted_abs=b, margin=b - a)
         if a > b + _XI_REL_TOL * max(a, b):
-            violations.append(cmp)
-    return XiInequalityReport(eps=eps, violations=tuple(violations))
+            violations += 1
+            max_deficit = max(max_deficit, a - b)
+    return violations, max_deficit

@@ -1,9 +1,9 @@
 """Compensated and exact summation helpers.
 
 Truncated series in this package are summed with compensation: arrays of up
-to 4096 elements and scalar streams through math.fsum, longer numpy arrays
-chunkwise (numpy's pairwise sum within each chunk of 65536, exactly rounded
-combination of the chunk totals via math.fsum).
+to 4096 elements through math.fsum, longer ones chunkwise (numpy's pairwise
+sum within each chunk of 65536, exactly rounded combination of the chunk
+totals via math.fsum).
 
 `prefix_fsums` returns math.fsum of many prefixes of one array without
 re-summing each prefix in Python. Error-free extraction (Rump, Ogita and
@@ -36,23 +36,21 @@ _LEVELS = 3
 _MAX_GRID_EXP = 1022
 
 
-def compensated_sum(values) -> float:
-    """Sum a 1-D float64 array (or any iterable) with compensation.
+def compensated_sum(values: np.ndarray) -> float:
+    """Sum a float64 array with compensation.
 
-    Arrays of up to 4096 elements and other iterables go through math.fsum.
-    Longer arrays are reduced chunkwise: numpy's pairwise sum inside each
-    chunk of 65536, math.fsum across the chunk totals. A single chunk's total
-    is returned as numpy summed it, since math.fsum([x]) == x.
+    Arrays of up to 4096 elements go through math.fsum. Longer arrays are
+    reduced chunkwise: numpy's pairwise sum inside each chunk of 65536,
+    math.fsum across the chunk totals. A single chunk's total is returned as
+    numpy summed it, since math.fsum([x]) == x.
     """
-    if isinstance(values, np.ndarray):
-        flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-        if flat.size <= _EXACT:
-            # fsum is exactly rounded, so reading Python floats from a list
-            # (faster than iterating the array) gives the same bits.
-            return math.fsum(flat.tolist())
-        partials = [float(flat[i : i + _CHUNK].sum()) for i in range(0, flat.size, _CHUNK)]
-        return math.fsum(partials)
-    return math.fsum(values)
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if flat.size <= _EXACT:
+        # fsum is exactly rounded, so reading Python floats from a list
+        # (faster than iterating the array) gives the same bits.
+        return math.fsum(flat.tolist())
+    partials = [float(flat[i : i + _CHUNK].sum()) for i in range(0, flat.size, _CHUNK)]
+    return math.fsum(partials)
 
 
 def prefix_fsums(x: np.ndarray, ends: Sequence[int]) -> list[float]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -451,6 +452,11 @@ def eta_coefficients_fraction(n: int) -> tuple[float, ...]:
     return tuple(float((dn - dk) / dn) for dk in d[:-1])
 
 
+# The package builds each coefficient list once, inside its cached tables;
+# the loop asks for them point by point, so it keeps its own copies.
+_eta_coefficients_memo = lru_cache(maxsize=None)(_eta_coefficients)
+
+
 def eta_loop(z: complex) -> complex:
     """Dirichlet eta(z) by the package's accelerated series, summed by a
     Python loop with libm's log and cmath's exp, one term at a time.
@@ -458,7 +464,7 @@ def eta_loop(z: complex) -> complex:
     The package evaluates the same terms with numpy ufuncs; the two must
     agree bit for bit. No domain guards.
     """
-    coeffs = _eta_coefficients(_eta_term_count(abs(z.imag)))
+    coeffs = _eta_coefficients_memo(_eta_term_count(abs(z.imag)))
     re: list[float] = []
     im: list[float] = []
     sign = 1.0

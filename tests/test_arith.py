@@ -48,7 +48,7 @@ class TestSieve:
     def test_squarefree_flag(self):
         t = sieve_moebius(10_000)
         for n in range(1, 10_001):
-            assert bool(t.squarefree[n]) == (_mu_reference(n) != 0)
+            assert bool(t.mu[n] != 0) == (_mu_reference(n) != 0)
 
     def test_recurrence_exact(self):
         # sum over divisors of mu is the delta at 1
@@ -84,7 +84,7 @@ class TestSieve:
             t = sieve_moebius(limit)
             want = oracles.sieve_moebius_linear(limit)
             assert np.array_equal(t.mu, want), limit
-            assert np.array_equal(t.squarefree, want != 0), limit
+            assert np.array_equal(t.mu != 0, want != 0), limit
 
     def test_recurrence_small_limits(self):
         for n in range(1, 200):

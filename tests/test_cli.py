@@ -40,12 +40,15 @@ def run_cli(*args, env_extra=None, timeout=600):
 @pytest.fixture
 def main_cli(capsys, monkeypatch):
     """`run_cli` in this process: `cli.main(args)` with no cache directory
-    from the environment, its exit code and captured output in the fields
-    of a finished subprocess."""
+    from the environment, its exit code (returned, or raised by argparse as
+    SystemExit) and captured output in the fields of a finished subprocess."""
     monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
 
     def run(*args):
-        code = cli.main(list(args))
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
         out, err = capsys.readouterr()
         return SimpleNamespace(returncode=code, stdout=out, stderr=err)
 
@@ -53,28 +56,28 @@ def main_cli(capsys, monkeypatch):
 
 
 class TestUsage:
-    def test_help_exits_zero(self):
-        r = run_cli("--help")
+    def test_help_exits_zero(self, main_cli):
+        r = main_cli("--help")
         assert r.returncode == 0
         for sub in ("distance", "residual", "verify", "gram"):
             assert sub in r.stdout
 
-    def test_subcommand_help(self):
-        r = run_cli("distance", "--help")
+    def test_subcommand_help(self, main_cli):
+        r = main_cli("distance", "--help")
         assert r.returncode == 0
         assert "--basis" in r.stdout
 
-    def test_no_command_is_usage_error(self):
-        assert run_cli().returncode == 64
+    def test_no_command_is_usage_error(self, main_cli):
+        assert main_cli().returncode == 64
 
-    def test_bad_flag_value(self):
-        assert run_cli("distance", "--L", "0").returncode == 64
-        assert run_cli("distance", "--L", "abc").returncode == 64
-        assert run_cli("distance", "--method", "magic").returncode == 64
-        assert run_cli("distance", "--basis", "bogus").returncode == 64
+    def test_bad_flag_value(self, main_cli):
+        assert main_cli("distance", "--L", "0").returncode == 64
+        assert main_cli("distance", "--L", "abc").returncode == 64
+        assert main_cli("distance", "--method", "magic").returncode == 64
+        assert main_cli("distance", "--basis", "bogus").returncode == 64
 
-    def test_unknown_suite(self):
-        assert run_cli("verify", "bogus").returncode == 64
+    def test_unknown_suite(self, main_cli):
+        assert main_cli("verify", "bogus").returncode == 64
 
     @pytest.mark.parametrize("command", ["distance", "residual", "gram"])
     @pytest.mark.parametrize("N", ["0", "-5"])
@@ -293,10 +296,10 @@ class TestResidualCommand:
         assert r.stdout.splitlines()[1] == f"5,0.0,{want!r}"
         assert cli.GramStore.load(cache).n_trunc == 20
 
-    def test_closed_cache_with_N_exits_65(self, tmp_path):
+    def test_closed_cache_with_N_exits_65(self, tmp_path, main_cli):
         cache = tmp_path / "c.nbbg"
-        assert run_cli("residual", "--L", "5", "--cache", str(cache)).returncode == 0
-        r = run_cli("residual", "--L", "5", "--N", "20", "--cache", str(cache))
+        assert main_cli("residual", "--L", "5", "--cache", str(cache)).returncode == 0
+        r = main_cli("residual", "--L", "5", "--N", "20", "--cache", str(cache))
         assert r.returncode == 65
         assert r.stdout == ""
         assert "N=20" in r.stderr
@@ -344,12 +347,12 @@ class TestGramCommand:
         assert len(lines) == 46
         assert all(line.endswith(",closed") for line in lines[1:])
 
-    def test_export_csv_ignores_the_rest_of_the_cache(self, tmp_path):
+    def test_export_csv_ignores_the_rest_of_the_cache(self, tmp_path, main_cli):
         # The export lists the basis pairs up to L, however far the cache goes.
         cache = tmp_path / "g.nbbg"
-        assert run_cli("gram", "--L", "40", "--cache", str(cache)).returncode == 0
-        cached = run_cli("gram", "--L", "10", "--cache", str(cache), "--export", "csv")
-        bare = run_cli("gram", "--L", "10", "--export", "csv")
+        assert main_cli("gram", "--L", "40", "--cache", str(cache)).returncode == 0
+        cached = main_cli("gram", "--L", "10", "--cache", str(cache), "--export", "csv")
+        bare = main_cli("gram", "--L", "10", "--export", "csv")
         assert cached.returncode == 0 and bare.returncode == 0
         assert cached.stdout == bare.stdout
 
@@ -361,16 +364,16 @@ class TestGramCommand:
         assert r.returncode == 0
         assert (tmp_path / "gram-default-weight.nbbg").exists()
 
-    def test_corrupt_cache_exits_65(self, tmp_path):
+    def test_corrupt_cache_exits_65(self, tmp_path, main_cli):
         cache = tmp_path / "g.nbbg"
         cache.write_bytes(b"NOPE" + bytes(40))
-        r = run_cli("gram", "--L", "5", "--cache", str(cache))
+        r = main_cli("gram", "--L", "5", "--cache", str(cache))
         assert r.returncode == 65
         assert "cache" in r.stderr.lower()
 
-    def test_wrong_version_exits_65(self, tmp_path):
+    def test_wrong_version_exits_65(self, tmp_path, main_cli):
         cache = tmp_path / "g.nbbg"
-        ok = run_cli("gram", "--L", "5", "--cache", str(cache), "--threads", "1")
+        ok = main_cli("gram", "--L", "5", "--cache", str(cache), "--threads", "1")
         assert ok.returncode == 0
         raw = bytearray(cache.read_bytes())
         raw[4:8] = struct.pack("<I", 42)
@@ -378,11 +381,11 @@ class TestGramCommand:
 
         body = bytes(raw[:-4])
         cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        r = run_cli("gram", "--L", "5", "--cache", str(cache))
+        r = main_cli("gram", "--L", "5", "--cache", str(cache))
         assert r.returncode == 65
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
-    def test_version_one_cache_exits_65(self, tmp_path, version):
+    def test_version_one_cache_exits_65(self, tmp_path, version, main_cli):
         # Format 1 held entries from the earlier residue-class formula, which
         # differ from today's in the last bits. Format 2 cannot tell
         # closed-form entries from truncated ones. Format 3 held a partial
@@ -390,7 +393,7 @@ class TestGramCommand:
         # tables, which differ from the cotangent ones in the last bits. All
         # are refused, not mixed.
         cache = tmp_path / "g.nbbg"
-        ok = run_cli("gram", "--L", "5", "--cache", str(cache), "--threads", "1")
+        ok = main_cli("gram", "--L", "5", "--cache", str(cache), "--threads", "1")
         assert ok.returncode == 0
         raw = bytearray(cache.read_bytes())
         assert struct.unpack_from("<I", raw, 4) == (5,)
@@ -399,7 +402,7 @@ class TestGramCommand:
 
         body = bytes(raw[:-4])
         cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        r = run_cli("distance", "--L", "2..5", "--cache", str(cache))
+        r = main_cli("distance", "--L", "2..5", "--cache", str(cache))
         assert r.returncode == 65
         assert f"format version {version}" in r.stderr
 
@@ -408,13 +411,13 @@ class TestGramCommand:
         [(("--N", "20"), ()), ((), ("--N", "20"))],
         ids=["truncated-then-closed", "closed-then-truncated"],
     )
-    def test_truncation_mismatch_exits_65(self, tmp_path, first, second):
+    def test_truncation_mismatch_exits_65(self, tmp_path, first, second, main_cli):
         # A cache filled with truncated entries never serves a closed-form
         # run, and the reverse.
         cache = tmp_path / "c.nbbg"
-        ok = run_cli("distance", "--L", "10", "--cache", str(cache), *first)
+        ok = main_cli("distance", "--L", "10", "--cache", str(cache), *first)
         assert ok.returncode == 0
-        r = run_cli("distance", "--L", "10", "--cache", str(cache), *second)
+        r = main_cli("distance", "--L", "10", "--cache", str(cache), *second)
         assert r.returncode == 65
         assert r.stdout == ""
         assert "N=20" in r.stderr
@@ -473,6 +476,26 @@ class TestDistanceSweepScript:
         assert again.stdout == first.stdout
         after = os.stat(cache)
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    @pytest.mark.parametrize("damage", ["other-kind", "truncated"])
+    def test_unusable_cache_exits_65_like_distance(self, damage, tmp_path, main_cli,
+                                                   monkeypatch, capsys):
+        # A cache of truncated entries, or its first 100 bytes: one
+        # `cache error:` line, the one `nblab distance` prints, no traceback.
+        cache = tmp_path / "n20.nbbg"
+        assert main_cli("gram", "--L", "10", "--N", "20", "--cache", str(cache)).returncode == 0
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[:100])
+        want = main_cli("distance", "--L", "2..20", "--cache", str(cache))
+        assert want.returncode == 65
+        sweep = load_script("distance_sweep")
+        monkeypatch.setattr(sys, "argv", ["distance_sweep.py", "--l-max", "20",
+                                          "--cache", str(cache)])
+        assert sweep.main() == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == want.stderr
+        assert err.startswith("cache error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["--l-max", "1"], ["--l-step", "0"], ["--l-step", "-3"]])
     def test_bad_range_exits_2(self, argv, monkeypatch, capsys):

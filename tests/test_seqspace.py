@@ -95,6 +95,11 @@ class TestInnerProducts:
         r = inner_product_closed(0, 0)
         assert r == 1.0
         assert type(r) is float
+        # and with {n/b}, log(b)/b to the bit, in either order
+        for b in range(1, 301):
+            want = struct.pack("<d", math.log(b) / b)
+            assert struct.pack("<d", inner_product_closed(0, b)) == want, b
+            assert struct.pack("<d", inner_product_closed(b, 0)) == want, b
 
     def test_golden_values_against_alternating_series_oracle(self):
         ln2 = oracles.ln2_alternating()

@@ -247,20 +247,18 @@ class TestXi:
 class TestXiInequality:
     @pytest.mark.parametrize("eps", [0.1, 0.25])
     def test_no_violations_on_default_grid(self, eps):
-        report = xi_inequality_check(XI_SHIFT_GRID.points, eps)
-        assert report.eps == eps
-        assert report.violations == ()
-        assert report.max_deficit == 0.0
+        assert xi_inequality_check(XI_SHIFT_GRID.points, eps) == (0, 0.0)
 
     def test_margin_sign_convention(self, monkeypatch):
         # |1/s| falls as Re s grows, so in place of xi it violates the
-        # inequality: the margin is negative and the deficit its opposite.
+        # inequality: one violation, by the positive deficit |xi(s)| -
+        # |xi(s + eps)|.
         monkeypatch.setattr(specfun, "xi", lambda z: 1.0 / z)
-        report = xi_inequality_check([0.5 + 2.0j], 0.25)
-        (cmp,) = report.violations
-        assert cmp.margin == pytest.approx(cmp.shifted_abs - cmp.xi_abs)
-        assert cmp.margin < 0.0
-        assert report.max_deficit == -cmp.margin
+        s = 0.5 + 2.0j
+        violations, deficit = xi_inequality_check([s], 0.25)
+        assert violations == 1
+        assert deficit == abs(1.0 / s) - abs(1.0 / (s + 0.25))
+        assert deficit > 0.0
 
     def test_rejects_left_of_critical_line(self):
         with pytest.raises(DomainError):
