@@ -178,11 +178,9 @@ def cmd_residual(args) -> int:
     store = load_store(cache_path, args.N)
     loaded = len(store)
     table = sieve_moebius(max(args.L))
-    rows = [
-        (L, eps, moebius_residual(L, eps, table, store))
-        for L in args.L
-        for eps in args.eps
-    ]
+    pairs = [(L, eps) for L in args.L for eps in args.eps]
+    values = moebius_residual(args.L, args.eps, table, store)
+    rows = [(L, eps, value) for (L, eps), value in zip(pairs, values)]
     save_store(store, cache_path, loaded)
     if args.format == "json":
         payload = [{"L": L, "eps": eps, "residual": value} for L, eps, value in rows]

@@ -23,7 +23,7 @@ n_trunc, from truncated sums over the step-function sequences) and live in a
 GramStore: a dense symmetric array of every pair of keys up to its top, key
 0 the constant sequence and key l the denominator l, of one kind only (its
 truncation N, None for closed form, decides every fill and is carried in
-the binary cache header). Matrices are slices of it, taken once per sweep at
+the binary cache header). Matrices are slices of it, taken once per command at
 its largest cutoff. A Moebius-weighted approximant residual and the
 asymptotic diagnostic d2 * log L round out the module.
 
@@ -223,7 +223,9 @@ def assemble_gram(L: int, store: Optional[GramStore] = None) -> GramStore:
     The fill is the same for every basis: it covers all keys up to L, so a
     store serves each basis up to its top. Only the pairs with a key above
     the old top are computed, and a call with nothing to add does no other
-    work. Closed-form entries (n_trunc None) are computed row by row,
+    work. Each growth makes one row call per held key, however few keys it
+    adds, so callers fill once, at their largest cutoff. Closed-form entries
+    (n_trunc None) are computed row by row,
     vectorized across the second key, each in O(1) once the period tables
     reach L; truncated entries one pair at a time, through
     `GramStore.ensure`, each an O(N) compensated sum. Each entry depends
@@ -253,9 +255,15 @@ def gram_system(
     L: int,
     basis: BasisKind = BasisKind.EXCLUDE_ONE,
     store: Optional[GramStore] = None,
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Return (denominators, G, g): the Gram matrix of the basis and the
-    cross inner products with the constant sequence, sliced from the store.
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Return (denominators, B): the bordered Gram block of the constant
+    sequence followed by the basis, sliced from the store in one copy.
+
+    G = B[1:, 1:] is the Gram matrix of the basis and g = B[0, 1:] its cross
+    inner products with the constant sequence, both views of B. B[0, 0] is
+    the constant's squared norm, pinned to exactly 1 (a truncated store holds
+    1 - 1/(N+1) there), as the LS route's 1 - |z|^2 and the residual's
+    leading 1 take it.
 
     Denominator 1, the zero sequence, is left out of every basis. Each other
     denominator l has a positive diagonal entry (term 1 is 1/l, weighted
@@ -263,8 +271,10 @@ def gram_system(
     """
     values = assemble_gram(L, store).values
     denoms = tuple(l for l in basis.denominators(L) if l > 1)
-    keys = np.asarray(denoms, dtype=np.intp)
-    return denoms, values[np.ix_(keys, keys)], values[CONSTANT_KEY, keys]
+    keys = np.array((CONSTANT_KEY, *denoms), dtype=np.intp)
+    B = values[np.ix_(keys, keys)]
+    B[0, 0] = 1.0
+    return denoms, B
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +404,25 @@ def _factor_with_ridge(G: np.ndarray):
         f"Gram factorization failed at every ridge in {RIDGE_LADDER}: {last_exc}")
 
 
-def _prefix_solve(G: np.ndarray, g: np.ndarray, methods: Sequence[SolveMethod]):
-    """(solved, cond) for every leading block of (G, g), from one factor of G.
+def _prefix_solve(B: np.ndarray, methods: Sequence[SolveMethod]):
+    """(solved, cond) for every leading block of the bordered B = [[1, g^T],
+    [g, G]] (`gram_system`), from one factor of its view G.
 
     solved maps each of `methods` to (d2, ridge) or to the ConditioningError
-    of the bordered factor B = [[1, g^T], [g, G]]: d2[k - 1] is the distance
-    for the leading k columns (1 - cumsum(z^2), non-increasing, or from the
-    factors' diagonals), ridge the one the whole block needed. cond[k - 1]
-    is the condition estimate of G's k-block (`_ice_cond`).
+    of the factor of B: d2[k - 1] is the distance for the leading k columns
+    (1 - cumsum(z^2), non-increasing, or from the factors' diagonals), ridge
+    the one the whole block needed. cond[k - 1] is the condition estimate of
+    G's k-block (`_ice_cond`). The det route adds G's ridge to B's diagonal
+    in place, so B is spent once it returns.
     """
+    G, g = B[1:, 1:], B[0, 1:]
     R, ridge = _factor_with_ridge(G)
     solved = {}
     if SolveMethod.LEAST_SQUARES in methods:
         z = _forward(R, g)
         solved[SolveMethod.LEAST_SQUARES] = 1.0 - np.cumsum(z * z), ridge
     if SolveMethod.GRAM_DET_RATIO in methods:
-        B = np.block([[1.0, g], [g[:, None], G]])
-        B[1:, 1:][np.diag_indices(g.size)] += ridge
+        G[np.diag_indices(g.size)] += ridge
         try:
             R_B, ridge_b = _factor_with_ridge(B)
             logdet = np.cumsum(2.0 * np.log(np.diag(R)))
@@ -460,14 +472,14 @@ def distance_sweep(
     if L_values[0] < 1:
         raise DomainError(f"cutoff must be >= 1, got {L_values[0]}")
     methods = sorted(set(methods), key=lambda m: m.value)
-    denoms, G, g = gram_system(L_values[-1], basis, store)
+    denoms, B = gram_system(L_values[-1], basis, store)
     # gram_system leaves out denominator 1; the bases that hold it report it.
     pruned = () if basis is BasisKind.EXCLUDE_ONE else (1,)
     sizes = np.searchsorted(denoms, L_values, side="right").tolist()
     solved = {}
-    if g.size:
+    if denoms:
         try:
-            solved, cond = _prefix_solve(G, g, methods)
+            solved, cond = _prefix_solve(B, methods)
         except ConditioningError as exc:
             solved = dict.fromkeys(methods, exc)
     reports = []
@@ -494,12 +506,13 @@ def distance_sweep(
 
 
 def moebius_residual(
-    L: int,
-    eps: float,
+    L_values: Sequence[int],
+    eps_values: Sequence[float],
     table: MoebiusTable,
     store: Optional[GramStore] = None,
-) -> float:
-    """Squared error of the Moebius-smoothed combination at cutoff L.
+) -> list[float]:
+    """Squared error of the Moebius-smoothed combination, one per (L, eps)
+    in L-major order.
 
     The approximant is v = -sum_{l<=L} mu(l) l^{-eps} (fractional sequence l);
     the sign makes v approach the constant sequence from the floor-sum
@@ -509,18 +522,27 @@ def moebius_residual(
                           + sum_{l,m} mu(l) mu(m) (l m)^{-eps} <gamma_l, gamma_m>.
 
     The entries are the square-free Gram system of `gram_system`, of the
-    store's kind, which leaves out l = 1, the zero sequence. Always
-    at least the projection distance at the same cutoff.
+    store's kind, which leaves out l = 1, the zero sequence. It is sliced
+    once, at the largest cutoff, and each value reads its leading block (an
+    empty one, exactly 1, for L = 1). Always at least the projection
+    distance at the same cutoff.
     """
-    if L < 1:
-        raise DomainError(f"cutoff must be >= 1, got {L}")
-    if not 0.0 <= eps < math.inf:
-        raise DomainError(f"eps must be finite and >= 0, got {eps}")
-    if L > table.limit:
-        raise DomainError(f"cutoff {L} exceeds sieve limit {table.limit}")
-    if L == 1:
-        return 1.0
+    if not L_values:
+        return []
+    if min(L_values) < 1:
+        raise DomainError(f"cutoff must be >= 1, got {min(L_values)}")
+    for eps in eps_values:
+        if not 0.0 <= eps < math.inf:
+            raise DomainError(f"eps must be finite and >= 0, got {eps}")
+    if max(L_values) > table.limit:
+        raise DomainError(f"cutoff {max(L_values)} exceeds sieve limit {table.limit}")
     # mu(l) = 0 unless l is square-free.
-    denoms, G, g = gram_system(L, BasisKind.SQUARE_FREE, store)
-    coeff = np.array([float(table.mu[l]) * l ** (-eps) for l in denoms])
-    return 1.0 + 2.0 * float(coeff @ g) + float(coeff @ G @ coeff)
+    denoms, B = gram_system(max(L_values), BasisKind.SQUARE_FREE, store)
+    G, g = B[1:, 1:], B[0, 1:]
+    coeffs = [np.array([float(table.mu[l]) * l ** (-eps) for l in denoms]) for eps in eps_values]
+    values = []
+    for k in np.searchsorted(denoms, L_values, side="right").tolist():
+        for coeff in coeffs:
+            c = coeff[:k]
+            values.append(1.0 + 2.0 * float(c @ g[:k]) + float(c @ G[:k, :k] @ c))
+    return values

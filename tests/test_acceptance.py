@@ -126,12 +126,13 @@ def test_05_monotonicity_and_bounds(shared_store):
 
 def test_06_moebius_residual_dominance(shared_store, moebius_table):
     worst_gap = math.inf
-    for L in (2, 10, 50, 100):
+    cutoffs, smoothings = (2, 10, 50, 100), (0.0, 0.1, 0.5)
+    residuals = iter(moebius_residual(cutoffs, smoothings, moebius_table, shared_store))
+    for L in cutoffs:
         d2 = distance(L, ALL, store=shared_store).d2
-        for eps in (0.0, 0.1, 0.5):
-            res = moebius_residual(L, eps, moebius_table, shared_store)
-            worst_gap = min(worst_gap, res - d2)
-    golden = moebius_residual(2, 0.0, moebius_table, shared_store)
+        for eps in smoothings:
+            worst_gap = min(worst_gap, next(residuals) - d2)
+    (golden,) = moebius_residual([2], [0.0], moebius_table, shared_store)
     golden_err = abs(golden - oracles.MOEBIUS_RESIDUAL_L2)
     ok = worst_gap >= -1e-10 and golden_err < 1e-10
     _line(6, "Moebius residual dominates the distance", ok,

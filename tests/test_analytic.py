@@ -260,6 +260,15 @@ class TestMoebiusTransforms:
         expect = oracles.moebius_limit_highprec(eps, s)
         assert abs(moebius_limit_transform(eps, s) - expect) < 1e-12 * abs(expect)
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_limit_for_small_smoothing(self, eps):
+        # 1 + eps sits inside zeta's 1e-8 pole guard; 1/zeta(1 + eps) is
+        # eps / ((s - 1) zeta(s)) there. Measured: 1.2e-15 relative at worst.
+        points = CRITICAL_LINE_GRID.points[::10] + (2.0, 0.9 + 2.0j, 0.7)
+        for s in points:
+            expect = oracles.moebius_limit_highprec(eps, s)
+            assert abs(moebius_limit_transform(eps, s) - expect) <= 1e-14 * abs(expect), s
+
     def test_partial_converges_to_limit(self):
         table = sieve_moebius(4000)
         s = 0.9 + 2.0j

@@ -282,6 +282,22 @@ class TestResidualCommand:
         rows = r.stdout.splitlines()[1:]
         assert len(rows) == 4
 
+    def test_fills_and_slices_once(self, main_cli, monkeypatch):
+        # Every row reads a leading block of one slice at the largest cutoff.
+        calls = {"grow": 0, "gram_system": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(GramStore, "grow", counted("grow", GramStore.grow))
+        monkeypatch.setattr(criterion, "gram_system", counted("gram_system", criterion.gram_system))
+        r = main_cli("residual", "--L", "2..40", "--eps", "0,0.1")
+        assert r.returncode == 0
+        assert len(r.stdout.splitlines()) == 1 + 39 * 2
+        assert calls == {"grow": 1, "gram_system": 1}
 
     def test_truncated_N_is_used(self, tmp_path, main_cli):
         from nblab.arith import sieve_moebius
@@ -292,7 +308,7 @@ class TestResidualCommand:
         closed = main_cli("residual", "--L", "5")
         assert r.returncode == 0 and closed.returncode == 0
         assert r.stdout != closed.stdout
-        want = moebius_residual(5, 0.0, sieve_moebius(5), GramStore(20))
+        (want,) = moebius_residual([5], [0.0], sieve_moebius(5), GramStore(20))
         assert r.stdout.splitlines()[1] == f"5,0.0,{want!r}"
         assert cli.GramStore.load(cache).n_trunc == 20
 
@@ -560,6 +576,19 @@ class TestHlineScript:
         out, err = capsys.readouterr()
         assert out.splitlines()[0] == "L,sup_gap,mean_gap"
         assert out.splitlines()[1].startswith("10,")
+        assert "101 usable points, 0 skipped" in err
+
+    def test_small_eps_runs(self, monkeypatch, capsys):
+        # 1 + eps within 1e-8 of zeta's pole: the limit's 1/zeta(1 + eps)
+        # comes from the deflated form, not through zeta's pole guard
+        hline = load_script("hline_convergence")
+        monkeypatch.setattr(sys, "argv", ["hline_convergence.py", "--eps", "1e-9", "--cutoffs", "10,100"])
+        assert hline.main() == 0
+        out, err = capsys.readouterr()
+        rows = out.splitlines()
+        assert rows[0] == "L,sup_gap,mean_gap"
+        assert [row.split(",")[0] for row in rows[1:]] == ["10", "100"]
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
         assert "101 usable points, 0 skipped" in err
 
     @pytest.mark.parametrize("argv", [

@@ -107,10 +107,10 @@ class TestAssemble:
         assert gram_system(6, ALL, shared_store)[0] == (2, 3, 4, 5, 6)
         assert gram_system(6, EXCL, shared_store)[0] == (2, 3, 4, 5, 6)
         assert gram_system(6, SQFREE, shared_store)[0] == (2, 3, 5, 6)
-        assert gram_system(1, ALL, GramStore())[1].shape == (0, 0)
+        assert gram_system(1, ALL, GramStore())[1].tolist() == [[1.0]]
         for n_trunc in (None, 1, 20):
-            _, G, _ = gram_system(30, ALL, GramStore(n_trunc))
-            assert (np.diag(G) > 0.0).all()
+            _, B = gram_system(30, ALL, GramStore(n_trunc))
+            assert (np.diag(B) > 0.0).all()
 
 
 class TestEntryPurity:
@@ -446,6 +446,19 @@ class TestSweep:
         for a, b in zip(full, sq):
             assert b.d2 >= a.d2 - 1e-12
 
+    def test_truncated_store_borders_with_exactly_one(self):
+        # A truncated store holds 1 - 1/(N+1) at (0, 0); the bordered block
+        # takes the constant's norm as exactly 1, as LS's 1 - |z|^2 does, so
+        # the two methods agree (a corner of 1 - 1/51 moves det by 0.0196).
+        LS, DET = SolveMethod.LEAST_SQUARES, SolveMethod.GRAM_DET_RATIO
+        store = GramStore(n_trunc=50)
+        rows = distance_sweep(range(2, 21), EXCL, (LS, DET), store)
+        assert abs(store.values[0, 0] - 50.0 / 51.0) < 1e-15
+        assert gram_system(20, EXCL, store)[1][0, 0] == 1.0
+        for det, ls in zip(rows[::2], rows[1::2]):
+            assert (det.method, ls.method, det.L) == (DET, LS, ls.L)
+            assert abs(det.d2 - ls.d2) <= 1e-12, det.L
+
 
 class TestSolverInternals:
     def test_ridge_ladder_on_singular_matrix(self):
@@ -475,8 +488,9 @@ class TestSolverInternals:
     def test_forward_pass_matches_lapack_solve(self, shared_store):
         # LAPACK's trtrs through scipy as the oracle, on the factor of the
         # L = 300 exclude-one block. Measured: 2.8e-15 of max |z|.
-        _, G, g = gram_system(300, EXCL, shared_store)
-        R, ridge = _factor_with_ridge(G)
+        _, B = gram_system(300, EXCL, shared_store)
+        g = B[0, 1:]
+        R, ridge = _factor_with_ridge(B[1:, 1:])
         assert ridge == 0.0 and R.flags.f_contiguous
         ref = solve_triangular(R, g, trans="T", check_finite=False)
         z = _forward(R, g)
@@ -486,7 +500,8 @@ class TestSolverInternals:
         # G = I factors, but B = [[1, 1, .5], [1, 1, 0], [.5, 0, 1]] has
         # determinant -1/4, so the bordered factor fails at every ridge.
         LS, DET = SolveMethod.LEAST_SQUARES, SolveMethod.GRAM_DET_RATIO
-        solved, cond = _prefix_solve(np.eye(2), np.array([1.0, 0.5]), (LS, DET))
+        B = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
+        solved, cond = _prefix_solve(B, (LS, DET))
         assert isinstance(solved[DET], ConditioningError)
         d2, ridge = solved[LS]
         assert (d2.tolist(), ridge, cond) == ([0.0, -0.25], 0.0, [1.0, 1.0])
@@ -540,8 +555,8 @@ class TestCondEstimate:
         # LAPACK pocon's estimate moved in its last digit with where its work
         # arrays landed. Allocations between the calls move the estimate's own
         # arrays, and copies of R at shifted offsets move the columns it reads.
-        _, G, _ = gram_system(300, EXCL, shared_store)
-        R, _ = _factor_with_ridge(G)
+        _, B = gram_system(300, EXCL, shared_store)
+        R, _ = _factor_with_ridge(B[1:, 1:])
         n = R.shape[0]
         junk, values = [], set()
         for i in range(64):
@@ -557,7 +572,8 @@ class TestCondEstimate:
     def test_within_a_factor_four_of_exact(self, shared_store, basis):
         # A lower estimate by construction; never below a quarter of the
         # exact value on these bases (0.319 at the worst prefix).
-        _, G, _ = gram_system(300, basis, shared_store)
+        _, B = gram_system(300, basis, shared_store)
+        G = B[1:, 1:]
         R, _ = _factor_with_ridge(G)
         for k, cond in enumerate(_ice_cond(R), start=1):
             eig = np.linalg.eigvalsh(G[:k, :k])
@@ -566,8 +582,8 @@ class TestCondEstimate:
 
     def test_matches_eigh_steps(self, shared_store):
         # The same recurrence with each 2 x 2 step by LAPACK's eigensolver.
-        _, G, _ = gram_system(300, ALL, shared_store)
-        R, _ = _factor_with_ridge(G)
+        _, B = gram_system(300, ALL, shared_store)
+        R, _ = _factor_with_ridge(B[1:, 1:])
         for k, (cond, ref) in enumerate(zip(_ice_cond(R), oracles.ice_cond_eigh(R)), 1):
             assert abs(cond / ref - 1.0) <= 1e-12, k
 
@@ -581,42 +597,55 @@ class TestCondEstimate:
 
 class TestMoebiusResidual:
     def test_trivial_cutoff(self, moebius_table):
-        assert moebius_residual(1, 0.0, moebius_table) == 1.0
+        assert moebius_residual([1], [0.0], moebius_table) == [1.0]
 
     def test_golden_cutoff_two(self, moebius_table):
-        got = moebius_residual(2, 0.0, moebius_table)
+        (got,) = moebius_residual([2], [0.0], moebius_table)
         assert abs(got - oracles.MOEBIUS_RESIDUAL_L2) < 1e-10
 
     def test_dominates_distance(self, shared_store, moebius_table):
-        for L in (2, 10, 50):
+        cutoffs, smoothings = (2, 10, 50), (0.0, 0.1, 0.5)
+        residuals = iter(moebius_residual(cutoffs, smoothings, moebius_table, shared_store))
+        for L in cutoffs:
             d2 = distance(L, ALL, store=shared_store).d2
-            for eps in (0.0, 0.1, 0.5):
-                res = moebius_residual(L, eps, moebius_table, shared_store)
-                assert res >= d2 - 1e-10
+            for eps in smoothings:
+                assert next(residuals) >= d2 - 1e-10
 
     def test_rejects_bad_args(self, moebius_table):
         with pytest.raises(DomainError):
-            moebius_residual(0, 0.0, moebius_table)
+            moebius_residual([0], [0.0], moebius_table)
         with pytest.raises(DomainError):
-            moebius_residual(5, -0.1, moebius_table)
+            moebius_residual([5], [-0.1], moebius_table)
         for eps in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                moebius_residual(10, eps, moebius_table)
+                moebius_residual([10], [eps], moebius_table)
         with pytest.raises(DomainError):
-            moebius_residual(20_000, 0.0, moebius_table)
+            moebius_residual([20_000], [0.0], moebius_table)
 
     def test_truncated_matches_direct_expansion(self, moebius_table):
         # Over a truncated store the expansion runs over truncated entries: it
         # must differ from the closed form and equal the same expansion over
         # raw truncated sums (oracles.truncated_gram; <1, 1> stays exactly 1).
         n_trunc, L, eps = 20, 5, 0.3
-        got = moebius_residual(L, eps, moebius_table, GramStore(n_trunc))
-        closed = moebius_residual(L, eps, moebius_table)
+        (got,) = moebius_residual([L], [eps], moebius_table, GramStore(n_trunc))
+        (closed,) = moebius_residual([L], [eps], moebius_table)
         denoms = [l for l in SQFREE.denominators(L) if l > 1]
         G, g = oracles.truncated_gram(denoms, n_trunc)
         c = np.array([moebius_table.mu[l] * l ** (-eps) for l in denoms])
         assert abs(got - (1.0 + 2.0 * float(c @ g) + float(c @ G @ c))) < 1e-13
         assert abs(got - closed) > 1e-3
+
+    def test_rows_match_fresh_per_row_values(self, moebius_table):
+        # One slice at the largest cutoff against a store of its own per
+        # (L, eps), to assert_rows_close's bound: the leading-block bits may
+        # depend on the BLAS.
+        cutoffs, smoothings = range(1, 61), (0.0, 0.1, 0.5)
+        rows = iter(moebius_residual(cutoffs, smoothings, moebius_table, GramStore()))
+        for L in cutoffs:
+            for eps in smoothings:
+                (fresh,) = moebius_residual([L], [eps], moebius_table, GramStore())
+                assert abs(next(rows) - fresh) <= 1e-12, (L, eps)
+        assert next(rows, None) is None
 
     @given(st.integers(min_value=2, max_value=60))
     @settings(max_examples=25, deadline=None)
@@ -626,7 +655,7 @@ class TestMoebiusResidual:
         from nblab.arith import sieve_moebius
 
         table = sieve_moebius(60)
-        res = moebius_residual(L, 0.3, table)
+        (res,) = moebius_residual([L], [0.3], table)
         assert 0.0 <= res <= 1.0 + 1e-12
 
 
@@ -641,19 +670,19 @@ class TestRateConstant:
 
 class TestGramSystem:
     def test_shapes_and_symmetry(self, shared_store):
-        denoms, G, g = gram_system(8, EXCL, shared_store)
+        denoms, B = gram_system(8, EXCL, shared_store)
         assert denoms == tuple(range(2, 9))
-        assert G.shape == (7, 7)
-        assert np.array_equal(G, G.T)
-        assert g.shape == (7,)
+        assert B.shape == (8, 8)
+        assert np.array_equal(B, B.T)
 
     def test_constant_side_entries(self, shared_store):
-        _, _, g = gram_system(3, EXCL, shared_store)
+        _, B = gram_system(3, EXCL, shared_store)
         # <constant, seq(2)> = ln2 / 2
-        assert abs(g[0] - oracles.LN2 / 2.0) < 1e-12
+        assert abs(B[0, 1] - oracles.LN2 / 2.0) < 1e-12
 
     def test_matches_oracle_entries(self, shared_store):
-        denoms, G, g = gram_system(6, EXCL, shared_store)
+        denoms, B = gram_system(6, EXCL, shared_store)
+        G, g = B[1:, 1:], B[0, 1:]
         Go, go = oracles.truncated_gram(denoms, 2_000_000)
         tol = 1.0 / 2_000_001 + 1e-10
         assert np.max(np.abs(G - Go)) < tol
