@@ -311,18 +311,15 @@ def moebius_limit_transform(eps: float, s: complex) -> complex:
     z = finite_complex(s)
     if z.real < 0.5:
         raise DomainError(f"limit transform is evaluated on Re s >= 1/2, got {z}")
-    w = z + eps
-    try:
-        denom = zeta(w)
-    except PoleError:
-        # 1/zeta vanishes at the pole; take it through the deflated form.
-        recip = (w - 1.0) / zeta_deflated(w)
-    else:
-        if abs(denom) <= 1e-8:
-            raise UnstablePointError(
-                f"zeta({w}) = {denom} is too close to zero for a stable reciprocal"
-            )
-        recip = 1.0 / denom
+    # 1/zeta(w) as (w - 1) / ((s - 1) zeta(s)) at s = w, which also holds at
+    # the pole; z - 1 is exact on Re z in [1/2, 2], so w - 1 is rounded once.
+    w, w_1 = z + eps, (z - 1.0) + eps
+    deflated = zeta_deflated(w)
+    if abs(deflated) <= 1e-8 * abs(w_1):
+        raise UnstablePointError(
+            f"zeta({w}) = {deflated / w_1} is too close to zero for a stable reciprocal"
+        )
+    recip = w_1 / deflated
     # 1/zeta(1 + eps) as eps / ((s - 1) zeta(s)) at s = 1 + eps: no pole guard to trip.
     return zeta(z) / z * (recip - eps / zeta_deflated(1.0 + eps))
 

@@ -92,7 +92,7 @@ class BasisKind(enum.Enum):
 # Gram store and binary cache
 
 _MAGIC = b"NBBG"
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 _HEADER = struct.Struct("<4sIQQ")
 _TRAILER = struct.Struct("<I")
 

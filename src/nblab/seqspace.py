@@ -24,8 +24,9 @@ regularized identity for a p-periodic f,
 
     "sum_n f(n)/n" = -(1/p) sum_{r=1..p} f(r) psi(r/p) - mean(f) log p,
 
-which leaves O(a + b) terms per entry, tabulated as Vasyunin's cotangent
-sums (`_PeriodTables`); see `inner_product_closed` for the resulting formula.
+which leaves O(a + b) terms per entry. Euler's constant and the log p terms
+cancel, so only Vasyunin's cotangent sums are tabulated (`_PeriodTables`);
+see `inner_product_closed` for the resulting formula.
 
 Fractional parts are always computed in integer arithmetic, (n mod l)/l,
 never by flooring a floating-point quotient.
@@ -41,7 +42,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .specfun import EULER_GAMMA
 from .summation import compensated_sum
 
 
@@ -85,18 +85,19 @@ def _terms(f: PiecewiseConstant, n_trunc: int) -> np.ndarray:
 
 
 class _PeriodTables:
-    """Regularized periodic sums R(p, c) for every period p <= limit,
+    """Vasyunin's cotangent sums V(c/p) for every period p <= limit,
 
-        R(p, c) = -(1/p) sum_{r=1..p} ((r c mod p)/p) psi(r/p) - ((p - 1)/(2p)) log p
-                = ((p - 1) gamma + log p)/(2p) + (pi/(2p)) V(c/p)   if gcd(c, p) = 1,
+        V(c/p) = sum_{1 <= r < p/2} (2{rc/p} - 1) cot(pi r/p),   gcd(c, p) = 1,
 
-    stored flat, period p at offset p(p-1)/2, with log n for n <= limit. The
-    second form pairs r with p - r: Gauss's sum of psi(r/p) gives the even
-    part of psi about 1/2, and its odd part -(pi/2) cot(pi x) gives Vasyunin's
-    cotangent sum V(c/p) = sum_{1 <= r < p/2} (2{rc/p} - 1) cot(pi r/p), folded
-    so that tan is never taken near pi. The fill reads only these slots and
-    R(1, 0) = 0; the rest are NaN. Blocks grow on demand, each built once and
-    reduced row by row, so no value depends on which fill first asked for it.
+    stored flat, period p at offset p(p-1)/2, with log n for n <= limit. In
+    the regularized sum R(p, c) = -(1/p) sum_{r=1..p} ((r c mod p)/p) psi(r/p)
+    - ((p - 1)/(2p)) log p, pairing r with p - r splits psi about 1/2: Gauss's
+    sum gives the even part and -(pi/2) cot(pi x) the odd part, so
+    R(p, c) = ((p - 1) gamma + log p)/(2p) + (pi/(2p)) V(c/p). Each V is
+    folded so that tan is never taken near pi. The fill reads only these
+    slots and V(0/1) = 0; the rest are NaN. Blocks grow on demand, each built
+    once and reduced row by row, so no value depends on which fill first
+    asked for it.
     """
 
     def __init__(self) -> None:
@@ -132,7 +133,7 @@ class _PeriodTables:
         v = np.full(p, np.nan)
         v[-low] = -rows
         v[low] = rows
-        return ((p - 1) * EULER_GAMMA + math.log(p)) / (2.0 * p) + (math.pi / (2.0 * p)) * v
+        return v
 
 
 _TABLES = _PeriodTables()
@@ -152,24 +153,16 @@ def inner_products_closed_row(a: int, bs) -> np.ndarray:
     if a == 1:
         return np.zeros(bs.size)
     tables = _TABLES.ensure(int(bs.max(initial=a)))
-    R, logs = tables.values, tables.logs
+    V, logs = tables.values, tables.logs
     if a == 0:
         return np.where(bs == 0, 1.0, logs[bs] / np.maximum(bs, 1))
     g = np.gcd(a, bs)
     a_, b_ = a // g, bs // g
-    log_a, log_b = logs[a], logs[bs]
-    s_a = R[a * (a - 1) // 2 + 1]
-    s_b = R[bs * (bs - 1) // 2 + 1]
-    mu_a = (a_ - 1) / (2.0 * a_)
-    mu_b = (b_ - 1) / (2.0 * b_)
-    t_ab = (R[a_ * (a_ - 1) // 2 + b_ % a_] - mu_a * log_b) / bs
-    t_ba = (R[b_ * (b_ - 1) // 2 + a_ % b_] - mu_b * log_a) / a
-    m = a_ * bs
-    log_m = log_a + log_b - logs[g]
+    ends = V[a * (a - 1) // 2 + 1] + V[bs * (bs - 1) // 2 + 1]
+    pair = V[a_ * (a_ - 1) // 2 + b_ % a_] + V[b_ * (b_ - 1) // 2 + a_ % b_]
     return (
-        s_a / bs + s_b / a - t_ab - t_ba
-        + (EULER_GAMMA - log_a - log_b) / (a * bs)
-        - (EULER_GAMMA - log_m) / m
+        ((bs - 1) * logs[a] + (a - 1) * logs[bs] + math.pi * ends) / (2.0 * a * bs)
+        - math.pi * pair / (2.0 * a_ * bs)
     )
 
 
@@ -177,16 +170,17 @@ def inner_product_closed(a: int, b: int) -> float:
     """Closed-form inner product of the sequences with Gram store keys a and b.
 
     Key 0 is the constant sequence and key l >= 1 the sequence {n/l}. With
-    gamma = -psi(1), g = gcd(a, b), m = lcm(a, b), a' = a/g, b' = b/g and
-    R(p, c) as in `_PeriodTables`, for a, b >= 2:
+    g = gcd(a, b), m = lcm(a, b), a' = a/g, b' = b/g and Vasyunin's sums V
+    as in `_PeriodTables`, for 2 <= a <= b:
 
-        <{n/a}, {n/b}> = S_a/b + S_b/a - T(a, b) - T(b, a)
-                         + (gamma - log a - log b)/(ab) - (gamma - log m)/m,
+        <{n/a}, {n/b}> = ((b - 1) log a + (a - 1) log b + pi (V(1/a) + V(1/b)))/(2ab)
+                         - (pi/(2m)) (V(a'/b') + V(b'/a')).
 
-    where S_p = R(p, 1), T(a, b) = (R(a', b' mod a') - mu log b)/b and
-    mu = (a' - 1)/(2a'). Against the constant, <1, {n/b}> = log(b)/b;
+    It is the Abel-summation formula in the sums R(p, c) of `_PeriodTables`,
+    where every gamma term cancels and log a' + log b' - 2 log m =
+    -(log a + log b). Against the constant, <1, {n/b}> = log(b)/b;
     <1, 1> = 1, and key 1 is the zero sequence. The entry needs
-    the O(a' + b') terms of R(a', .) and R(b', .); these are tabulated once
+    the O(a' + b') terms of V(./a') and V(./b'); these are tabulated once
     per period (p^2/2 terms for period p, O(L^3) for every period up to a
     cutoff L), after which each entry costs O(1). The pair is put in ascending
     order first, so the value is exactly symmetric.

@@ -269,6 +269,14 @@ class TestMoebiusTransforms:
             expect = oracles.moebius_limit_highprec(eps, s)
             assert abs(moebius_limit_transform(eps, s) - expect) <= 1e-14 * abs(expect), s
 
+    def test_limit_next_to_the_pole(self):
+        # s + eps = 1 up to rounding: zeta(s) sits 1e-6 from its pole and
+        # 1/zeta(s + eps) is about 1e-17, so both need full relative accuracy
+        # there and w - 1 must be rounded once.
+        eps, s = 1e-6, 1.0 - 1e-6
+        expect = oracles.moebius_limit_highprec(eps, s)
+        assert abs(moebius_limit_transform(eps, s) - expect) <= 1e-14 * abs(expect)
+
     def test_partial_converges_to_limit(self):
         table = sieve_moebius(4000)
         s = 0.9 + 2.0j

@@ -400,19 +400,21 @@ class TestGramCommand:
         r = main_cli("gram", "--L", "5", "--cache", str(cache))
         assert r.returncode == 65
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_version_one_cache_exits_65(self, tmp_path, version, main_cli):
         # Format 1 held entries from the earlier residue-class formula, which
         # differ from today's in the last bits. Format 2 cannot tell
         # closed-form entries from truncated ones. Format 3 held a partial
         # store in 33-byte records. Format 4 held entries from digamma period
-        # tables, which differ from the cotangent ones in the last bits. All
+        # tables, which differ from the cotangent ones in the last bits.
+        # Format 5 held entries computed through the gamma and log p terms
+        # that cancel out of today's formula, again off in the last bits. All
         # are refused, not mixed.
         cache = tmp_path / "g.nbbg"
         ok = main_cli("gram", "--L", "5", "--cache", str(cache), "--threads", "1")
         assert ok.returncode == 0
         raw = bytearray(cache.read_bytes())
-        assert struct.unpack_from("<I", raw, 4) == (5,)
+        assert struct.unpack_from("<I", raw, 4) == (6,)
         raw[4:8] = struct.pack("<I", version)
         import zlib
 
@@ -448,15 +450,15 @@ class TestGramCommand:
             after = os.stat(cache)
             assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
-    def test_distance_reuses_cache(self, tmp_path):
+    def test_distance_reuses_cache(self, tmp_path, main_cli):
         cache = tmp_path / "g.nbbg"
-        fill = run_cli("gram", "--L", "12", "--cache", str(cache), "--threads", "1")
+        fill = main_cli("gram", "--L", "12", "--cache", str(cache), "--threads", "1")
         assert fill.returncode == 0
-        r = run_cli("distance", "--L", "2..20", "--cache", str(cache), "--threads", "1")
+        r = main_cli("distance", "--L", "2..20", "--cache", str(cache), "--threads", "1")
         assert r.returncode == 0
-        bare = run_cli("distance", "--L", "2..20", "--threads", "1")
+        bare = main_cli("distance", "--L", "2..20", "--threads", "1")
         assert r.stdout == bare.stdout
-        again = run_cli("distance", "--L", "2..20", "--cache", str(cache), "--threads", "1")
+        again = main_cli("distance", "--L", "2..20", "--cache", str(cache), "--threads", "1")
         assert again.stdout == bare.stdout
 
 
@@ -480,16 +482,16 @@ class TestLoadStore:
 
 
 class TestDistanceSweepScript:
-    def test_unchanged_cache_not_rewritten(self, tmp_path):
-        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "distance_sweep.py")
+    def test_unchanged_cache_not_rewritten(self, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "s.nbbg"
-        argv = [sys.executable, script, "--l-max", "20", "--cache", str(cache)]
-        first = subprocess.run(argv, capture_output=True, text=True, timeout=600)
-        assert first.returncode == 0
+        sweep = load_script("distance_sweep")
+        monkeypatch.setattr(sys, "argv", ["distance_sweep.py", "--l-max", "20",
+                                          "--cache", str(cache)])
+        assert sweep.main() == 0
+        first = capsys.readouterr().out
         before = os.stat(cache)
-        again = subprocess.run(argv, capture_output=True, text=True, timeout=600)
-        assert again.returncode == 0
-        assert again.stdout == first.stdout
+        assert sweep.main() == 0
+        assert capsys.readouterr().out == first
         after = os.stat(cache)
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 

@@ -233,12 +233,12 @@ def assert_rows_close(row, d2, cond):
     assert abs(row.cond_estimate - cond) <= 1e-10 * cond, (row.L, row.cond_estimate, cond)
 
 
-def _format5_file(n_trunc, upper):
-    """A format-5 cache file built field by field with struct, as the format
-    documents it: header {magic, version, N, side}, the upper triangle row
-    by row as "<d" values, CRC32 trailer. `upper[i]` lists the entries
-    (i, i), (i, i + 1), ... of row i."""
-    body = struct.pack("<4sIQQ", b"NBBG", 5, n_trunc, len(upper))
+def _format_file(n_trunc, upper, version=6):
+    """A cache file built field by field with struct, as format 6 documents
+    it: header {magic, version, N, side}, the upper triangle row by row as
+    "<d" values, CRC32 trailer. `upper[i]` lists the entries (i, i),
+    (i, i + 1), ... of row i."""
+    body = struct.pack("<4sIQQ", b"NBBG", version, n_trunc, len(upper))
     body += b"".join(struct.pack("<d", v) for row in upper for v in row)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -323,7 +323,7 @@ class TestDenseStore:
         results = {(i, j): entry(i, j) for i in range(top + 1) for j in range(i, top + 1)}
         upper = [[results[i, j] for j in range(i, top + 1)] for i in range(top + 1)]
         p = tmp_path / "packed.nbbg"
-        p.write_bytes(_format5_file(n_trunc or 0, upper))
+        p.write_bytes(_format_file(n_trunc or 0, upper))
         loaded = GramStore.load(p)
         assert (loaded.n_trunc, loaded.top, len(loaded)) == (n_trunc, top, len(results))
         assert loaded.error_bound == (0.0 if n_trunc is None else 1.0 / (n_trunc + 1))
@@ -339,6 +339,19 @@ class TestDenseStore:
         again = tmp_path / "again.nbbg"
         loaded.save(again)
         assert again.read_bytes() == p.read_bytes()
+
+    def test_format_five_file_refused(self, tmp_path):
+        # Format 5 held entries computed through the gamma and log p terms
+        # that cancel out of today's formula; a store grown from one would mix
+        # the two kinds of last bits.
+        top = 4
+        upper = [[inner_product_closed(i, j) for j in range(i, top + 1)] for i in range(top + 1)]
+        p = tmp_path / "old.nbbg"
+        p.write_bytes(_format_file(0, upper, version=5))
+        with pytest.raises(CacheError, match="format version 5"):
+            GramStore.load(p)
+        p.write_bytes(_format_file(0, upper))
+        assert GramStore.load(p).top == top
 
     def test_grows_without_losing_entries(self):
         store = GramStore()

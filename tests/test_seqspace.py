@@ -203,9 +203,23 @@ class TestClosedFormAgainstResidueClassOracle:
             worst = max(worst, abs(got - oracles.residue_class_entry(a, b)))
         assert worst <= 1e-14
 
+    def test_seeded_sample_up_to_2000(self):
+        # Keys up to 2000 whose lcm, the oracle's period, is at most 3e6.
+        # Entries there are of order 1e-3, so 1e-16 is a few units in the
+        # last place.
+        rng = np.random.default_rng(20261020)
+        pairs = []
+        while len(pairs) < 10:
+            a, b = rng.integers(2, 2001, size=2).tolist()
+            if math.lcm(a, b) <= 3_000_000:
+                pairs.append((a, b))
+        worst = max(abs(inner_product_closed(a, b) - oracles.residue_class_entry(a, b))
+                    for a, b in pairs)
+        assert worst <= 1e-16
+
 
 class TestPeriodTables:
-    """The folded cotangent tables R(p, c) against the psi route they replaced."""
+    """The folded cotangent tables V(c/p) against the psi route they replaced."""
 
     @pytest.fixture(scope="class")
     def tables(self):
@@ -215,13 +229,20 @@ class TestPeriodTables:
     def block(tables, p):
         return tables.values[p * (p - 1) // 2 : p * (p + 1) // 2]
 
+    @classmethod
+    def regularized(cls, tables, p):
+        # R(p, c) = ((p - 1) gamma + log p)/(2p) + (pi/(2p)) V(c/p), the
+        # regularized periodic sum that the psi oracles compute.
+        affine = ((p - 1) * oracles.EULER_GAMMA + math.log(p)) / (2.0 * p)
+        return affine + (math.pi / (2.0 * p)) * cls.block(tables, p)
+
     def test_coprime_slots_match_psi_oracle_to_400(self, tables):
         # Every slot the fill can read, p <= 400, within 2e-14 of the O(p^2)
         # psi sums over scipy's digamma.
         worst = 0.0
         for p in range(1, 401):
             coprime = np.gcd(np.arange(p), p) == 1
-            got, want = self.block(tables, p)[coprime], oracles.period_table_psi(p)[coprime]
+            got, want = self.regularized(tables, p)[coprime], oracles.period_table_psi(p)[coprime]
             worst = max(worst, float(np.abs(got - want).max()))
         assert worst <= 2e-14
 
@@ -232,11 +253,11 @@ class TestPeriodTables:
         for p in rng.integers(2, 401, size=16).tolist():
             c = int(rng.choice(np.flatnonzero(np.gcd(np.arange(p), p) == 1)))
             want = oracles.period_entry_highprec(p, c)
-            worst = max(worst, abs(float(self.block(tables, p)[c]) - want))
+            worst = max(worst, abs(float(self.regularized(tables, p)[c]) - want))
         assert worst <= 1e-15
 
     def test_only_noncoprime_slots_are_nan(self, tables):
-        assert tables.values[0] == 0.0  # R(1, 0), read by every a' = 1 entry
+        assert tables.values[0] == 0.0  # V(0/1), read by every a' = 1 entry
         for p in range(1, 401):
             nan = np.isnan(self.block(tables, p))
             assert np.array_equal(nan, np.gcd(np.arange(p), p) > 1), p

@@ -166,6 +166,13 @@ class TestZeta:
         # the product (s-1)*zeta(s) cancels here; the eta form must not
         assert abs(zeta_deflated(s) - oracles.zeta_deflated_highprec(s)) < 1e-15
 
+    @pytest.mark.parametrize("s", [1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 1e-7, 1.0 + 1e-6j])
+    def test_near_pole_against_highprec(self, s):
+        # 1 - 2^(1-s) cancels here; zeta is (s - 1) zeta(s) over s - 1, so it
+        # keeps the deflated product's relative accuracy up to the pole guard.
+        expect = oracles.zeta_highprec(s)
+        assert abs(zeta(s) - expect) <= 2e-15 * abs(expect)
+
     @pytest.mark.parametrize("k", [1, -1])
     @pytest.mark.parametrize("offset", [0.0, 9e-9, -9e-9j, 6e-9 + 6e-9j])
     def test_unstable_points_raise(self, k, offset):
