@@ -40,7 +40,7 @@ def main() -> int:
     ap.add_argument("--l-max", type=int, default=300)
     ap.add_argument("--l-step", type=int, default=10)
     ap.add_argument("--basis", default="exclude-one",
-                    choices=("all", "exclude-one", "square-free"))
+                    choices=[b.value for b in BasisKind])
     ap.add_argument("--method", default="ls", choices=("ls", "det"))
     ap.add_argument("--cache", type=Path, default=None)
     a = ap.parse_args()

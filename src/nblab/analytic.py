@@ -107,15 +107,17 @@ class BoundedValue:
 
 def pieces_for_tolerance(lam: float, sigma: float, tol: float) -> int:
     """Smallest piece count whose omitted-tail bound (lam/(K+1))^sigma / sigma
-    falls below tol."""
+    falls below tol; DomainError for a count past float range."""
     if sigma <= 0.0:
         raise DomainError(f"tolerance planning needs sigma > 0, got {sigma}")
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     if lam == 0.0:
         return 1
-    need = lam * (sigma * tol) ** (-1.0 / sigma) - 1.0
-    return max(1, math.ceil(need))
+    try:
+        return max(1, math.ceil(lam * (sigma * tol) ** (-1.0 / sigma) - 1.0))
+    except OverflowError:
+        raise DomainError(f"tol {tol!r} at sigma {sigma!r} needs too many pieces") from None
 
 
 # Bernoulli B_{2k}/(2k)! for the Euler-Maclaurin correction terms, k = 1..4.
@@ -534,7 +536,7 @@ def suite_unitary() -> list[VerificationReport]:
 
 
 def suite_moebius() -> list[VerificationReport]:
-    from .criterion import BasisKind, GramStore, distance, moebius_residual
+    from .criterion import GramStore, distance, moebius_residual
 
     table = sieve_moebius(10_000)
     ok = verify_recurrence(table, 10_000)
@@ -567,7 +569,7 @@ def suite_moebius() -> list[VerificationReport]:
     residuals = moebius_residual(cutoffs, smoothings, table, store)
     worst_gap = 0.0
     for i, L in enumerate(cutoffs):
-        d2 = distance(L, BasisKind.ALL, store=store).d2
+        d2 = distance(L, store=store).d2
         for res in residuals[i * len(smoothings):(i + 1) * len(smoothings)]:
             worst_gap = max(worst_gap, d2 - res)
     reports.append(

@@ -27,10 +27,10 @@ the binary cache header). Matrices are slices of it, taken once per command at
 its largest cutoff. A Moebius-weighted approximant residual and the
 asymptotic diagnostic d2 * log L round out the module.
 
-The sequence with denominator 1 is identically zero, and it is the only
-basis sequence whose Gram diagonal can vanish: `gram_system` leaves it out
-of every basis, and the rows of the bases that include it report it as
-pruned.
+The sequence with denominator 1 is identically zero and spans nothing, so
+no basis holds it: the criterion asks for the constant sequence in the
+closed span of the {n/l}, l >= 2 (Bagchi 2006, after Baez-Duarte 2003).
+Every other denominator has a positive Gram diagonal.
 """
 
 from __future__ import annotations
@@ -73,19 +73,16 @@ def asymptotic_rate_constant() -> float:
 
 
 class BasisKind(enum.Enum):
-    ALL = "all"
     EXCLUDE_ONE = "exclude-one"
     SQUARE_FREE = "square-free"
 
     def denominators(self, L: int) -> tuple[int, ...]:
         if L < 1:
             raise DomainError(f"cutoff must be >= 1, got {L}")
-        if self is BasisKind.ALL:
-            return tuple(range(1, L + 1))
         if self is BasisKind.EXCLUDE_ONE:
             return tuple(range(2, L + 1))
         table = sieve_moebius(L)
-        return tuple(l for l in range(1, L + 1) if table.mu[l] != 0)
+        return tuple(l for l in range(2, L + 1) if table.mu[l] != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +262,12 @@ def gram_system(
     1 - 1/(N+1) there), as the LS route's 1 - |z|^2 and the residual's
     leading 1 take it.
 
-    Denominator 1, the zero sequence, is left out of every basis. Each other
-    denominator l has a positive diagonal entry (term 1 is 1/l, weighted
-    1/2, for closed-form and truncated entries alike), so G needs no pruning.
+    No basis holds denominator 1, the zero sequence. Each denominator l >= 2
+    has a positive diagonal entry (term 1 is 1/l, weighted 1/2, for
+    closed-form and truncated entries alike), so G needs no pruning.
     """
     values = assemble_gram(L, store).values
-    denoms = tuple(l for l in basis.denominators(L) if l > 1)
+    denoms = basis.denominators(L)
     keys = np.array((CONSTANT_KEY, *denoms), dtype=np.intp)
     B = values[np.ix_(keys, keys)]
     B[0, 0] = 1.0
@@ -296,7 +293,6 @@ class DistanceReport:
     ridge_used: float
     a_est: float
     degenerate: bool = False
-    pruned: tuple[int, ...] = ()
     error: Optional[str] = None
 
     def csv_row(self) -> str:
@@ -316,7 +312,6 @@ class DistanceReport:
             "ridge": self.ridge_used,
             "method": self.method.value,
             "degenerate": self.degenerate,
-            "pruned": list(self.pruned),
             "error": self.error,
         }
 
@@ -442,8 +437,8 @@ def distance(
 ) -> DistanceReport:
     """Squared distance from the constant sequence to the span at cutoff L.
 
-    The one-row, one-method `distance_sweep`. For L = 1 the span is {0}
-    (every basis is empty once the zero sequence l = 1 is left out), the
+    The one-row, one-method `distance_sweep`. For L = 1 every basis is
+    empty (no basis holds the zero sequence l = 1), the span is {0}, the
     distance is the squared norm of the constant sequence, exactly 1; the
     report is flagged degenerate and no solver runs.
     """
@@ -473,8 +468,6 @@ def distance_sweep(
         raise DomainError(f"cutoff must be >= 1, got {L_values[0]}")
     methods = sorted(set(methods), key=lambda m: m.value)
     denoms, B = gram_system(L_values[-1], basis, store)
-    # gram_system leaves out denominator 1; the bases that hold it report it.
-    pruned = () if basis is BasisKind.EXCLUDE_ONE else (1,)
     sizes = np.searchsorted(denoms, L_values, side="right").tolist()
     solved = {}
     if denoms:
@@ -495,8 +488,7 @@ def distance_sweep(
                 d2, ridge = result
                 row = dict(d2=float(d2[k - 1]), cond_estimate=cond[k - 1], ridge_used=ridge)
             reports.append(DistanceReport(
-                L=L, basis=basis, method=method, a_est=row["d2"] * math.log(L),
-                pruned=pruned, **row,
+                L=L, basis=basis, method=method, a_est=row["d2"] * math.log(L), **row,
             ))
     return reports
 
@@ -522,7 +514,7 @@ def moebius_residual(
                           + sum_{l,m} mu(l) mu(m) (l m)^{-eps} <gamma_l, gamma_m>.
 
     The entries are the square-free Gram system of `gram_system`, of the
-    store's kind, which leaves out l = 1, the zero sequence. It is sliced
+    store's kind; its basis leaves out l = 1, the zero sequence. It is sliced
     once, at the largest cutoff, and each value reads its leading block (an
     empty one, exactly 1, for L = 1). Always at least the projection
     distance at the same cutoff.

@@ -4,11 +4,22 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # nblab before numpy or scipy, so this process factors on one OpenBLAS thread
 # with the same rounding as the CLI subprocesses the tests start.
 from nblab.arith import sieve_moebius
 from nblab.criterion import GramStore, assemble_gram
+
+
+def child_env():
+    """The environment for a child Python process: this one's, without
+    NBLAB_CACHE_DIR, and with the checkout's src first on PYTHONPATH.
+    pyproject.toml's `pythonpath` reaches only the pytest process, so
+    without it a child finds nblab only when it is installed."""
+    env = {k: v for k, v in os.environ.items() if k != "NBLAB_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

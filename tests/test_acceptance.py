@@ -30,7 +30,6 @@ from nblab.criterion import (
 from nblab.seqspace import inner_product_closed
 from nblab.specfun import xi, xi_inequality_check, zeta
 
-ALL = BasisKind.ALL
 EXCL = BasisKind.EXCLUDE_ONE
 SQFREE = BasisKind.SQUARE_FREE
 
@@ -111,7 +110,7 @@ def test_04_brute_force_oracle(shared_store):
 
 def test_05_monotonicity_and_bounds(shared_store):
     cutoffs = list(range(2, 101))
-    full = distance_sweep(cutoffs, ALL, store=shared_store)
+    full = distance_sweep(cutoffs, EXCL, store=shared_store)
     sq = distance_sweep(cutoffs, SQFREE, store=shared_store)
     in_bounds = all(0.0 <= r.d2 <= 1.0 for r in full)
     monotone = all(b.d2 <= a.d2 + 1e-12 for a, b in zip(full, full[1:]))
@@ -129,7 +128,7 @@ def test_06_moebius_residual_dominance(shared_store, moebius_table):
     cutoffs, smoothings = (2, 10, 50, 100), (0.0, 0.1, 0.5)
     residuals = iter(moebius_residual(cutoffs, smoothings, moebius_table, shared_store))
     for L in cutoffs:
-        d2 = distance(L, ALL, store=shared_store).d2
+        d2 = distance(L, EXCL, store=shared_store).d2
         for eps in smoothings:
             worst_gap = min(worst_gap, next(residuals) - d2)
     (golden,) = moebius_residual([2], [0.0], moebius_table, shared_store)

@@ -1,6 +1,5 @@
 import cmath
 import math
-import os
 import subprocess
 import sys
 
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import child_env
 from nblab import seqspace
 from nblab.arith import sieve_moebius
 from nblab.analytic import (
@@ -78,6 +78,12 @@ class TestPiecesForTolerance:
         for sigma, tol in ((0.8, 1e-7), (1.5, 1e-9), (2.5, 1e-10)):
             k = pieces_for_tolerance(1.0, sigma, tol)
             assert (1.0 / (k + 1)) ** sigma / sigma <= tol
+
+    @pytest.mark.parametrize("sigma, tol", [(0.01, 1e-9), (0.3, 1e-300)])
+    def test_count_past_float_range_is_a_domain_error(self, sigma, tol):
+        # (sigma tol)^(-1/sigma) overflows; the error names both inputs.
+        with pytest.raises(DomainError, match=f"tol {tol!r} at sigma {sigma!r}"):
+            pieces_for_tolerance(1.0, sigma, tol)
 
 
 class TestMellinExact:
@@ -418,7 +424,8 @@ def test_transform_modules_import_without_criterion():
         "import sys, nblab.analytic, nblab.arith, nblab.seqspace; "
         "print(sorted(m for m in ('scipy', 'nblab.criterion') if m in sys.modules))"
     )
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=600, env=child_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
 
@@ -444,9 +451,8 @@ def test_each_command_loads_only_what_it_runs():
         "    codes += [cli.main(['verify', name]) for name in sorted(SUITES)]\n"
         "print(codes, after_distance, loaded(watch[:2]))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "NBLAB_CACHE_DIR"}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=600, env=env)
+                         timeout=600, env=child_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[0, 0, 0, 0, 0, 0] [] []\n"
 
@@ -463,8 +469,7 @@ def test_cli_runs_without_scipy():
         "             cli.main(['verify', 'moebius'])]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "NBLAB_CACHE_DIR"}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=600, env=env)
+                         timeout=600, env=child_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[0, 0] []\n"

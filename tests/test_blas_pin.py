@@ -6,13 +6,12 @@ OpenBLAS reads the variable only once, when numpy loads it.
 """
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from nblab import cli
+from conftest import child_env
 
 # Prints the variable and the thread count of numpy's OpenBLAS after
 # `import nblab, numpy`, or null where no OpenBLAS library is found. numpy 2
@@ -41,9 +40,8 @@ print(json.dumps({"variable": os.environ.get("OPENBLAS_NUM_THREADS"),
 
 
 def run(args, threads=None):
-    env = dict(os.environ)
+    env = child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
-    env.pop(cli.CACHE_DIR_ENV, None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
@@ -56,7 +54,7 @@ def probe(threads=None) -> dict:
 
 def test_default_output_equals_one_thread_output():
     argv = ["-m", "nblab.cli", "distance", "--L", "2..300", "--method", "both",
-            "--basis", "all"]
+            "--basis", "exclude-one"]
     unset = run(argv).stdout.splitlines()
     one = run(argv, threads="1").stdout.splitlines()
     assert len(unset) == len(one) == 1 + 2 * 299

@@ -21,11 +21,11 @@ from nblab.criterion import (
 from nblab.errors import CacheError
 
 import oracles
+from conftest import child_env
 
 
 def run_cli(*args, env_extra=None, timeout=600):
-    env = dict(os.environ)
-    env.pop(cli.CACHE_DIR_ENV, None)
+    env = child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -76,6 +76,14 @@ class TestUsage:
         assert main_cli("distance", "--method", "magic").returncode == 64
         assert main_cli("distance", "--basis", "bogus").returncode == 64
 
+    def test_all_basis_is_gone_from_distance(self, main_cli):
+        # No basis holds the zero sequence l = 1, so `all` is no basis.
+        r = main_cli("distance", "--basis", "all")
+        assert r.returncode == 64
+        assert r.stdout == ""
+        assert r.stderr.startswith("usage: nblab distance")
+        assert "argument --basis: invalid choice: 'all'" in r.stderr
+
     def test_unknown_suite(self, main_cli):
         assert main_cli("verify", "bogus").returncode == 64
 
@@ -91,7 +99,7 @@ class TestUsage:
         ["gram", "--method", "both"],
         ["gram", "--tol", "1e-30"],
         ["gram", "--format", "json"],
-        ["residual", "--basis", "all"],
+        ["residual", "--basis", "exclude-one"],
         ["residual", "--method", "det"],
         ["residual", "--tol", "1e-30"],
         pytest.param(["distance", "--method", "ls", "--tol", "1e-9"], id="distance-ls-tol"),
@@ -174,6 +182,8 @@ class TestDistanceCommand:
         assert row["L"] == 4
         assert 0.0 <= row["d2"] <= 1.0
         assert row["method"] == "ls"
+        assert sorted(row) == ["L", "a_est", "basis", "cond", "d2", "degenerate", "error",
+                               "method", "ridge"]
 
     def test_truncated_entries_via_N(self, main_cli):
         r = main_cli("distance", "--L", "2", "--N", "100000", "--threads", "1")
@@ -372,6 +382,26 @@ class TestGramCommand:
         assert cached.returncode == 0 and bare.returncode == 0
         assert cached.stdout == bare.stdout
 
+    def test_export_all_lists_every_key_from_one(self, main_cli):
+        # `gram --basis all` exports the keys 1..L, key 1's zero rows too, each
+        # entry the single-pair closed form.
+        from nblab.seqspace import inner_product_closed
+
+        r = main_cli("gram", "--L", "5", "--basis", "all", "--export", "csv")
+        assert r.returncode == 0
+        want = ["l,m,value,error_bound,method"] + [
+            f"{i},{j},{inner_product_closed(i, j)!r},0.0,closed"
+            for i in range(1, 6) for j in range(i, 6)]
+        assert r.stdout == "\n".join(want) + "\n"
+        assert [line for line in want if line.startswith("1,")] == [
+            f"1,{j},0.0,0.0,closed" for j in range(1, 6)]
+
+    def test_export_square_free_starts_at_two(self, main_cli):
+        r = main_cli("gram", "--L", "5", "--basis", "square-free", "--export", "csv")
+        assert r.returncode == 0
+        pairs = [tuple(map(int, line.split(",")[:2])) for line in r.stdout.splitlines()[1:]]
+        assert pairs == [(2, 2), (2, 3), (2, 5), (3, 3), (3, 5), (5, 5)]
+
     def test_env_var_cache_dir(self, tmp_path):
         r = run_cli(
             "gram", "--L", "5", "--threads", "1",
@@ -514,6 +544,16 @@ class TestDistanceSweepScript:
         assert out == ""
         assert err == want.stderr
         assert err.startswith("cache error: ") and err.count("\n") == 1
+
+    def test_all_basis_is_refused(self, monkeypatch, capsys):
+        sweep = load_script("distance_sweep")
+        monkeypatch.setattr(sys, "argv", ["distance_sweep.py", "--basis", "all"])
+        with pytest.raises(SystemExit) as exc:
+            sweep.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --basis: invalid choice: 'all'" in err
 
     @pytest.mark.parametrize("argv", [["--l-max", "1"], ["--l-step", "0"], ["--l-step", "-3"]])
     def test_bad_range_exits_2(self, argv, monkeypatch, capsys):

@@ -30,7 +30,6 @@ from nblab import criterion, seqspace
 from nblab.errors import CacheError, ConditioningError, DomainError
 from nblab.seqspace import PiecewiseConstant, inner_product_closed, inner_product_truncated
 
-ALL = BasisKind.ALL
 EXCL = BasisKind.EXCLUDE_ONE
 SQFREE = BasisKind.SQUARE_FREE
 
@@ -44,14 +43,20 @@ def key_sequence(key):
 
 class TestBasisSelection:
     def test_denominators(self):
-        assert ALL.denominators(5) == (1, 2, 3, 4, 5)
+        # No basis holds l = 1, the zero sequence.
         assert EXCL.denominators(5) == (2, 3, 4, 5)
-        assert SQFREE.denominators(12) == (1, 2, 3, 5, 6, 7, 10, 11)
-        assert SQFREE.denominators(1) == (1,)
+        assert SQFREE.denominators(12) == (2, 3, 5, 6, 7, 10, 11)
+        assert EXCL.denominators(1) == SQFREE.denominators(1) == ()
+
+    def test_two_bases(self):
+        assert [b.value for b in BasisKind] == ["exclude-one", "square-free"]
+        with pytest.raises(ValueError):
+            BasisKind("all")
 
     def test_rejects_bad_cutoff(self):
-        with pytest.raises(DomainError):
-            ALL.denominators(0)
+        for basis in BasisKind:
+            with pytest.raises(DomainError):
+                basis.denominators(0)
 
 
 class TestAssemble:
@@ -102,14 +107,13 @@ class TestAssemble:
                 assert struct.pack("<d", store.values[i, j]) == struct.pack("<d", single), (i, j)
 
     def test_gram_system_leaves_out_the_zero_sequence(self, shared_store):
-        # l = 1 is left out of every basis; every other diagonal is positive,
-        # closed-form and truncated alike, so the solver needs no pruning.
-        assert gram_system(6, ALL, shared_store)[0] == (2, 3, 4, 5, 6)
+        # No basis holds l = 1; every other diagonal is positive, closed-form
+        # and truncated alike, so the solver needs no pruning.
         assert gram_system(6, EXCL, shared_store)[0] == (2, 3, 4, 5, 6)
         assert gram_system(6, SQFREE, shared_store)[0] == (2, 3, 5, 6)
-        assert gram_system(1, ALL, GramStore())[1].tolist() == [[1.0]]
+        assert gram_system(1, EXCL, GramStore())[1].tolist() == [[1.0]]
         for n_trunc in (None, 1, 20):
-            _, B = gram_system(30, ALL, GramStore(n_trunc))
+            _, B = gram_system(30, EXCL, GramStore(n_trunc))
             assert (np.diag(B) > 0.0).all()
 
 
@@ -126,11 +130,11 @@ class TestEntryPurity:
         # Fresh period tables for each route, so each grows them its own way.
         monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
         stepped = GramStore()
-        gram_system(17, ALL, stepped)
-        gram_system(40, ALL, stepped)
+        gram_system(17, EXCL, stepped)
+        gram_system(40, EXCL, stepped)
         monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
         whole = GramStore()
-        gram_system(40, ALL, whole)
+        gram_system(40, EXCL, whole)
         assert self._bits(stepped) == self._bits(whole)
         monkeypatch.setattr(seqspace, "_TABLES", seqspace._PeriodTables())
         for (i, j), bits in self._bits(whole).items():
@@ -252,7 +256,8 @@ def per_row_oracle(shared_store):
 
     def rows(basis):
         if basis not in by_basis:
-            # The oracle gets the whole basis, l = 1 too, and prunes on its own.
+            # The oracle prunes zero and duplicate columns on its own; the
+            # tests check that no basis gives it one.
             denoms = basis.denominators(300)
             keys = np.asarray(denoms)
             G = shared_store.values[np.ix_(keys, keys)]
@@ -267,7 +272,7 @@ def per_row_oracle(shared_store):
 
 
 class TestDenseStore:
-    @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.value)
+    @pytest.mark.parametrize("basis", [EXCL, SQFREE], ids=lambda b: b.value)
     @pytest.mark.parametrize("method", list(SolveMethod), ids=lambda m: m.value)
     def test_sweep_rows_match_per_row_oracle(self, shared_store, per_row_oracle, basis, method):
         # The sweep reads every row from one factor of the L = 300 block; the
@@ -277,10 +282,10 @@ class TestDenseStore:
         for r in swept:
             ref = refs[r.L]
             assert_rows_close(r, ref["d2"][method], ref["cond"])
-            assert (r.pruned, r.ridge_used, r.degenerate) == (
-                ref["pruned"], ref["ridge"][method], ref["degenerate"]), r.L
+            assert (ref["pruned"], r.ridge_used, r.degenerate) == (
+                (), ref["ridge"][method], ref["degenerate"]), r.L
 
-    @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.value)
+    @pytest.mark.parametrize("basis", [EXCL, SQFREE], ids=lambda b: b.value)
     @pytest.mark.parametrize("method", list(SolveMethod), ids=lambda m: m.value)
     def test_sweep_rows_match_fresh_distance(self, basis, method):
         # A row of a sweep to 60 and `distance` from a store of its own agree
@@ -290,14 +295,13 @@ class TestDenseStore:
         for r in swept:
             fresh = distance(r.L, basis, method, GramStore())
             assert_rows_close(r, fresh.d2, fresh.cond_estimate)
-            assert (r.pruned, r.ridge_used, r.degenerate) == (
-                fresh.pruned, fresh.ridge_used, fresh.degenerate), r.L
+            assert (r.ridge_used, r.degenerate) == (fresh.ridge_used, fresh.degenerate), r.L
 
     @pytest.mark.parametrize("n_trunc", [None, 30])
     def test_save_load_save_byte_identical(self, tmp_path, n_trunc):
         store = GramStore(n_trunc=n_trunc)
         gram_system(9, SQFREE, store)
-        gram_system(14, ALL, store)
+        gram_system(14, EXCL, store)
         first, second = tmp_path / "a.nbbg", tmp_path / "b.nbbg"
         store.save(first)
         GramStore.load(first).save(second)
@@ -307,7 +311,7 @@ class TestDenseStore:
     def test_square_free_then_all_matches_one_fill(self, n_trunc):
         stepped = GramStore(n_trunc=n_trunc)
         gram_system(9, SQFREE, stepped)
-        gram_system(14, ALL, stepped)
+        gram_system(14, EXCL, stepped)
         whole = assemble_gram(14, GramStore(n_trunc))
         assert stepped.values.tobytes() == whole.values.tobytes()
 
@@ -392,15 +396,6 @@ class TestDistance:
             assert ls.method is SolveMethod.LEAST_SQUARES
             assert det.method is SolveMethod.GRAM_DET_RATIO
 
-    def test_full_and_exclude_one_agree(self, shared_store):
-        # the all-denominators basis only adds the zero vector, which the
-        # solver prunes; what is left is the exclude-one system, bit for bit
-        for L in (4, 12, 40):
-            a = distance(L, ALL, store=shared_store)
-            b = distance(L, EXCL, store=shared_store)
-            assert a.d2 == b.d2
-            assert 1 in a.pruned
-
     def test_coordinate_descent_oracle(self, shared_store):
         for L in (3, 4, 5, 6):
             denoms = EXCL.denominators(L)
@@ -447,14 +442,14 @@ class TestSweep:
 
     def test_monotone_and_bounded(self, shared_store):
         # least squares reads 1 - cumsum(z^2): non-increasing bit for bit
-        rows = distance_sweep(list(range(2, 101)), ALL, store=shared_store)
+        rows = distance_sweep(list(range(2, 101)), EXCL, store=shared_store)
         d2 = [r.d2 for r in rows]
         assert all(0.0 <= v <= 1.0 for v in d2)
         for prev, cur in zip(d2, d2[1:]):
             assert cur <= prev
 
     def test_squarefree_dominates_full(self, shared_store):
-        full = distance_sweep(list(range(2, 101)), ALL, store=shared_store)
+        full = distance_sweep(list(range(2, 101)), EXCL, store=shared_store)
         sq = distance_sweep(list(range(2, 101)), SQFREE, store=shared_store)
         for a, b in zip(full, sq):
             assert b.d2 >= a.d2 - 1e-12
@@ -549,11 +544,11 @@ class TestSolverInternals:
         distance_sweep(range(2, 61), EXCL, (SolveMethod.LEAST_SQUARES,), shared_store)
         assert calls == [59]
 
-    @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.value)
+    @pytest.mark.parametrize("basis", [EXCL, SQFREE], ids=lambda b: b.value)
     def test_both_methods_match_single_method_sweeps(self, shared_store, basis):
         def fields(r):
             return (r.L, r.method, repr(r.d2), repr(r.cond_estimate), r.ridge_used,
-                    r.pruned, r.degenerate, r.error)
+                    r.degenerate, r.error)
 
         cutoffs = range(1, 201)
         both = distance_sweep(cutoffs, basis, tuple(SolveMethod), shared_store)
@@ -581,7 +576,7 @@ class TestCondEstimate:
             values.add(np.array(_ice_cond(shifted)).tobytes())
         assert len(values) == 1
 
-    @pytest.mark.parametrize("basis", [ALL, EXCL, SQFREE], ids=lambda b: b.value)
+    @pytest.mark.parametrize("basis", [EXCL, SQFREE], ids=lambda b: b.value)
     def test_within_a_factor_four_of_exact(self, shared_store, basis):
         # A lower estimate by construction; never below a quarter of the
         # exact value on these bases (0.319 at the worst prefix).
@@ -595,7 +590,7 @@ class TestCondEstimate:
 
     def test_matches_eigh_steps(self, shared_store):
         # The same recurrence with each 2 x 2 step by LAPACK's eigensolver.
-        _, B = gram_system(300, ALL, shared_store)
+        _, B = gram_system(300, EXCL, shared_store)
         R, _ = _factor_with_ridge(B[1:, 1:])
         for k, (cond, ref) in enumerate(zip(_ice_cond(R), oracles.ice_cond_eigh(R)), 1):
             assert abs(cond / ref - 1.0) <= 1e-12, k
@@ -620,7 +615,7 @@ class TestMoebiusResidual:
         cutoffs, smoothings = (2, 10, 50), (0.0, 0.1, 0.5)
         residuals = iter(moebius_residual(cutoffs, smoothings, moebius_table, shared_store))
         for L in cutoffs:
-            d2 = distance(L, ALL, store=shared_store).d2
+            d2 = distance(L, EXCL, store=shared_store).d2
             for eps in smoothings:
                 assert next(residuals) >= d2 - 1e-10
 
@@ -642,7 +637,7 @@ class TestMoebiusResidual:
         n_trunc, L, eps = 20, 5, 0.3
         (got,) = moebius_residual([L], [eps], moebius_table, GramStore(n_trunc))
         (closed,) = moebius_residual([L], [eps], moebius_table)
-        denoms = [l for l in SQFREE.denominators(L) if l > 1]
+        denoms = SQFREE.denominators(L)
         G, g = oracles.truncated_gram(denoms, n_trunc)
         c = np.array([moebius_table.mu[l] * l ** (-eps) for l in denoms])
         assert abs(got - (1.0 + 2.0 * float(c @ g) + float(c @ G @ c))) < 1e-13

@@ -10,10 +10,11 @@ every declared per-layer metric it is responsible for comes back.
 
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,10 +37,9 @@ def test_traced_job_reports_every_declared_metric(tmp_path):
     }
     spec_path, result_path = tmp_path / "spec.json", tmp_path / "result.json"
     spec_path.write_text(json.dumps(spec))
-    env = {k: v for k, v in os.environ.items() if k != "NBLAB_CACHE_DIR"}
     run = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "trace_job.py"), str(spec_path), str(result_path)],
-        capture_output=True, text=True, timeout=600, env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=600, env=child_env(), cwd=tmp_path,
     )
     assert run.returncode == 0, run.stderr
     result = json.loads(result_path.read_text())
