@@ -11,7 +11,6 @@ import argparse
 import math
 import sys
 
-from nblab.arith import sieve_moebius
 from nblab.analytic import (
     CRITICAL_LINE_GRID,
     moebius_limit_transform,
@@ -21,7 +20,6 @@ from nblab.errors import UnstablePointError
 
 
 def run(eps: float, cutoffs: tuple[int, ...]) -> int:
-    table = sieve_moebius(max(cutoffs))
     limits = {}
     skipped = 0
     for s in CRITICAL_LINE_GRID.points:
@@ -32,7 +30,7 @@ def run(eps: float, cutoffs: tuple[int, ...]) -> int:
     print(f"grid {CRITICAL_LINE_GRID.grid_id}, eps {eps}, "
           f"{len(limits)} usable points, {skipped} skipped", file=sys.stderr)
     print("L,sup_gap,mean_gap")
-    partials = moebius_partial_transform(cutoffs, eps, list(limits), table)
+    partials = moebius_partial_transform(cutoffs, eps, list(limits))
     for L, row in zip(cutoffs, partials.tolist()):
         gaps = [abs(p - lim) for p, lim in zip(row, limits.values())]
         sup = max(gaps)

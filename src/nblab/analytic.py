@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import MoebiusTable, sieve_moebius, verify_recurrence
+from .arith import sieve_moebius, verify_recurrence
 from .errors import DomainError, PoleError, UnstablePointError
 from .seqspace import PiecewiseConstant, dilate, inner_product_truncated
 from .specfun import (
@@ -240,14 +240,6 @@ def combined_kernel_transform(lam: float, s: complex) -> complex:
     return lam * ratio * zeta_deflated(z) / z
 
 
-def reciprocal_kernel_transform(l: int, s: complex) -> complex:
-    """(l^-s - l^-1) zeta(s) / s for integer l >= 1: the transform attached
-    to the fractional-part sequence with denominator l."""
-    if l < 1:
-        raise DomainError(f"denominator must be >= 1, got {l}")
-    return combined_kernel_transform(1.0 / l, s)
-
-
 def scale_inner_function(mu: float, s: complex) -> complex:
     """mu^(s - 1/2): unit modulus on the critical line, multiplicative in mu."""
     if not (0.0 < mu <= 1.0):
@@ -256,21 +248,23 @@ def scale_inner_function(mu: float, s: complex) -> complex:
 
 
 def moebius_partial_transform(
-    cutoffs: Sequence[int], eps: float, points: Sequence[complex], table: MoebiusTable
+    cutoffs: Sequence[int], eps: float, points: Sequence[complex]
 ) -> np.ndarray:
     """(zeta(s)/s) (sum_{l<=L} mu(l) l^(-s-eps) - sum_{l<=L} mu(l) l^(-1-eps))
     for every cutoff L in `cutoffs` and point s in `points`, as a complex128
     array of shape (len(cutoffs), len(points)).
 
-    Algebraically equal to sum_{l<=L} mu(l) l^(-eps) times the reciprocal
-    kernel transforms; the two assembly orders are compared in tests.
+    Algebraically equal to sum_{l<=L} mu(l) l^(-eps) times the kernel
+    transforms `combined_kernel_transform(1/l, s)`; the two assembly orders
+    are compared in tests.
 
-    The terms over square-free l up to the largest cutoff are evaluated once
-    per point by complex128 numpy ufuncs; the s-free sum at s = 1 is taken
-    once for all cutoffs. `summation.prefix_fsums` sums every cutoff's prefix
-    in one vectorized pass: error-free extraction splits the terms into
-    parts whose prefix sums numpy adds exactly, and math.fsum of those few
-    exact floats rounds each prefix's exact sum correctly. Every cell is
+    mu is sieved once, to the largest cutoff. The terms over square-free l
+    up to it are evaluated once per point by complex128 numpy ufuncs; the
+    s-free sum at s = 1 is taken once for all cutoffs.
+    `summation.prefix_fsums` sums every cutoff's prefix in one vectorized
+    pass: error-free extraction splits the terms into parts whose prefix
+    sums numpy adds exactly, and math.fsum of those few exact floats rounds
+    each prefix's exact sum correctly. Every cell is
     bit-identical to the per-term loop `oracles.moebius_partial_transform_loop`
     at that one (L, s), whatever else shares the call: numpy's float64 log
     and exp are SIMD routines that differ from libm in the last bit, while
@@ -282,13 +276,12 @@ def moebius_partial_transform(
     for L in cutoffs:
         if L < 1:
             raise DomainError(f"cutoff must be >= 1, got {L}")
-        if L > table.limit:
-            raise DomainError(f"cutoff {L} exceeds sieve limit {table.limit}")
     if not 0.0 < eps < math.inf:
         raise DomainError(f"smoothing must be positive and finite, got {eps}")
-    l = np.flatnonzero(table.mu[: max(cutoffs) + 1])
+    mu = sieve_moebius(max(cutoffs))
+    l = np.flatnonzero(mu)
     ends = np.searchsorted(l, cutoffs, side="right")
-    mu_l = table.mu[l].astype(np.float64)
+    mu_l = mu[l].astype(np.float64)
     log_l = np.log(l.astype(np.complex128)).real
     weights = mu_l * np.exp((-(1.0 + eps) * log_l).astype(np.complex128)).real
     at_one = prefix_fsums(weights, ends)
@@ -538,8 +531,8 @@ def suite_unitary() -> list[VerificationReport]:
 def suite_moebius() -> list[VerificationReport]:
     from .criterion import GramStore, distance, moebius_residual
 
-    table = sieve_moebius(10_000)
-    ok = verify_recurrence(table, 10_000)
+    mu = sieve_moebius(10_000)
+    ok = verify_recurrence(mu)
     reports = [
         _report("divisor-sum-recurrence", {"n_max": 10_000},
                 "integers-v1", 0.0 if ok else 1.0, 0.0)
@@ -548,13 +541,13 @@ def suite_moebius() -> list[VerificationReport]:
     worst_assembly = 0.0
     points = (complex(0.5, 10.0), complex(0.8, -4.0), complex(2.0, 1.0))
     for L, eps in ((50, 0.1), (100, 0.3)):
-        row = moebius_partial_transform((L,), eps, points, table)[0].tolist()
+        row = moebius_partial_transform((L,), eps, points)[0].tolist()
         for s, direct in zip(points, row):
             re_t, im_t = [], []
             for l in range(1, L + 1):
-                if table.mu[l] == 0:
+                if mu[l] == 0:
                     continue
-                term = int(table.mu[l]) * l ** (-eps) * reciprocal_kernel_transform(l, s)
+                term = int(mu[l]) * l ** (-eps) * combined_kernel_transform(1.0 / l, s)
                 re_t.append(term.real)
                 im_t.append(term.imag)
             by_terms = complex(math.fsum(re_t), math.fsum(im_t))
@@ -566,7 +559,7 @@ def suite_moebius() -> list[VerificationReport]:
 
     store = GramStore()
     cutoffs, smoothings = (2, 10, 30), (0.0, 0.1, 0.5)
-    residuals = moebius_residual(cutoffs, smoothings, table, store)
+    residuals = moebius_residual(cutoffs, smoothings, store)
     worst_gap = 0.0
     for i, L in enumerate(cutoffs):
         d2 = distance(L, store=store).d2

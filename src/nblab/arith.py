@@ -1,4 +1,4 @@
-"""Moebius function tables via a numpy sieve of Eratosthenes.
+"""Moebius values via a numpy sieve of Eratosthenes.
 
 Every integer up to the limit has at most one prime factor above the square
 root of the limit, so sieving by the primes up to the square root, and
@@ -9,40 +9,20 @@ operations per prime; n is square-free exactly where mu[n] != 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class MoebiusTable:
-    """Moebius values for 1..limit.
+def sieve_moebius(limit: int) -> np.ndarray:
+    """The Moebius values of 0..limit as an int8 array of length limit + 1.
 
-    Attributes:
-        limit: Largest argument covered by the table.
-        mu: int8 array of length limit+1; mu[n] is the Moebius value of n,
-            nonzero iff n is square-free. Index 0 is unused and set to 0.
-    """
-
-    limit: int
-    mu: np.ndarray
-
-
-def sieve_moebius(limit: int) -> MoebiusTable:
-    """Build a MoebiusTable for 1..limit with a numpy sieve.
-
-    For each prime p <= sqrt(limit), mu flips sign on the multiples of p,
-    vanishes on the multiples of p^2, and p is divided out of `rest`. A
-    square-free n whose `rest` stays above 1 has one prime factor left, above
-    sqrt(limit), and flips once more.
-
-    Args:
-        limit: Inclusive upper bound, must be >= 1.
-
-    Returns:
-        MoebiusTable with mu.
+    mu[n] is nonzero iff n is square-free, and mu[0] = 0. For each prime
+    p <= sqrt(limit), mu flips sign on the multiples of p, vanishes on the
+    multiples of p^2, and p is divided out of `rest`. A square-free n whose
+    `rest` stays above 1 has one prime factor left, above sqrt(limit), and
+    flips once more.
 
     Raises:
         DomainError: If limit < 1.
@@ -63,21 +43,19 @@ def sieve_moebius(limit: int) -> MoebiusTable:
         rest[::p] //= p
     mu[rest > 1] *= -1
     mu[0] = 0
-    return MoebiusTable(limit=limit, mu=mu)
+    return mu
 
 
-def verify_recurrence(table: MoebiusTable, n_max: int) -> bool:
-    """Check sum_{l | n} mu(l) == (1 if n == 1 else 0) for all n <= n_max.
+def verify_recurrence(mu: np.ndarray) -> bool:
+    """Check sum_{l | n} mu[l] == (1 if n == 1 else 0) for every n in
+    1..mu.size - 1.
 
     The divisor sums are accumulated sieve-style over the pairs l * k <= n_max,
-    split at r = isqrt(n_max): each l <= r adds mu[l] to every multiple of l
-    in one slice, and each k <= n_max // (r + 1) adds mu[l] at k * l for all
-    l > r in one indexed add. The check reads only mu, not the table's
-    factorization.
+    with n_max = mu.size - 1, split at r = isqrt(n_max): each l <= r adds
+    mu[l] to every multiple of l in one slice, and each k <= n_max // (r + 1)
+    adds mu[l] at k * l for all l > r in one indexed add.
     """
-    if not 1 <= n_max <= table.limit:
-        raise DomainError(f"verify_recurrence: n_max={n_max} outside 1..{table.limit}")
-    mu = table.mu
+    n_max = mu.size - 1
     acc = np.zeros(n_max + 1, dtype=np.int64)
     root = math.isqrt(n_max)
     for l in range(1, root + 1):

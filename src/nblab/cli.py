@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .arith import sieve_moebius
 from .criterion import (
     BasisKind,
     GramStore,
@@ -132,7 +131,6 @@ def load_store(path: Optional[Path], n_trunc: Optional[int] = None) -> GramStore
 def save_store(store: GramStore, path: Optional[Path], loaded: int) -> None:
     """Write the cache only if entries were added since `loaded` or it is missing."""
     if path is not None and (len(store) != loaded or not path.exists()):
-        path.parent.mkdir(parents=True, exist_ok=True)
         store.save(path)
 
 
@@ -177,9 +175,8 @@ def cmd_residual(args) -> int:
     cache_path = _cache_file(args.cache)
     store = load_store(cache_path, args.N)
     loaded = len(store)
-    table = sieve_moebius(max(args.L))
     pairs = [(L, eps) for L in args.L for eps in args.eps]
-    values = moebius_residual(args.L, args.eps, table, store)
+    values = moebius_residual(args.L, args.eps, store)
     rows = [(L, eps, value) for (L, eps), value in zip(pairs, values)]
     save_store(store, cache_path, loaded)
     if args.format == "json":

@@ -35,6 +35,7 @@ Every other denominator has a positive Gram diagonal.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import os
@@ -43,12 +44,12 @@ import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .arith import MoebiusTable, sieve_moebius
+from .arith import sieve_moebius
 from .errors import CacheError, ConditioningError, DomainError
 from .seqspace import PiecewiseConstant, inner_products_closed_row, inner_product_truncated
 from .specfun import EULER_GAMMA
@@ -81,8 +82,8 @@ class BasisKind(enum.Enum):
             raise DomainError(f"cutoff must be >= 1, got {L}")
         if self is BasisKind.EXCLUDE_ONE:
             return tuple(range(2, L + 1))
-        table = sieve_moebius(L)
-        return tuple(l for l in range(2, L + 1) if table.mu[l] != 0)
+        # the square-free keys; the first, l = 1, is the zero sequence
+        return tuple(np.flatnonzero(sieve_moebius(L)).tolist()[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,15 @@ _MAGIC = b"NBBG"
 _FORMAT_VERSION = 6
 _HEADER = struct.Struct("<4sIQQ")
 _TRAILER = struct.Struct("<I")
+
+
+@contextlib.contextmanager
+def _cache_io(verb: str, path) -> Iterator[None]:
+    """Raise an OSError from the file system as a CacheError naming `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise CacheError(f"cannot {verb} cache file {path}: {exc}") from exc
 
 
 class GramStore:
@@ -171,7 +181,8 @@ class GramStore:
     def save(self, path) -> None:
         """Write the cache atomically: a sibling temporary file, then os.replace.
 
-        A failed or interrupted save leaves any earlier file at `path` whole.
+        Makes the parent directories. A failed or interrupted save leaves any
+        earlier file at `path` whole; a file-system error raises CacheError.
         """
         side = self.values.shape[0]
         blob = _HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_trunc or 0, side)
@@ -179,16 +190,19 @@ class GramStore:
         blob += _TRAILER.pack(zlib.crc32(blob))
         path = Path(path)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with _cache_io("write", path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                tmp.write_bytes(blob)
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
 
     @classmethod
     def load(cls, path) -> "GramStore":
-        blob = Path(path).read_bytes()
+        with _cache_io("read", path):
+            blob = Path(path).read_bytes()
         if len(blob) < _HEADER.size + _TRAILER.size:
             raise CacheError(f"cache file {path} is truncated")
         magic, version, n_trunc, side = _HEADER.unpack_from(blob, 0)
@@ -500,7 +514,6 @@ def distance_sweep(
 def moebius_residual(
     L_values: Sequence[int],
     eps_values: Sequence[float],
-    table: MoebiusTable,
     store: Optional[GramStore] = None,
 ) -> list[float]:
     """Squared error of the Moebius-smoothed combination, one per (L, eps)
@@ -516,8 +529,8 @@ def moebius_residual(
     The entries are the square-free Gram system of `gram_system`, of the
     store's kind; its basis leaves out l = 1, the zero sequence. It is sliced
     once, at the largest cutoff, and each value reads its leading block (an
-    empty one, exactly 1, for L = 1). Always at least the projection
-    distance at the same cutoff.
+    empty one, exactly 1, for L = 1); mu is sieved once, to the same cutoff.
+    Always at least the projection distance at the same cutoff.
     """
     if not L_values:
         return []
@@ -526,12 +539,12 @@ def moebius_residual(
     for eps in eps_values:
         if not 0.0 <= eps < math.inf:
             raise DomainError(f"eps must be finite and >= 0, got {eps}")
-    if max(L_values) > table.limit:
-        raise DomainError(f"cutoff {max(L_values)} exceeds sieve limit {table.limit}")
     # mu(l) = 0 unless l is square-free.
-    denoms, B = gram_system(max(L_values), BasisKind.SQUARE_FREE, store)
+    L_max = max(L_values)
+    denoms, B = gram_system(L_max, BasisKind.SQUARE_FREE, store)
     G, g = B[1:, 1:], B[0, 1:]
-    coeffs = [np.array([float(table.mu[l]) * l ** (-eps) for l in denoms]) for eps in eps_values]
+    mu = sieve_moebius(L_max)
+    coeffs = [np.array([float(mu[l]) * l ** (-eps) for l in denoms]) for eps in eps_values]
     values = []
     for k in np.searchsorted(denoms, L_values, side="right").tolist():
         for coeff in coeffs:

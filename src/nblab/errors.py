@@ -18,7 +18,8 @@ class UnstablePointError(DomainError):
 
 
 class CacheError(NBLabError, IOError):
-    """A Gram cache file is unreadable: bad magic, version, or checksum."""
+    """A Gram cache file cannot be read or written, or its data is bad:
+    magic, version, length or checksum."""
 
 
 class ConditioningError(NBLabError, ArithmeticError):

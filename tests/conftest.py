@@ -38,5 +38,6 @@ def shared_store():
 
 
 @pytest.fixture(scope="session")
-def moebius_table():
+def mu():
+    """The Moebius values of 0..10_000."""
     return sieve_moebius(10_000)

@@ -403,24 +403,22 @@ def mellin_limit_highprec(lam: float, s, dps: int = 30):
         return complex(lam_mp / (z - 1) - mp.power(lam_mp, z) * mp.zeta(z) / z)
 
 
-def moebius_partial_transform_loop(L: int, eps: float, s, table) -> complex:
+def moebius_partial_transform_loop(L: int, eps: float, s, mu) -> complex:
     """(zeta(s)/s) (sum_{l<=L} mu(l) l^(-s-eps) - sum_{l<=L} mu(l) l^(-1-eps))
     by a Python loop over l with libm's log and exp, one term at a time.
 
     The package evaluates the same terms with numpy ufuncs; the two must
-    agree bit for bit.
+    agree bit for bit. mu holds the Moebius values of 0..L at least.
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
-    if L > table.limit:
-        raise DomainError(f"cutoff {L} exceeds sieve limit {table.limit}")
     if eps <= 0.0:
         raise DomainError(f"smoothing must be positive, got {eps}")
     z = finite_complex(s)
     zs = zeta(z)
     re_a, im_a, re_b = [], [], []
     for l in range(1, L + 1):
-        mu_l = int(table.mu[l])
+        mu_l = int(mu[l])
         if mu_l == 0:
             continue
         log_l = math.log(l)

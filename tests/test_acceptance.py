@@ -123,15 +123,15 @@ def test_05_monotonicity_and_bounds(shared_store):
     assert dominated
 
 
-def test_06_moebius_residual_dominance(shared_store, moebius_table):
+def test_06_moebius_residual_dominance(shared_store):
     worst_gap = math.inf
     cutoffs, smoothings = (2, 10, 50, 100), (0.0, 0.1, 0.5)
-    residuals = iter(moebius_residual(cutoffs, smoothings, moebius_table, shared_store))
+    residuals = iter(moebius_residual(cutoffs, smoothings, shared_store))
     for L in cutoffs:
         d2 = distance(L, EXCL, store=shared_store).d2
         for eps in smoothings:
             worst_gap = min(worst_gap, next(residuals) - d2)
-    (golden,) = moebius_residual([2], [0.0], moebius_table, shared_store)
+    (golden,) = moebius_residual([2], [0.0], shared_store)
     golden_err = abs(golden - oracles.MOEBIUS_RESIDUAL_L2)
     ok = worst_gap >= -1e-10 and golden_err < 1e-10
     _line(6, "Moebius residual dominates the distance", ok,
@@ -140,8 +140,8 @@ def test_06_moebius_residual_dominance(shared_store, moebius_table):
     assert golden_err < 1e-10
 
 
-def test_07_moebius_recurrence(moebius_table):
-    ok = verify_recurrence(moebius_table, 10_000)
+def test_07_moebius_recurrence(mu):
+    ok = verify_recurrence(mu)
     _line(7, "divisor-sum recurrence exact through 10000", ok)
     assert ok
 

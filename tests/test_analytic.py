@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import child_env
-from nblab import seqspace
+from nblab import analytic, criterion, seqspace
 from nblab.arith import sieve_moebius
 from nblab.analytic import (
     CRITICAL_LINE_GRID,
@@ -26,7 +26,6 @@ from nblab.analytic import (
     moebius_limit_transform,
     moebius_partial_transform,
     pieces_for_tolerance,
-    reciprocal_kernel_transform,
     run_suite,
     scale_inner_function,
     semigroup_identity_check,
@@ -34,7 +33,7 @@ from nblab.analytic import (
     xi_reflection_check,
 )
 from nblab.errors import DomainError, PoleError
-from nblab.specfun import xi_inequality_check
+from nblab.specfun import xi_inequality_check, zeta
 
 
 class TestGridsAreFrozen:
@@ -198,13 +197,6 @@ class TestCombinedTransform:
     def test_unit_scale_vanishes(self):
         assert combined_kernel_transform(1.0, 2.5 + 2.0j) == 0.0
 
-    def test_reciprocal_matches_combined(self):
-        for l in (2, 3, 10):
-            s = 0.8 + 5.0j
-            assert reciprocal_kernel_transform(l, s) == combined_kernel_transform(
-                1.0 / l, s
-            )
-
     def test_claim_residual_small_on_grid(self):
         for lam in (0.5, 1 / 3, 0.2, 0.7):
             assert verify_claim(lam, MELLIN_GRID.points) <= 1e-8
@@ -239,15 +231,15 @@ class TestSemigroupStructure:
 
 class TestMoebiusTransforms:
     def test_partial_matches_direct_sum(self):
-        table = sieve_moebius(50)
+        mu = sieve_moebius(30)
         s = 0.8 + 3.0j
         eps = 0.2
         zs = oracles.zeta_highprec(s)
         direct = (zs / s) * sum(
-            int(table.mu[l]) * (l ** (-(s + eps)) - l ** (-(1.0 + eps)))
+            int(mu[l]) * (l ** (-(s + eps)) - l ** (-(1.0 + eps)))
             for l in range(1, 31)
         )
-        got = moebius_partial_transform((30,), eps, (s,), table)
+        got = moebius_partial_transform((30,), eps, (s,))
         assert got.shape == (1, 1)
         assert abs(got[0, 0] - direct) < 1e-11
 
@@ -284,64 +276,58 @@ class TestMoebiusTransforms:
         assert abs(moebius_limit_transform(eps, s) - expect) <= 1e-14 * abs(expect)
 
     def test_partial_converges_to_limit(self):
-        table = sieve_moebius(4000)
         s = 0.9 + 2.0j
         eps = 0.4
         lim = moebius_limit_transform(eps, s)
-        gaps = abs(moebius_partial_transform((10, 100, 4000), eps, (s,), table)[:, 0] - lim)
+        gaps = abs(moebius_partial_transform((10, 100, 4000), eps, (s,))[:, 0] - lim)
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 2e-2
 
     @pytest.mark.parametrize("eps", [0.1, 0.3])
-    def test_partial_bit_identical_to_loop(self, eps, moebius_table):
-        table = sieve_moebius(4000)
+    def test_partial_bit_identical_to_loop(self, eps, mu):
         extra = (0.5 + 10.0j, 0.8 - 4.0j, 2.0 + 1.0j)
         cutoffs = (1, 2, 10, 100, 1000, 4000)
         points = CRITICAL_LINE_GRID.points + extra
-        got = moebius_partial_transform(cutoffs, eps, points, table)
+        got = moebius_partial_transform(cutoffs, eps, points)
         assert got.shape == (6, 104) and got.dtype == np.complex128
         for i, L in enumerate(cutoffs):
             for j, s in enumerate(points):
-                assert got[i, j] == oracles.moebius_partial_transform_loop(L, eps, s, table), (L, s)
+                assert got[i, j] == oracles.moebius_partial_transform_loop(L, eps, s, mu), (L, s)
         # l = 9170 is the first square-free l whose float64 numpy log differs
         # from libm's in the last bit
-        got = moebius_partial_transform((10_000,), eps, extra, moebius_table)
+        got = moebius_partial_transform((10_000,), eps, extra)
         for j, s in enumerate(extra):
-            assert got[0, j] == oracles.moebius_partial_transform_loop(10_000, eps, s, moebius_table), s
+            assert got[0, j] == oracles.moebius_partial_transform_loop(10_000, eps, s, mu), s
 
     def test_partial_cell_independent_of_batch(self):
         # a cell's bits depend only on its own (L, s), not on the cutoffs
         # and points that share the call, their order or repeats
-        table = sieve_moebius(3000)
         eps = 0.2
         cutoffs = (7, 3000, 1, 250, 3000, 30)
         points = (0.5 + 14.0j, 2.0 - 1.0j, 0.5 + 14.0j, 0.7 + 0.0j)
-        whole = moebius_partial_transform(cutoffs, eps, points, table)
+        whole = moebius_partial_transform(cutoffs, eps, points)
         for i, L in enumerate(cutoffs):
             for j, s in enumerate(points):
-                assert whole[i, j] == moebius_partial_transform((L,), eps, (s,), table)[0, 0]
+                assert whole[i, j] == moebius_partial_transform((L,), eps, (s,))[0, 0]
         assert np.array_equal(whole[1], whole[4])
         assert np.array_equal(whole[:, 0], whole[:, 2])
-        swapped = moebius_partial_transform(cutoffs[::-1], eps, points[::-1], table)
+        swapped = moebius_partial_transform(cutoffs[::-1], eps, points[::-1])
         assert np.array_equal(swapped, whole[::-1, ::-1])
 
     def test_guards(self):
-        table = sieve_moebius(10)
         with pytest.raises(DomainError):
-            moebius_partial_transform((10,), -0.1, (2.0,), table)
+            moebius_partial_transform((10,), -0.1, (2.0,))
         with pytest.raises(DomainError):
-            moebius_partial_transform((10,), 0.0, (2.0,), table)
+            moebius_partial_transform((10,), 0.0, (2.0,))
         for eps in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="smoothing"):
-                moebius_partial_transform((10,), eps, (2.0,), table)
+                moebius_partial_transform((10,), eps, (2.0,))
             with pytest.raises(DomainError, match="smoothing"):
                 moebius_limit_transform(eps, 2.0)
         with pytest.raises(DomainError):
-            moebius_partial_transform((), 0.1, (2.0,), table)
+            moebius_partial_transform((), 0.1, (2.0,))
         with pytest.raises(DomainError):
-            moebius_partial_transform((5, 0), 0.1, (2.0,), table)
-        with pytest.raises(DomainError):
-            moebius_partial_transform((5, table.limit + 1), 0.1, (2.0,), table)
+            moebius_partial_transform((5, 0), 0.1, (2.0,))
         with pytest.raises(DomainError):
             moebius_limit_transform(0.2, 0.3 + 1.0j)  # left of the strip
         with pytest.raises(DomainError):
@@ -378,15 +364,15 @@ class TestSuites:
         assert want == (oracles.DILATION_INDICATOR_RESIDUAL,
                         oracles.DILATION_FRACTIONAL_RESIDUAL)
 
-    def test_assembly_residual_matches_scalar_loop(self, moebius_table):
+    def test_assembly_residual_matches_scalar_loop(self, mu):
         # the batched direct side reports the same bits as one scalar loop
         # call per (cutoff, point)
         worst = 0.0
         for s in (0.5 + 10.0j, 0.8 - 4.0j, 2.0 + 1.0j):
             for L, eps in ((50, 0.1), (100, 0.3)):
-                direct = oracles.moebius_partial_transform_loop(L, eps, s, moebius_table)
-                terms = [int(moebius_table.mu[l]) * l ** (-eps) * reciprocal_kernel_transform(l, s)
-                         for l in range(1, L + 1) if moebius_table.mu[l]]
+                direct = oracles.moebius_partial_transform_loop(L, eps, s, mu)
+                terms = [int(mu[l]) * l ** (-eps) * combined_kernel_transform(1.0 / l, s)
+                         for l in range(1, L + 1) if mu[l]]
                 by_terms = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
                 worst = max(worst, abs(direct - by_terms))
         reports = {r.check: r.max_residual for r in run_suite("moebius")}
@@ -402,6 +388,51 @@ class TestSuites:
                             lambda f, n: values_upto(f, n + 1)[1:])
         reports = {r.check: r for r in run_suite("unitary")}
         assert not reports["sequence-map-preserves-norm"].passed
+
+    def test_recurrence_check_catches_a_flipped_value(self, monkeypatch):
+        # mu(6) with the wrong sign breaks the divisor sum at 6 and only
+        # there; both sides of the assembly check read the same sieve.
+        def flipped(limit):
+            mu = sieve_moebius(limit)
+            mu[6] *= -1
+            return mu
+
+        monkeypatch.setattr(analytic, "sieve_moebius", flipped)
+        failed = [r.check for r in run_suite("moebius") if not r.passed]
+        assert failed == ["divisor-sum-recurrence"]
+
+    def test_assembly_check_catches_a_dropped_s_free_sum(self, monkeypatch):
+        # The partial transform without its s-free sum at s = 1 is no longer
+        # the sum of the per-term kernel transforms.
+        partial = analytic.moebius_partial_transform
+
+        def without_s_free_sum(cutoffs, eps, points):
+            mu = sieve_moebius(max(cutoffs))
+            at_one = [sum(int(mu[l]) * l ** (-1.0 - eps) for l in range(1, L + 1))
+                      for L in cutoffs]
+            scale = [zeta(s) / s for s in points]
+            return partial(cutoffs, eps, points) + np.outer(at_one, scale)
+
+        monkeypatch.setattr(analytic, "moebius_partial_transform", without_s_free_sum)
+        failed = [r.check for r in run_suite("moebius") if not r.passed]
+        assert failed == ["smoothed-partial-assembly"]
+
+    def test_dominance_check_catches_a_doubled_cross_term(self, monkeypatch):
+        # Doubling <gamma, gamma_l> in the residual's square-free system
+        # doubles its cross term: at L = 2 the residual drops to about -0.21,
+        # below d2 = 0.307. The distances read the exclude-one system.
+        gram_system = criterion.gram_system
+
+        def doubled_cross(L, basis, store=None):
+            denoms, B = gram_system(L, basis, store)
+            if basis is criterion.BasisKind.SQUARE_FREE:
+                B[0, 1:] *= 2.0
+            return denoms, B
+
+        monkeypatch.setattr(criterion, "gram_system", doubled_cross)
+        reports = {r.check: r for r in run_suite("moebius")}
+        assert [c for c, r in reports.items() if not r.passed] == ["residual-dominates-distance"]
+        assert reports["residual-dominates-distance"].max_residual > 0.5
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):

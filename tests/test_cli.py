@@ -310,7 +310,6 @@ class TestResidualCommand:
         assert calls == {"grow": 1, "gram_system": 1}
 
     def test_truncated_N_is_used(self, tmp_path, main_cli):
-        from nblab.arith import sieve_moebius
         from nblab.criterion import moebius_residual
 
         cache = tmp_path / "t.nbbg"
@@ -318,7 +317,7 @@ class TestResidualCommand:
         closed = main_cli("residual", "--L", "5")
         assert r.returncode == 0 and closed.returncode == 0
         assert r.stdout != closed.stdout
-        (want,) = moebius_residual([5], [0.0], sieve_moebius(5), GramStore(20))
+        (want,) = moebius_residual([5], [0.0], GramStore(20))
         assert r.stdout.splitlines()[1] == f"5,0.0,{want!r}"
         assert cli.GramStore.load(cache).n_trunc == 20
 
@@ -416,6 +415,21 @@ class TestGramCommand:
         r = main_cli("gram", "--L", "5", "--cache", str(cache))
         assert r.returncode == 65
         assert "cache" in r.stderr.lower()
+
+    @pytest.mark.parametrize("where, verb", [("a-directory", "read"), ("under-a-file", "write")])
+    def test_unusable_cache_path_exits_65(self, where, verb, tmp_path, main_cli):
+        # A directory cannot be read as a cache, and a path under a regular
+        # file cannot be written: one `cache error:` line naming the path,
+        # no traceback.
+        cache = tmp_path
+        if where == "under-a-file":
+            (tmp_path / "f").write_bytes(b"")
+            cache = tmp_path / "f" / "c.nbbg"
+        r = main_cli("distance", "--L", "3", "--cache", str(cache))
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"cache error: cannot {verb} cache file {cache}: ")
+        assert r.stderr.count("\n") == 1
 
     def test_wrong_version_exits_65(self, tmp_path, main_cli):
         cache = tmp_path / "g.nbbg"

@@ -604,54 +604,52 @@ class TestCondEstimate:
 
 
 class TestMoebiusResidual:
-    def test_trivial_cutoff(self, moebius_table):
-        assert moebius_residual([1], [0.0], moebius_table) == [1.0]
+    def test_trivial_cutoff(self):
+        assert moebius_residual([1], [0.0]) == [1.0]
 
-    def test_golden_cutoff_two(self, moebius_table):
-        (got,) = moebius_residual([2], [0.0], moebius_table)
+    def test_golden_cutoff_two(self):
+        (got,) = moebius_residual([2], [0.0])
         assert abs(got - oracles.MOEBIUS_RESIDUAL_L2) < 1e-10
 
-    def test_dominates_distance(self, shared_store, moebius_table):
+    def test_dominates_distance(self, shared_store):
         cutoffs, smoothings = (2, 10, 50), (0.0, 0.1, 0.5)
-        residuals = iter(moebius_residual(cutoffs, smoothings, moebius_table, shared_store))
+        residuals = iter(moebius_residual(cutoffs, smoothings, shared_store))
         for L in cutoffs:
             d2 = distance(L, EXCL, store=shared_store).d2
             for eps in smoothings:
                 assert next(residuals) >= d2 - 1e-10
 
-    def test_rejects_bad_args(self, moebius_table):
+    def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
-            moebius_residual([0], [0.0], moebius_table)
+            moebius_residual([0], [0.0])
         with pytest.raises(DomainError):
-            moebius_residual([5], [-0.1], moebius_table)
+            moebius_residual([5], [-0.1])
         for eps in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                moebius_residual([10], [eps], moebius_table)
-        with pytest.raises(DomainError):
-            moebius_residual([20_000], [0.0], moebius_table)
+                moebius_residual([10], [eps])
 
-    def test_truncated_matches_direct_expansion(self, moebius_table):
+    def test_truncated_matches_direct_expansion(self, mu):
         # Over a truncated store the expansion runs over truncated entries: it
         # must differ from the closed form and equal the same expansion over
         # raw truncated sums (oracles.truncated_gram; <1, 1> stays exactly 1).
         n_trunc, L, eps = 20, 5, 0.3
-        (got,) = moebius_residual([L], [eps], moebius_table, GramStore(n_trunc))
-        (closed,) = moebius_residual([L], [eps], moebius_table)
+        (got,) = moebius_residual([L], [eps], GramStore(n_trunc))
+        (closed,) = moebius_residual([L], [eps])
         denoms = SQFREE.denominators(L)
         G, g = oracles.truncated_gram(denoms, n_trunc)
-        c = np.array([moebius_table.mu[l] * l ** (-eps) for l in denoms])
+        c = np.array([mu[l] * l ** (-eps) for l in denoms])
         assert abs(got - (1.0 + 2.0 * float(c @ g) + float(c @ G @ c))) < 1e-13
         assert abs(got - closed) > 1e-3
 
-    def test_rows_match_fresh_per_row_values(self, moebius_table):
+    def test_rows_match_fresh_per_row_values(self):
         # One slice at the largest cutoff against a store of its own per
         # (L, eps), to assert_rows_close's bound: the leading-block bits may
         # depend on the BLAS.
         cutoffs, smoothings = range(1, 61), (0.0, 0.1, 0.5)
-        rows = iter(moebius_residual(cutoffs, smoothings, moebius_table, GramStore()))
+        rows = iter(moebius_residual(cutoffs, smoothings, GramStore()))
         for L in cutoffs:
             for eps in smoothings:
-                (fresh,) = moebius_residual([L], [eps], moebius_table, GramStore())
+                (fresh,) = moebius_residual([L], [eps], GramStore())
                 assert abs(next(rows) - fresh) <= 1e-12, (L, eps)
         assert next(rows, None) is None
 
@@ -660,10 +658,7 @@ class TestMoebiusResidual:
     def test_residual_in_unit_interval_property(self, L):
         # squared residual of an explicit combination: nonnegative, and never
         # worse than the empty combination once the cutoff passes 1
-        from nblab.arith import sieve_moebius
-
-        table = sieve_moebius(60)
-        (res,) = moebius_residual([L], [0.3], table)
+        (res,) = moebius_residual([L], [0.3])
         assert 0.0 <= res <= 1.0 + 1e-12
 
 
