@@ -7,7 +7,7 @@ from one `distance_sweep` call with the chosen method: one factorization of
 the Gram matrix at the largest cutoff. A Gram cache path makes repeat sweeps
 nearly free; the cache is rewritten only when the sweep added entries or the
 file is missing. Exit codes follow `nblab distance`: 65 for a cache it cannot
-use, 1 for other errors.
+use (a path that cannot be written fails before any work), 1 for other errors.
 """
 
 import argparse
@@ -15,15 +15,13 @@ import sys
 from pathlib import Path
 
 from nblab.criterion import BasisKind, SolveMethod, asymptotic_rate_constant, distance_sweep
-from nblab.cli import exit_code, load_store, save_store
+from nblab.cli import exit_code, open_store
 
 
 def run(l_max: int, l_step: int, basis: str, method: str, cache: Path | None) -> int:
     cutoffs = sorted({2, *range(l_step, l_max + 1, l_step)})
-    store = load_store(cache)
-    loaded = len(store)
-    rows = distance_sweep(cutoffs, BasisKind(basis), (SolveMethod(method),), store)
-    save_store(store, cache, loaded)
+    with open_store(cache) as store:
+        rows = distance_sweep(cutoffs, BasisKind(basis), (SolveMethod(method),), store)
 
     limit = asymptotic_rate_constant()
     print("L,d2,rate,rate_minus_limit,cond")

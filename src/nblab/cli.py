@@ -13,17 +13,18 @@ separately from outright failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .criterion import (
     BasisKind,
     GramStore,
     SolveMethod,
+    _cache_io,
     assemble_gram,
     distance_sweep,
     moebius_residual,
@@ -35,9 +36,6 @@ EXIT_ERROR = 1
 EXIT_DEGRADED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
-
-CACHE_DIR_ENV = "NBLAB_CACHE_DIR"
-_DEFAULT_CACHE_NAME = "gram-default-weight.nbbg"
 
 DISTANCE_HEADER = "L,basis,d2,a_est,cond,ridge,method"
 
@@ -99,38 +97,38 @@ def _parse_truncation(text: str) -> int:
     return n
 
 
-def _cache_file(explicit: Optional[str]) -> Optional[Path]:
-    if explicit is not None:
-        return Path(explicit)
-    env_dir = os.environ.get(CACHE_DIR_ENV)
-    if env_dir:
-        return Path(env_dir) / _DEFAULT_CACHE_NAME
-    return None
-
-
 def _entries_name(n_trunc: Optional[int]) -> str:
     return "closed-form entries" if n_trunc is None else f"entries truncated at N={n_trunc}"
 
 
-def load_store(path: Optional[Path], n_trunc: Optional[int] = None) -> GramStore:
-    """The cache at `path` if there is one, else an empty store for n_trunc.
+@contextlib.contextmanager
+def open_store(path: Optional[Path], n_trunc: Optional[int] = None) -> Iterator[GramStore]:
+    """The cache at `path` as a store of entries for n_trunc, written back
+    on a clean exit if entries were added or the file is missing.
 
     A store holds entries of one kind only, so a cache whose N is not
     n_trunc (None for closed form) raises CacheError instead of mixing two.
+    For a missing file the parent directory is made first, so a path that
+    cannot be written fails before any work. A body that raises writes
+    nothing; with no path, nothing is read or written.
     """
-    if path is None or not path.exists():
-        return GramStore(n_trunc=n_trunc)
-    store = GramStore.load(path)
-    if store.n_trunc != n_trunc:
-        raise CacheError(
-            f"store holds {_entries_name(store.n_trunc)}, asked for {_entries_name(n_trunc)}"
-        )
-    return store
-
-
-def save_store(store: GramStore, path: Optional[Path], loaded: int) -> None:
-    """Write the cache only if entries were added since `loaded` or it is missing."""
-    if path is not None and (len(store) != loaded or not path.exists()):
+    if path is None:
+        yield GramStore(n_trunc=n_trunc)
+        return
+    exists = path.exists()
+    if exists:
+        store = GramStore.load(path)
+        if store.n_trunc != n_trunc:
+            raise CacheError(
+                f"store holds {_entries_name(store.n_trunc)}, asked for {_entries_name(n_trunc)}"
+            )
+    else:
+        with _cache_io("write", path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        store = GramStore(n_trunc=n_trunc)
+    loaded = len(store)
+    yield store
+    if len(store) != loaded or not exists:
         store.save(path)
 
 
@@ -140,11 +138,8 @@ def save_store(store: GramStore, path: Optional[Path], loaded: int) -> None:
 
 def cmd_distance(args) -> int:
     basis, methods = BasisKind(args.basis), _METHODS[args.method]
-    cache_path = _cache_file(args.cache)
-    store = load_store(cache_path, args.N)
-    loaded = len(store)
-    rows = distance_sweep(args.L, basis, methods, store)
-    save_store(store, cache_path, loaded)
+    with open_store(args.cache, args.N) as store:
+        rows = distance_sweep(args.L, basis, methods, store)
 
     if args.format == "json":
         payload = [r.to_json_dict() for r in rows]
@@ -172,13 +167,10 @@ def cmd_distance(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    cache_path = _cache_file(args.cache)
-    store = load_store(cache_path, args.N)
-    loaded = len(store)
     pairs = [(L, eps) for L in args.L for eps in args.eps]
-    values = moebius_residual(args.L, args.eps, store)
+    with open_store(args.cache, args.N) as store:
+        values = moebius_residual(args.L, args.eps, store)
     rows = [(L, eps, value) for (L, eps), value in zip(pairs, values)]
-    save_store(store, cache_path, loaded)
     if args.format == "json":
         payload = [{"L": L, "eps": eps, "residual": value} for L, eps, value in rows]
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -200,13 +192,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    cache_path = _cache_file(args.cache)
-    store = load_store(cache_path, args.N)
-    loaded = len(store)
     L = max(args.L)
-    assemble_gram(L, store)
-    print(f"{len(store) - loaded} newly computed entries, {len(store)} total", file=sys.stderr)
-    save_store(store, cache_path, loaded)
+    with open_store(args.cache, args.N) as store:
+        loaded = len(store)
+        assemble_gram(L, store)
+        print(f"{len(store) - loaded} newly computed entries, {len(store)} total", file=sys.stderr)
     if args.export == "csv":
         keys = range(1, L + 1) if args.basis == "all" else BasisKind(args.basis).denominators(L)
         sys.stdout.write(store.csv_text(keys))
@@ -226,8 +216,7 @@ def build_parser() -> _Parser:
                        help="cutoff list: '30', '2,5,10', or '2..30'")
         p.add_argument("--N", type=_parse_truncation, default=None,
                        help="use truncated sums at this cutoff instead of closed forms")
-        p.add_argument("--cache", default=None,
-                       help=f"Gram cache file (default: ${CACHE_DIR_ENV}/{_DEFAULT_CACHE_NAME})")
+        p.add_argument("--cache", type=Path, default=None, help="Gram cache file")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
 

@@ -40,7 +40,6 @@ import enum
 import math
 import os
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,7 +114,8 @@ class GramStore:
     Persists as a little-endian binary file: header {magic "NBBG", version
     u32, N u64 (0 for closed form), side u64}, the upper triangle of
     `values` row by row as f64, and a CRC32 trailer over everything before
-    it. Thread-safe: a fill swaps in its grown array whole, under a lock.
+    it. A fill swaps in its grown array only once it is whole, so a failed
+    fill leaves the store as it was.
     """
 
     def __init__(self, n_trunc: Optional[int] = None):
@@ -123,7 +123,6 @@ class GramStore:
             raise DomainError(f"n_trunc must be >= 1, got {n_trunc}")
         self.n_trunc = n_trunc
         self.values = np.zeros((0, 0))
-        self._lock = threading.Lock()
 
     @property
     def top(self) -> int:
@@ -155,16 +154,15 @@ class GramStore:
     def grow(self, top: int, row: Callable[[int, np.ndarray], Sequence[float]]) -> None:
         """Hold every pair of keys 0..top; row(i, js) gives the new entries of
         key i with the keys js >= i, all above the old top."""
-        with self._lock:
-            old = self.values.shape[0]
-            if top < old:
-                return
-            values = np.zeros((top + 1, top + 1))
-            values[:old, :old] = self.values
-            for i in range(top + 1):
-                js = np.arange(max(i, old), top + 1)
-                values[i, js] = values[js, i] = row(i, js)
-            self.values = values
+        old = self.values.shape[0]
+        if top < old:
+            return
+        values = np.zeros((top + 1, top + 1))
+        values[:old, :old] = self.values
+        for i in range(top + 1):
+            js = np.arange(max(i, old), top + 1)
+            values[i, js] = values[js, i] = row(i, js)
+        self.values = values
 
     def csv_text(self, keys: Sequence[int]) -> str:
         """The entries of every pair of `keys` (i <= j, in the order given) as

@@ -35,7 +35,6 @@ never by flooring a floating-point quotient.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,26 +96,21 @@ class _PeriodTables:
     folded so that tan is never taken near pi. The fill reads only these
     slots and V(0/1) = 0; the rest are NaN. Blocks grow on demand, each built
     once and reduced row by row, so no value depends on which fill first
-    asked for it.
+    asked for it. A set of tables never changes: growing builds a new set,
+    so a reader keeps tables that cover its periods however fills interleave.
     """
 
-    def __init__(self) -> None:
-        self.limit = 0
-        self.values = np.zeros(0)
-        self.logs = np.zeros(1)
-        self._lock = threading.Lock()
+    def __init__(self, limit: int = 0, values=np.zeros(0), logs=np.zeros(1)) -> None:
+        self.limit, self.values, self.logs = limit, values, logs
 
     def ensure(self, limit: int) -> "_PeriodTables":
-        if limit > self.limit:
-            with self._lock:
-                if limit > self.limit:
-                    blocks = [self.values]
-                    blocks.extend(self._period(p) for p in range(self.limit + 1, limit + 1))
-                    logs = [math.log(n) for n in range(self.limit + 1, limit + 1)]
-                    self.values = np.concatenate(blocks)
-                    self.logs = np.concatenate([self.logs, logs])
-                    self.limit = limit
-        return self
+        """These tables if they reach `limit`, else new ones that do."""
+        if limit <= self.limit:
+            return self
+        blocks = [self.values]
+        blocks.extend(self._period(p) for p in range(self.limit + 1, limit + 1))
+        logs = [math.log(n) for n in range(self.limit + 1, limit + 1)]
+        return _PeriodTables(limit, np.concatenate(blocks), np.concatenate([self.logs, logs]))
 
     @staticmethod
     def _period(p: int) -> np.ndarray:
@@ -149,10 +143,11 @@ def inner_products_closed_row(a: int, bs) -> np.ndarray:
     so each value is the same bit pattern whether it is computed alone or in
     any batch. See `inner_product_closed` for the formula.
     """
+    global _TABLES
     bs = np.asarray(bs, dtype=np.int64)
     if a == 1:
         return np.zeros(bs.size)
-    tables = _TABLES.ensure(int(bs.max(initial=a)))
+    tables = _TABLES = _TABLES.ensure(int(bs.max(initial=a)))
     V, logs = tables.values, tables.logs
     if a == 0:
         return np.where(bs == 0, 1.0, logs[bs] / np.maximum(bs, 1))

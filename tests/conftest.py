@@ -13,11 +13,11 @@ from nblab.criterion import GramStore, assemble_gram
 
 
 def child_env():
-    """The environment for a child Python process: this one's, without
-    NBLAB_CACHE_DIR, and with the checkout's src first on PYTHONPATH.
-    pyproject.toml's `pythonpath` reaches only the pytest process, so
-    without it a child finds nblab only when it is installed."""
-    env = {k: v for k, v in os.environ.items() if k != "NBLAB_CACHE_DIR"}
+    """The environment for a child Python process: this one's, with the
+    checkout's src first on PYTHONPATH. pyproject.toml's `pythonpath`
+    reaches only the pytest process, so without it a child finds nblab
+    only when it is installed."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return env
 

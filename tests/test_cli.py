@@ -24,26 +24,21 @@ import oracles
 from conftest import child_env
 
 
-def run_cli(*args, env_extra=None, timeout=600):
-    env = child_env()
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "nblab.cli", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=child_env(),
     )
 
 
 @pytest.fixture
-def main_cli(capsys, monkeypatch):
-    """`run_cli` in this process: `cli.main(args)` with no cache directory
-    from the environment, its exit code (returned, or raised by argparse as
-    SystemExit) and captured output in the fields of a finished subprocess."""
-    monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
-
+def main_cli(capsys):
+    """`run_cli` in this process: `cli.main(args)`, its exit code (returned,
+    or raised by argparse as SystemExit) and captured output in the fields
+    of a finished subprocess."""
     def run(*args):
         try:
             code = cli.main(list(args))
@@ -162,7 +157,6 @@ class TestDistanceCommand:
 
         monkeypatch.setattr(cli, "distance_sweep", counting_sweep)
         monkeypatch.setattr(criterion, "cho_factor", counting_factor)
-        monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
         assert cli.main(["distance", "--L", "2..30", "--method", method]) == 0
         assert len(sweeps) == 1
         assert factored == factors  # G (29 columns), then the bordered matrix
@@ -401,14 +395,6 @@ class TestGramCommand:
         pairs = [tuple(map(int, line.split(",")[:2])) for line in r.stdout.splitlines()[1:]]
         assert pairs == [(2, 2), (2, 3), (2, 5), (3, 3), (3, 5), (5, 5)]
 
-    def test_env_var_cache_dir(self, tmp_path):
-        r = run_cli(
-            "gram", "--L", "5", "--threads", "1",
-            env_extra={cli.CACHE_DIR_ENV: str(tmp_path)},
-        )
-        assert r.returncode == 0
-        assert (tmp_path / "gram-default-weight.nbbg").exists()
-
     def test_corrupt_cache_exits_65(self, tmp_path, main_cli):
         cache = tmp_path / "g.nbbg"
         cache.write_bytes(b"NOPE" + bytes(40))
@@ -417,10 +403,14 @@ class TestGramCommand:
         assert "cache" in r.stderr.lower()
 
     @pytest.mark.parametrize("where, verb", [("a-directory", "read"), ("under-a-file", "write")])
-    def test_unusable_cache_path_exits_65(self, where, verb, tmp_path, main_cli):
+    def test_unusable_cache_path_exits_65(self, where, verb, tmp_path, main_cli, monkeypatch):
         # A directory cannot be read as a cache, and a path under a regular
         # file cannot be written: one `cache error:` line naming the path,
-        # no traceback.
+        # no traceback, and no entry computed first.
+        def no_sweep(*args):
+            pytest.fail("the sweep ran before the cache path was checked")
+
+        monkeypatch.setattr(cli, "distance_sweep", no_sweep)
         cache = tmp_path
         if where == "under-a-file":
             (tmp_path / "f").write_bytes(b"")
@@ -506,7 +496,12 @@ class TestGramCommand:
         assert again.stdout == bare.stdout
 
 
-class TestLoadStore:
+class TestOpenStore:
+    @staticmethod
+    def opened(path, n_trunc=None):
+        with cli.open_store(path, n_trunc) as store:
+            return store
+
     def test_cache_of_the_other_kind_is_refused(self, tmp_path):
         # The one place where a cache file meets --N: a store holds entries
         # of one kind, closed-form or truncated at one N.
@@ -519,10 +514,35 @@ class TestLoadStore:
             (closed, 20, "closed-form entries", "entries truncated at N=20"),
         ):
             with pytest.raises(CacheError) as exc:
-                cli.load_store(path, n_trunc)
+                self.opened(path, n_trunc)
             assert str(exc.value) == f"store holds {held}, asked for {asked}"
-        assert (cli.load_store(truncated, 20).n_trunc, cli.load_store(closed).top) == (20, 4)
-        assert cli.load_store(tmp_path / "missing.nbbg", 7).n_trunc == 7
+        assert (self.opened(truncated, 20).n_trunc, self.opened(closed).top) == (20, 4)
+        assert self.opened(tmp_path / "missing.nbbg", 7).n_trunc == 7
+
+    @pytest.mark.parametrize("held", [False, True], ids=["missing", "held"])
+    def test_a_body_that_raises_writes_nothing(self, held, tmp_path):
+        path = tmp_path / "sub" / "c.nbbg"
+        if held:
+            path.parent.mkdir()
+            criterion.assemble_gram(3).save(path)
+        before = path.read_bytes() if held else None
+        with pytest.raises(RuntimeError):
+            with cli.open_store(path) as store:
+                criterion.assemble_gram(6, store)
+                raise RuntimeError("the sweep failed")
+        assert (path.read_bytes() if path.exists() else None) == before
+
+    def test_an_unchanged_store_is_not_rewritten(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.nbbg"
+        criterion.assemble_gram(6).save(path)
+        saved = []
+        monkeypatch.setattr(GramStore, "save", lambda store, p: saved.append(p))
+        with cli.open_store(path) as store:
+            criterion.assemble_gram(6, store)
+        assert saved == []
+        with cli.open_store(path) as store:
+            criterion.assemble_gram(7, store)
+        assert saved == [path]
 
 
 class TestDistanceSweepScript:
