@@ -15,6 +15,7 @@ from nblab.analytic import (
     CRITICAL_LINE_GRID,
     moebius_limit_transform,
     moebius_partial_transform,
+    worst,
 )
 from nblab.errors import UnstablePointError
 
@@ -33,7 +34,7 @@ def run(eps: float, cutoffs: tuple[int, ...]) -> int:
     partials = moebius_partial_transform(cutoffs, eps, list(limits))
     for L, row in zip(cutoffs, partials.tolist()):
         gaps = [abs(p - lim) for p, lim in zip(row, limits.values())]
-        sup = max(gaps)
+        sup = worst(gaps)
         mean = sum(gaps) / len(gaps)
         print(f"{L},{sup!r},{mean!r}")
     return 0

@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -323,6 +323,12 @@ def moebius_limit_transform(eps: float, s: complex) -> complex:
 # identity checks
 
 
+def worst(residuals: Iterable[float]) -> float:
+    """The largest residual, 0.0 for none, and NaN if any is NaN: max() would
+    drop a NaN, and with it the failure of the point it came from."""
+    return float(np.max(np.fromiter(residuals, float), initial=0.0))
+
+
 def verify_claim(lam: float, grid: Sequence[complex]) -> float:
     """Worst residual of (Mellin of combined kernel) + closed-form transform.
 
@@ -330,16 +336,15 @@ def verify_claim(lam: float, grid: Sequence[complex]) -> float:
     integration with a certified tail on one side, the zeta product on the
     other. Grid points need Re s > 1/2 for the piece counts to stay sane.
     """
-    worst = 0.0
+    residuals = []
     for s in grid:
         z = finite_complex(s)
         if z.real <= 0.5 or z == 1.0:
             raise DomainError(f"claim grid needs Re s > 1/2 and s != 1, got {z}")
         pieces = pieces_for_tolerance(1.0, z.real, _CLAIM_TAIL_TOL)
         got = mellin_exact(lam, z, pieces)
-        residual = abs(got.value + combined_kernel_transform(lam, z))
-        worst = max(worst, residual)
-    return worst
+        residuals.append(abs(got.value + combined_kernel_transform(lam, z)))
+    return worst(residuals)
 
 
 def semigroup_identity_check(
@@ -353,23 +358,20 @@ def semigroup_identity_check(
     if not (0.0 < mu <= 1.0):
         raise DomainError(f"scale must be in (0, 1], got {mu}")
     inv_root = 1.0 / math.sqrt(mu)
-    worst = 0.0
+    residuals = []
     for s in grid:
         lhs = scale_inner_function(mu, s) * combined_kernel_transform(lam, s)
         rhs = inv_root * (
             combined_kernel_transform(lam * mu, s)
             - lam * combined_kernel_transform(mu, s)
         )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        residuals.append(abs(lhs - rhs))
+    return worst(residuals)
 
 
 def inner_function_check(mu: float, t_grid: Sequence[float]) -> float:
     """Worst deviation of |mu^(it)| from 1 on the critical line (mu checked per point)."""
-    worst = 0.0
-    for t in t_grid:
-        worst = max(worst, abs(abs(scale_inner_function(mu, complex(0.5, t))) - 1.0))
-    return worst
+    return worst(abs(abs(scale_inner_function(mu, complex(0.5, t))) - 1.0) for t in t_grid)
 
 
 def inner_product_rule_check(
@@ -377,22 +379,20 @@ def inner_product_rule_check(
 ) -> float:
     """Worst residual of the product law mu_a^(s-1/2) mu_b^(s-1/2) =
     (mu_a mu_b)^(s-1/2)."""
-    worst = 0.0
-    for s in grid:
-        lhs = scale_inner_function(mu_a, s) * scale_inner_function(mu_b, s)
-        rhs = scale_inner_function(mu_a * mu_b, s)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return worst(
+        abs(scale_inner_function(mu_a, s) * scale_inner_function(mu_b, s)
+            - scale_inner_function(mu_a * mu_b, s))
+        for s in grid
+    )
 
 
 def xi_reflection_check(grid: Sequence[complex]) -> float:
     """Worst |xi(s) - xi(1-s)| / max(1, |xi(s)|) over the grid."""
-    worst = 0.0
+    residuals = []
     for s in grid:
         a = xi(s)
-        b = xi(1.0 - s)
-        worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    return worst
+        residuals.append(abs(a - xi(1.0 - s)) / max(1.0, abs(a)))
+    return worst(residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,8 @@ class VerificationReport:
             "check": self.check,
             "parameters": self.parameters,
             "grid_id": self.grid_id,
-            "max_residual": self.max_residual,
+            # JSON has no NaN: a residual that is not finite prints as null.
+            "max_residual": self.max_residual if math.isfinite(self.max_residual) else None,
             "budget": self.budget,
             "pass": self.passed,
         }
@@ -468,7 +469,7 @@ def suite_xi() -> list[VerificationReport]:
 
 def suite_unitary() -> list[VerificationReport]:
     rng = random.Random(UNITARY_SEED)
-    worst_norm = 0.0
+    norm_gaps = []
     for _ in range(100):
         n_pieces = rng.randrange(1, 120)
         head = tuple(rng.uniform(-2.0, 2.0) for _ in range(n_pieces))
@@ -479,45 +480,45 @@ def suite_unitary() -> list[VerificationReport]:
         function = math.fsum(
             f.value_at_piece(n) ** 2 * (1 / n - 1 / (n + 1)) for n in range(1, n_pieces + 1)
         )
-        worst_norm = max(worst_norm, abs(sequence - function))
+        norm_gaps.append(abs(sequence - function))
     reports = [
         _report("sequence-map-preserves-norm", {"functions": 100, "seed": UNITARY_SEED},
-                "random-step-v2", worst_norm, 1e-14)
+                "random-step-v2", worst(norm_gaps), 1e-14)
     ]
 
-    worst_ind = 0.0
+    ind_gaps = []
     for m in range(1, 11):
         for n in range(1, 11):
             got = dilate(m, PiecewiseConstant.indicator(n)).values_upto(2 * m * n + 1)
             p = np.arange(1, 2 * m * n + 2)
             expect = np.where(p >= m * n, math.sqrt(m), 0.0)
-            worst_ind = max(worst_ind, float(np.max(np.abs(got - expect))))
+            ind_gaps.append(float(np.max(np.abs(got - expect))))
     reports.append(
         _report("dilation-of-indicators", {"max_m": 10, "max_n": 10},
-                "indicator-lattice-v1", worst_ind, 0.0)
+                "indicator-lattice-v1", worst(ind_gaps), 0.0)
     )
 
     # dilation of the fractional-part model: sqrt(m) ({n/(lm)} - {n/m}/l),
     # checked against exact integer arithmetic.
-    worst_frac = 0.0
+    frac_gaps = []
     n = np.arange(1, 1001)
     for m in range(1, 11):
         for l in range(1, 11):
             got = dilate(m, PiecewiseConstant.fractional_parts(l)).values_upto(1000)
             expect = math.sqrt(m) * ((n % (l * m)) / (l * m) - (n % m) / m / l)
-            worst_frac = max(worst_frac, float(np.max(np.abs(got - expect))))
+            frac_gaps.append(float(np.max(np.abs(got - expect))))
     reports.append(
         _report("dilation-of-fractional-parts", {"max_m": 10, "max_l": 10, "pieces": 1000},
-                "fractional-lattice-v1", worst_frac, 1e-12)
+                "fractional-lattice-v1", worst(frac_gaps), 1e-12)
     )
 
     t_grid = tuple(float(t) for t in range(-10, 11))
-    worst_mod = max(inner_function_check(mu, t_grid) for mu in (1.0, 0.5, 0.125, 0.9))
+    worst_mod = worst(inner_function_check(mu, t_grid) for mu in (1.0, 0.5, 0.125, 0.9))
     reports.append(
         _report("inner-function-unit-modulus", {"scales": [1.0, 0.5, 0.125, 0.9]},
                 "tgrid-21pt-v1", worst_mod, 1e-14)
     )
-    worst_prod = max(
+    worst_prod = worst(
         inner_product_rule_check(a, b, SEMIGROUP_GRID.points)
         for a, b in ((0.5, 0.4), (0.25, 0.5), (1.0, 0.7))
     )
@@ -538,7 +539,7 @@ def suite_moebius() -> list[VerificationReport]:
                 "integers-v1", 0.0 if ok else 1.0, 0.0)
     ]
 
-    worst_assembly = 0.0
+    assembly_gaps = []
     points = (complex(0.5, 10.0), complex(0.8, -4.0), complex(2.0, 1.0))
     for L, eps in ((50, 0.1), (100, 0.3)):
         row = moebius_partial_transform((L,), eps, points)[0].tolist()
@@ -551,23 +552,22 @@ def suite_moebius() -> list[VerificationReport]:
                 re_t.append(term.real)
                 im_t.append(term.imag)
             by_terms = complex(math.fsum(re_t), math.fsum(im_t))
-            worst_assembly = max(worst_assembly, abs(direct - by_terms))
+            assembly_gaps.append(abs(direct - by_terms))
     reports.append(
         _report("smoothed-partial-assembly", {"cutoffs": [50, 100]},
-                "assembly-6pt-v1", worst_assembly, 1e-12)
+                "assembly-6pt-v1", worst(assembly_gaps), 1e-12)
     )
 
     store = GramStore()
     cutoffs, smoothings = (2, 10, 30), (0.0, 0.1, 0.5)
     residuals = moebius_residual(cutoffs, smoothings, store)
-    worst_gap = 0.0
+    gaps = []
     for i, L in enumerate(cutoffs):
         d2 = distance(L, store=store).d2
-        for res in residuals[i * len(smoothings):(i + 1) * len(smoothings)]:
-            worst_gap = max(worst_gap, d2 - res)
+        gaps += [d2 - res for res in residuals[i * len(smoothings):(i + 1) * len(smoothings)]]
     reports.append(
         _report("residual-dominates-distance", {"cutoffs": [2, 10, 30], "eps": [0.0, 0.1, 0.5]},
-                "residual-grid-v1", worst_gap, 1e-10)
+                "residual-grid-v1", worst(gaps), 1e-10)
     )
     return reports
 

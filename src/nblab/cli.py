@@ -97,6 +97,11 @@ def _parse_truncation(text: str) -> int:
     return n
 
 
+def _finite(x: float) -> Optional[float]:
+    """x, or None (JSON null) for a NaN or an infinity, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
 def _entries_name(n_trunc: Optional[int]) -> str:
     return "closed-form entries" if n_trunc is None else f"entries truncated at N={n_trunc}"
 
@@ -142,12 +147,18 @@ def cmd_distance(args) -> int:
         rows = distance_sweep(args.L, basis, methods, store)
 
     if args.format == "json":
-        payload = [r.to_json_dict() for r in rows]
+        payload = [{
+            "L": r.L, "basis": r.basis.value, "d2": _finite(r.d2), "a_est": _finite(r.a_est),
+            "cond": _finite(r.cond_estimate), "ridge": r.ridge_used, "method": r.method.value,
+            "degenerate": r.degenerate, "error": r.error,
+        } for r in rows]
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(DISTANCE_HEADER)
         for r in rows:
-            print(r.csv_row())
+            method = "degenerate" if r.degenerate else r.method.value
+            print(f"{r.L},{r.basis.value},{r.d2!r},{r.a_est!r},"
+                  f"{r.cond_estimate!r},{r.ridge_used!r},{method}")
 
     if args.tol is not None:
         # Rows come in (det, ls) pairs, one pair per cutoff.
@@ -199,7 +210,14 @@ def cmd_gram(args) -> int:
         print(f"{len(store) - loaded} newly computed entries, {len(store)} total", file=sys.stderr)
     if args.export == "csv":
         keys = range(1, L + 1) if args.basis == "all" else BasisKind(args.basis).denominators(L)
-        sys.stdout.write(store.csv_text(keys))
+        keys = list(keys)
+        # The store's kind fixes every entry's error bound and method.
+        tail = "0.0,closed" if store.n_trunc is None else f"{1.0 / (store.n_trunc + 1)!r},truncated"
+        lines = ["l,m,value,error_bound,method"]
+        for p, i in enumerate(keys):
+            for j, value in zip(keys[p:], store.values[i, keys[p:]].tolist()):
+                lines.append(f"{i},{j},{value!r},{tail}")
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -259,13 +277,14 @@ def build_parser() -> _Parser:
 
 
 def exit_code(fn, *args) -> int:
-    """fn(*args); a CacheError exits 65 and any other NBLabError 1, on one stderr line."""
+    """fn(*args); a CacheError exits 65, and any other NBLabError or a
+    MemoryError (a cutoff whose store cannot be allocated) 1, on one stderr line."""
     try:
         return fn(*args)
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NBLabError as exc:
+    except (NBLabError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -129,14 +129,6 @@ class GramStore:
         """The largest key held; -1 for an empty store."""
         return self.values.shape[0] - 1
 
-    @property
-    def method(self) -> str:
-        return "closed" if self.n_trunc is None else "truncated"
-
-    @property
-    def error_bound(self) -> float:
-        return 0.0 if self.n_trunc is None else 1.0 / (self.n_trunc + 1)
-
     def __len__(self) -> int:
         """The number of entries held, each pair of keys counted once."""
         side = self.values.shape[0]
@@ -163,16 +155,6 @@ class GramStore:
             js = np.arange(max(i, old), top + 1)
             values[i, js] = values[js, i] = row(i, js)
         self.values = values
-
-    def csv_text(self, keys: Sequence[int]) -> str:
-        """The entries of every pair of `keys` (i <= j, in the order given) as
-        CSV, with a header."""
-        lines = ["l,m,value,error_bound,method"]
-        keys = list(keys)
-        for p, i in enumerate(keys):
-            for j, value in zip(keys[p:], self.values[i, keys[p:]].tolist()):
-                lines.append(f"{i},{j},{value!r},{self.error_bound!r},{self.method}")
-        return "\n".join(lines) + "\n"
 
     # -- persistence --------------------------------------------------------
 
@@ -306,26 +288,6 @@ class DistanceReport:
     a_est: float
     degenerate: bool = False
     error: Optional[str] = None
-
-    def csv_row(self) -> str:
-        method = "degenerate" if self.degenerate else self.method.value
-        return (
-            f"{self.L},{self.basis.value},{self.d2!r},{self.a_est!r},"
-            f"{self.cond_estimate!r},{self.ridge_used!r},{method}"
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "basis": self.basis.value,
-            "d2": self.d2,
-            "a_est": self.a_est,
-            "cond": self.cond_estimate,
-            "ridge": self.ridge_used,
-            "method": self.method.value,
-            "degenerate": self.degenerate,
-            "error": self.error,
-        }
 
 
 def _top_eigenpair(s: float, alpha: float, gamma: float) -> tuple[float, float, float]:

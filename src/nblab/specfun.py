@@ -286,17 +286,17 @@ def xi_inequality_check(grid, eps: float) -> tuple[int, float]:
     Returns:
         (violations, max_deficit): the count of points where |xi(s)| exceeds
         |xi(s + eps)| beyond numerical tolerance, and the largest excess (0.0 if none).
+        A NaN on either side counts as a violation, and makes max_deficit NaN.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"xi_inequality_check: eps must be in (0, 1/2), got {eps}")
-    violations, max_deficit = 0, 0.0
+    deficits = []
     for raw in grid:
         z = finite_complex(raw)
         if z.real < 0.5:
             raise DomainError(f"xi_inequality_check: grid point {z} has Re s < 1/2")
         a = abs(xi(z))
         b = abs(xi(z + eps))
-        if a > b + _XI_REL_TOL * max(a, b):
-            violations += 1
-            max_deficit = max(max_deficit, a - b)
-    return violations, max_deficit
+        if not a <= b + _XI_REL_TOL * max(a, b):
+            deficits.append(a - b)
+    return len(deficits), float(np.max(deficits, initial=0.0))

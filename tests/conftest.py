@@ -1,5 +1,6 @@
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # nblab before numpy or scipy, so this process factors on one OpenBLAS thread
 # with the same rounding as the CLI subprocesses the tests start.
+from nblab import cli
 from nblab.arith import sieve_moebius
 from nblab.criterion import GramStore, assemble_gram
 
@@ -20,6 +22,22 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return env
+
+
+@pytest.fixture
+def main_cli(capsys):
+    """`nblab args` in this process: `cli.main(args)`, its exit code
+    (returned, or raised by argparse as SystemExit) and captured output in
+    the fields of a finished subprocess."""
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import child_env
-from nblab import analytic, criterion, seqspace
+from nblab import analytic, criterion, seqspace, specfun
 from nblab.arith import sieve_moebius
 from nblab.analytic import (
     CRITICAL_LINE_GRID,
@@ -433,6 +433,48 @@ class TestSuites:
         reports = {r.check: r for r in run_suite("moebius")}
         assert [c for c, r in reports.items() if not r.passed] == ["residual-dominates-distance"]
         assert reports["residual-dominates-distance"].max_residual > 0.5
+
+    # A NaN residual at one point must fail its check, not vanish into max().
+
+    def test_nan_transform_fails_every_mellin_check(self, monkeypatch):
+        transform = analytic.combined_kernel_transform
+        poisoned = MELLIN_GRID.points[5]
+        monkeypatch.setattr(analytic, "combined_kernel_transform",
+                            lambda lam, s: math.nan if s == poisoned else transform(lam, s))
+        reports = run_suite("mellin")
+        assert [r.passed for r in reports] == [False] * 4
+        assert all(math.isnan(r.max_residual) for r in reports)
+
+    def test_nan_xi_fails_reflection(self, monkeypatch):
+        xi = analytic.xi
+        monkeypatch.setattr(analytic, "xi", lambda s: math.nan if s == 0.3 + 6.6j else xi(s))
+        reports = run_suite("xi")
+        assert [r.check for r in reports if not r.passed] == ["reflection-symmetry"]
+        assert math.isnan(reports[0].max_residual)
+
+    def test_nan_xi_fails_shift_inequality(self, monkeypatch):
+        xi = specfun.xi
+        monkeypatch.setattr(specfun, "xi", lambda s: math.nan if s == 2.0 + 8.0j else xi(s))
+        assert xi_inequality_check([0.5 + 1.0j, 2.0 + 8.0j], 0.1)[0] == 1
+        reports = run_suite("xi")
+        shifts = [r for r in reports if r.check == "shift-inequality"]
+        assert [r.check for r in reports if not r.passed] == ["shift-inequality"] * 2
+        assert all(r.parameters["violations"] == 1 and math.isnan(r.max_residual) for r in shifts)
+
+    def test_nan_modulus_fails_unit_modulus(self, monkeypatch):
+        inner = analytic.scale_inner_function
+        poisoned = (0.5, 0.5 + 3.0j)
+        monkeypatch.setattr(analytic, "scale_inner_function",
+                            lambda mu, s: math.nan if (mu, s) == poisoned else inner(mu, s))
+        reports = run_suite("unitary")
+        assert [r.check for r in reports if not r.passed] == ["inner-function-unit-modulus"]
+
+    def test_nan_residual_fails_dominance(self, monkeypatch):
+        residual = criterion.moebius_residual
+        monkeypatch.setattr(criterion, "moebius_residual",
+                            lambda *args: [math.nan, *residual(*args)[1:]])
+        reports = run_suite("moebius")
+        assert [r.check for r in reports if not r.passed] == ["residual-dominates-distance"]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):

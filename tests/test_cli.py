@@ -5,7 +5,6 @@ import os
 import struct
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +23,28 @@ import oracles
 from conftest import child_env
 
 
+# A row whose factor failed at every ridge: no distance, no condition number.
+FAILED_ROW = DistanceReport(
+    L=7,
+    basis=BasisKind.EXCLUDE_ONE,
+    d2=math.nan,
+    method=SolveMethod.LEAST_SQUARES,
+    cond_estimate=math.inf,
+    ridge_used=0.0,
+    a_est=math.nan,
+    error="factorization failed at every ridge level",
+)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity: RFC 8259 JSON has no literal
+    for them, so a strict parser (JavaScript's JSON.parse) rejects them."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(*args, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "nblab.cli", *args],
@@ -32,22 +53,6 @@ def run_cli(*args, timeout=600):
         timeout=timeout,
         env=child_env(),
     )
-
-
-@pytest.fixture
-def main_cli(capsys):
-    """`run_cli` in this process: `cli.main(args)`, its exit code (returned,
-    or raised by argparse as SystemExit) and captured output in the fields
-    of a finished subprocess."""
-    def run(*args):
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
-        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
-
-    return run
 
 
 class TestUsage:
@@ -223,20 +228,46 @@ class TestDistanceCommand:
         assert ",1e-12," in out
 
     def test_solver_error_row_exits_one(self, monkeypatch, capsys):
-        failed = DistanceReport(
-            L=7,
-            basis=BasisKind.EXCLUDE_ONE,
-            d2=float("nan"),
-            method=SolveMethod.LEAST_SQUARES,
-            cond_estimate=float("inf"),
-            ridge_used=0.0,
-            a_est=float("nan"),
-            error="factorization failed at every ridge level",
-        )
-        monkeypatch.setattr(cli, "distance_sweep", lambda *a, **k: [failed])
+        monkeypatch.setattr(cli, "distance_sweep", lambda *a, **k: [FAILED_ROW])
         code = cli.main(["distance", "--L", "7", "--threads", "1"])
         assert code == 1
         assert "factorization" in capsys.readouterr().err
+
+    def test_every_field_round_trips(self, monkeypatch, main_cli):
+        # Each CSV field is the repr of its report field (the text of a name),
+        # and each JSON value its field, for a solved, a degenerate and an
+        # error row. The JSON is strict: a field that is not finite (the
+        # degenerate row's cond, the error row's d2, a_est and cond) is null.
+        rows = [*distance_sweep([1, 3]), FAILED_ROW]
+        assert [(r.degenerate, bool(r.error)) for r in rows] == [
+            (True, False), (False, False), (False, True)]
+        monkeypatch.setattr(cli, "distance_sweep", lambda *a, **k: rows)
+
+        table = main_cli("distance", "--L", "7").stdout.splitlines()
+        assert table[0] == cli.DISTANCE_HEADER
+        for line, r in zip(table[1:], rows, strict=True):
+            assert line.split(",") == [
+                repr(r.L), r.basis.value, repr(r.d2), repr(r.a_est), repr(r.cond_estimate),
+                repr(r.ridge_used), "degenerate" if r.degenerate else r.method.value]
+
+        def value(x):
+            return repr(x if math.isfinite(x) else None)
+
+        payload = strict_json(main_cli("distance", "--L", "7", "--format", "json").stdout)
+        for d, r in zip(payload, rows, strict=True):
+            assert {key: repr(v) for key, v in d.items()} == {
+                "L": repr(r.L), "basis": repr(r.basis.value), "d2": value(r.d2),
+                "a_est": value(r.a_est), "cond": value(r.cond_estimate),
+                "ridge": repr(r.ridge_used), "method": repr(r.method.value),
+                "degenerate": repr(r.degenerate), "error": repr(r.error)}
+
+    @pytest.mark.parametrize("command", ["distance", "residual", "gram"])
+    def test_store_too_large_to_allocate_exits_one(self, command, main_cli):
+        # A store of side 1e8 + 1 needs 71 PiB, which numpy refuses at once.
+        r = main_cli(command, "--L", "100000000")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
     def test_sweep_ridge_reported_by_every_row_exits_two(self, tmp_path, capsys):
         # Entries truncated at N = 20 make the L = 40 block need a ridge; it
@@ -343,6 +374,19 @@ class TestVerifyCommand:
         assert cli.main(["verify", "moebius"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["pass"] is False
+
+    def test_nan_residual_prints_null(self, monkeypatch, main_cli):
+        # A NaN residual fails its check and prints as JSON null.
+        from nblab import analytic
+
+        transform = analytic.combined_kernel_transform
+        poisoned = analytic.MELLIN_GRID.points[5]
+        monkeypatch.setattr(analytic, "combined_kernel_transform",
+                            lambda lam, s: math.nan if s == poisoned else transform(lam, s))
+        r = main_cli("verify", "mellin")
+        assert r.returncode == 1
+        payload = strict_json(r.stdout)
+        assert [(d["max_residual"], d["pass"]) for d in payload] == [(None, False)] * 4
 
 
 class TestGramCommand:
@@ -653,6 +697,16 @@ class TestHlineScript:
         assert out.splitlines()[0] == "L,sup_gap,mean_gap"
         assert out.splitlines()[1].startswith("10,")
         assert "101 usable points, 0 skipped" in err
+
+    def test_nan_gap_makes_a_nan_sup(self, monkeypatch, capsys):
+        # max() would drop the NaN gap of one grid point.
+        hline = load_script("hline_convergence")
+        limit = hline.moebius_limit_transform
+        poisoned = hline.CRITICAL_LINE_GRID.points[50]
+        monkeypatch.setattr(hline, "moebius_limit_transform",
+                            lambda eps, s: math.nan if s == poisoned else limit(eps, s))
+        assert hline.run(0.1, (10,)) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == ["10", "nan"]
 
     def test_small_eps_runs(self, monkeypatch, capsys):
         # 1 + eps within 1e-8 of zeta's pole: the limit's 1/zeta(1 + eps)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import struct
@@ -92,7 +93,7 @@ class TestAssemble:
         def refuse(i, j):
             raise AssertionError(f"held entry ({i}, {j}) recomputed")
 
-        assert (store.method, store.error_bound) == ("truncated", 1.0 / 50_001)
+        assert store.n_trunc == 50_000
         for i in range(5):
             for j in range(5):
                 assert store.ensure(i, j, refuse) == store.values[i, j]
@@ -216,17 +217,22 @@ class TestGramStoreFile:
         with pytest.raises(CacheError):
             GramStore.load(p)
 
-    def test_csv_export(self):
+    def test_csv_export(self, main_cli):
         store = assemble_gram(3)
-        lines = store.csv_text(range(4)).splitlines()
+        export = main_cli("gram", "--L", "3", "--basis", "all", "--export", "csv")
+        lines = export.stdout.splitlines()
         assert lines[0] == "l,m,value,error_bound,method"
-        assert lines[1] == "0,0,1.0,0.0,closed"
-        assert lines[2] == "0,1,0.0,0.0,closed"
-        assert lines[3].startswith("0,2,0.34657359027997")
-        # one row per stored entry
-        assert len(lines) == 1 + len(store)
+        # key 1 is the zero sequence
+        assert lines[1] == "1,1,0.0,0.0,closed"
+        assert lines[2] == "1,2,0.0,0.0,closed"
+        assert lines[4].startswith("2,2,0.17328679513998")
+        # one row per stored entry but key 0's, each the store's value
+        assert len(lines) == 1 + len(store) - (store.top + 1)
+        for line in lines[1:]:
+            i, j, value = line.split(",")[:3]
+            assert value == repr(float(store.values[int(i), int(j)]))
         # a basis picks its own pairs
-        excl = store.csv_text(EXCL.denominators(3)).splitlines()
+        excl = main_cli("gram", "--L", "3", "--export", "csv").stdout.splitlines()
         assert excl[1:] == [line for line in lines[1:] if min(map(int, line.split(",")[:2])) >= 2]
 
 
@@ -316,7 +322,7 @@ class TestDenseStore:
         assert stepped.values.tobytes() == whole.values.tobytes()
 
     @pytest.mark.parametrize("n_trunc", [None, 30])
-    def test_struct_built_file_loads_to_same_bits(self, tmp_path, n_trunc):
+    def test_struct_built_file_loads_to_same_bits(self, tmp_path, n_trunc, main_cli):
         # Each entry from its own single-pair call, not from a fill.
         def entry(i, j):
             if n_trunc is None:
@@ -330,7 +336,13 @@ class TestDenseStore:
         p.write_bytes(_format_file(n_trunc or 0, upper))
         loaded = GramStore.load(p)
         assert (loaded.n_trunc, loaded.top, len(loaded)) == (n_trunc, top, len(results))
-        assert loaded.error_bound == (0.0 if n_trunc is None else 1.0 / (n_trunc + 1))
+        # Its export takes each entry's error bound from the loaded file's N.
+        N = () if n_trunc is None else ("--N", str(n_trunc))
+        export = main_cli("gram", "--L", str(top), "--basis", "all", "--export", "csv",
+                          "--cache", str(p), *N).stdout.splitlines()
+        bound, kind = (0.0, "closed") if n_trunc is None else (1.0 / (n_trunc + 1), "truncated")
+        assert export[1:] == [f"{i},{j},{float(results[i, j])!r},{bound!r},{kind}"
+                              for i in range(1, top + 1) for j in range(i, top + 1)]
 
         def refuse(i, j):
             raise AssertionError(f"held entry ({i}, {j}) recomputed")
@@ -420,17 +432,17 @@ class TestDistance:
         r = distance(40, EXCL, store=shared_store)
         assert r.a_est == pytest.approx(r.d2 * math.log(40), abs=0)
 
-    def test_csv_row_shape(self, shared_store):
+    def test_csv_row_shape(self, shared_store, main_cli):
         r = distance(3, EXCL, store=shared_store)
-        parts = r.csv_row().split(",")
+        parts = main_cli("distance", "--L", "3").stdout.splitlines()[1].split(",")
         assert len(parts) == 7
         assert parts[0] == "3"
         assert parts[1] == "exclude-one"
         assert parts[6] == "ls"
         assert float(parts[2]) == r.d2
 
-    def test_json_dict_keys(self, shared_store):
-        d = distance(3, EXCL, store=shared_store).to_json_dict()
+    def test_json_dict_keys(self, main_cli):
+        [d] = json.loads(main_cli("distance", "--L", "3", "--format", "json").stdout)
         for key in ("L", "basis", "d2", "a_est", "cond", "ridge", "method"):
             assert key in d
 
