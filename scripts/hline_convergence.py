@@ -8,6 +8,7 @@ transform-side picture of the distance sweep's decay.
 """
 
 import argparse
+import gc
 import math
 import sys
 
@@ -60,4 +61,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()  # shutdown's collections then skip every object alive now
+    raise SystemExit(code)

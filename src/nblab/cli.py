@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
@@ -55,9 +56,11 @@ _METHODS = {
 }
 
 
-def _parse_cutoffs(text: str) -> tuple[int, ...]:
-    """Cutoff list syntax: '30', '2,3,10', '2..30', or combinations."""
-    values: set[int] = set()
+def _parse_cutoffs(text: str) -> tuple[range, ...]:
+    """Cutoff list syntax: '30', '2,3,10', '2..30', or combinations, as one
+    range per token. No range is expanded here, so a huge one fails on its
+    store's allocation (`_cutoffs`), not on a list."""
+    ranges = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
@@ -65,15 +68,20 @@ def _parse_cutoffs(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if lo < 1 or hi < lo:
                 raise ValueError(f"bad cutoff range {token!r}")
-            values.update(range(lo, hi + 1))
         else:
-            v = int(token)
-            if v < 1:
-                raise ValueError(f"cutoff must be >= 1, got {v}")
-            values.add(v)
-    if not values:
-        raise ValueError("empty cutoff list")
-    return tuple(sorted(values))
+            lo = hi = int(token)
+            if lo < 1:
+                raise ValueError(f"cutoff must be >= 1, got {lo}")
+        ranges.append(range(lo, hi + 1))
+    return tuple(ranges)
+
+
+def _cutoffs(ranges: tuple[range, ...], store: GramStore) -> list[int]:
+    """The distinct cutoffs in `ranges`, ascending, listed only once `store`
+    holds every pair of keys up to the largest: a range too long to list
+    fails on the store's allocation first."""
+    assemble_gram(max(r[-1] for r in ranges), store)
+    return sorted(set().union(*ranges))
 
 
 def _parse_eps_list(text: str) -> tuple[float, ...]:
@@ -144,7 +152,7 @@ def open_store(path: Optional[Path], n_trunc: Optional[int] = None) -> Iterator[
 def cmd_distance(args) -> int:
     basis, methods = BasisKind(args.basis), _METHODS[args.method]
     with open_store(args.cache, args.N) as store:
-        rows = distance_sweep(args.L, basis, methods, store)
+        rows = distance_sweep(_cutoffs(args.L, store), basis, methods, store)
 
     if args.format == "json":
         payload = [{
@@ -178,9 +186,10 @@ def cmd_distance(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    pairs = [(L, eps) for L in args.L for eps in args.eps]
     with open_store(args.cache, args.N) as store:
-        values = moebius_residual(args.L, args.eps, store)
+        cutoffs = _cutoffs(args.L, store)
+        values = moebius_residual(cutoffs, args.eps, store)
+    pairs = [(L, eps) for L in cutoffs for eps in args.eps]
     rows = [(L, eps, value) for (L, eps), value in zip(pairs, values)]
     if args.format == "json":
         payload = [{"L": L, "eps": eps, "residual": value} for L, eps, value in rows]
@@ -203,7 +212,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    L = max(args.L)
+    L = max(r[-1] for r in args.L)
     with open_store(args.cache, args.N) as store:
         loaded = len(store)
         assemble_gram(L, store)
@@ -230,7 +239,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--L", type=_parse_cutoffs, default=(30,),
+        p.add_argument("--L", type=_parse_cutoffs, default="30",
                        help="cutoff list: '30', '2,5,10', or '2..30'")
         p.add_argument("--N", type=_parse_truncation, default=None,
                        help="use truncated sums at this cutoff instead of closed forms")
@@ -298,7 +307,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_entry() -> None:
-    raise SystemExit(main())
+    """Run `main` and exit with its code. The collector is frozen first:
+    shutdown's full collections then skip the tens of thousands of objects
+    the imports made, all still alive, which would take milliseconds each,
+    while atexit handlers and the flush of the standard streams still run."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

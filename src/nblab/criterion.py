@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import math
 import os
 import struct
@@ -50,7 +51,7 @@ from numpy.linalg import LinAlgError
 
 from .arith import sieve_moebius
 from .errors import CacheError, ConditioningError, DomainError
-from .seqspace import PiecewiseConstant, inner_products_closed_row, inner_product_truncated
+from .seqspace import PiecewiseConstant, inner_product_truncated, inner_products_closed
 from .specfun import EULER_GAMMA
 
 # Key 0 in a GramStore denotes the constant sequence; positive keys are
@@ -92,6 +93,11 @@ _MAGIC = b"NBBG"
 _FORMAT_VERSION = 6
 _HEADER = struct.Struct("<4sIQQ")
 _TRAILER = struct.Struct("<I")
+
+# Key pairs per block of a fill: small enough that a block's temporaries add
+# nothing measurable to a process's peak RSS, large enough that numpy's
+# per-call overhead is spread over thousands of entries.
+_BLOCK_PAIRS = 4096
 
 
 @contextlib.contextmanager
@@ -143,17 +149,30 @@ class GramStore:
             return float(self.values[i, j])
         return compute(i, j)
 
-    def grow(self, top: int, row: Callable[[int, np.ndarray], Sequence[float]]) -> None:
-        """Hold every pair of keys 0..top; row(i, js) gives the new entries of
-        key i with the keys js >= i, all above the old top."""
+    def grow(self, top: int, entries: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+        """Hold every pair of keys 0..top; entries(a, b) gives the entries of
+        the broadcast key arrays a <= b elementwise, all with b above the old
+        top.
+
+        Rows are filled in blocks of about _BLOCK_PAIRS entries: rows a0..a1
+        against the columns max(a0, old top + 1)..top, evaluated once at the
+        (min, max) of each pair of keys, then written to the block and to its
+        mirror image.
+        """
         old = self.values.shape[0]
         if top < old:
             return
         values = np.zeros((top + 1, top + 1))
         values[:old, :old] = self.values
-        for i in range(top + 1):
-            js = np.arange(max(i, old), top + 1)
-            values[i, js] = values[js, i] = row(i, js)
+        a0 = 0
+        while a0 <= top:
+            lo = max(a0, old)
+            a1 = min(top + 1, a0 + max(1, _BLOCK_PAIRS // (top + 1 - lo)))
+            rows, cols = np.ogrid[a0:a1, lo:top + 1]
+            block = np.asarray(entries(np.minimum(rows, cols), np.maximum(rows, cols)))
+            values[a0:a1, lo:] = block
+            values[lo:, a0:a1] = block.T
+            a0 = a1
         self.values = values
 
     # -- persistence --------------------------------------------------------
@@ -214,31 +233,41 @@ def assemble_gram(L: int, store: Optional[GramStore] = None) -> GramStore:
     The fill is the same for every basis: it covers all keys up to L, so a
     store serves each basis up to its top. Only the pairs with a key above
     the old top are computed, and a call with nothing to add does no other
-    work. Each growth makes one row call per held key, however few keys it
-    adds, so callers fill once, at their largest cutoff. Closed-form entries
-    (n_trunc None) are computed row by row,
-    vectorized across the second key, each in O(1) once the period tables
-    reach L; truncated entries one pair at a time, through
-    `GramStore.ensure`, each an O(N) compensated sum. Each entry depends
-    only on its own keys, so the result is independent of the order and the
-    batch. The store takes the grown array only once it is whole
-    (`GramStore.grow`).
+    work. Each growth copies the held entries into a new array and walks every
+    held key, however few keys it adds, so callers fill once, at their
+    largest cutoff. Closed-form entries (n_trunc None) are computed in
+    blocks of a few thousand pairs, one vectorized call per block, each in
+    O(1) once the period tables reach L; truncated entries one pair at a
+    time, through `GramStore.ensure`, each an O(N) compensated sum. Each
+    entry depends only on its own keys, so the result is independent of the
+    order and the batch. The store takes the grown array only once it is
+    whole (`GramStore.grow`).
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
     if store is None:
         store = GramStore()
+    if L <= store.top:
+        return store
     if store.n_trunc is None:
-        store.grow(L, inner_products_closed_row)
+        store.grow(L, inner_products_closed)
         return store
 
     sequences = [PiecewiseConstant.constant_one()]
     sequences.extend(PiecewiseConstant.fractional_parts(l) for l in range(1, L + 1))
 
+    # A block's mirror pairs come back from the cache, so each entry is
+    # computed once, in the row-major order of the upper triangle.
+    @functools.lru_cache(maxsize=None)
     def truncated(i: int, j: int) -> float:
         return inner_product_truncated(sequences[i], sequences[j], store.n_trunc)
 
-    store.grow(L, lambda i, js: [store.ensure(i, j, truncated) for j in js.tolist()])
+    def entries(a: np.ndarray, b: np.ndarray) -> list[list[float]]:
+        a, b = np.broadcast_arrays(a, b)
+        return [[store.ensure(i, j, truncated) for i, j in zip(row_a, row_b)]
+                for row_a, row_b in zip(a.tolist(), b.tolist())]
+
+    store.grow(L, entries)
     return store
 
 

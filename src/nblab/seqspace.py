@@ -133,31 +133,34 @@ class _PeriodTables:
 _TABLES = _PeriodTables()
 
 
-def inner_products_closed_row(a: int, bs) -> np.ndarray:
-    """Closed-form <{n/a}, {n/b}> for one denominator a and every b in bs.
+def inner_products_closed(a, b) -> np.ndarray:
+    """Closed-form <{n/a}, {n/b}> elementwise over the broadcast key arrays a and b.
 
-    Requires 0 <= a <= b for each b, where 0 stands for the constant
+    Requires 0 <= a <= b elementwise, where key 0 stands for the constant
     sequence: <1, 1> = 1 and <1, {n/b}> = log(b)/b, with log b from the
-    same math.log table as every other entry. The computation is elementwise
-    over bs (table lookups and exactly rounded arithmetic, no reductions),
-    so each value is the same bit pattern whether it is computed alone or in
-    any batch. See `inner_product_closed` for the formula.
+    same math.log table as every other entry; key 1 is the zero sequence.
+    The computation is elementwise (table lookups and exactly rounded
+    arithmetic, no reductions), so each value is the same bit pattern
+    whether it is computed alone or in any block. A block that holds key 0
+    or 1 runs the general formula on them as if they were 2, so that nothing
+    divides by zero, and their own values replace its result. See
+    `inner_product_closed` for the formula.
     """
     global _TABLES
-    bs = np.asarray(bs, dtype=np.int64)
-    if a == 1:
-        return np.zeros(bs.size)
-    tables = _TABLES = _TABLES.ensure(int(bs.max(initial=a)))
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    tables = _TABLES = _TABLES.ensure(max(int(b.max(initial=0)), 2))
     V, logs = tables.values, tables.logs
-    if a == 0:
-        return np.where(bs == 0, 1.0, logs[bs] / np.maximum(bs, 1))
-    g = np.gcd(a, bs)
-    a_, b_ = a // g, bs // g
-    ends = V[a * (a - 1) // 2 + 1] + V[bs * (bs - 1) // 2 + 1]
+    low = a < 2
+    if low.any():
+        own = np.where(a == 0, np.where(b == 0, 1.0, logs[b] / np.maximum(b, 1)), 0.0)
+        return np.where(low, own, inner_products_closed(np.where(low, 2, a), np.where(low, 2, b)))
+    g = np.gcd(a, b)
+    a_, b_ = a // g, b // g
+    ends = V[a * (a - 1) // 2 + 1] + V[b * (b - 1) // 2 + 1]
     pair = V[a_ * (a_ - 1) // 2 + b_ % a_] + V[b_ * (b_ - 1) // 2 + a_ % b_]
     return (
-        ((bs - 1) * logs[a] + (a - 1) * logs[bs] + math.pi * ends) / (2.0 * a * bs)
-        - math.pi * pair / (2.0 * a_ * bs)
+        ((b - 1) * logs[a] + (a - 1) * logs[b] + math.pi * ends) / (2.0 * a * b)
+        - math.pi * pair / (2.0 * a_ * b)
     )
 
 
@@ -183,7 +186,7 @@ def inner_product_closed(a: int, b: int) -> float:
     lo, hi = sorted((a, b))
     if lo < 0:
         raise DomainError(f"keys must be nonnegative, got ({a}, {b})")
-    return float(inner_products_closed_row(lo, [hi])[0])
+    return float(inner_products_closed(lo, hi))
 
 
 # ---------------------------------------------------------------------------

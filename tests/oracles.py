@@ -13,8 +13,8 @@ each step of the incremental condition estimate instead of closed-form
 folded cotangent sums, every cotangent row reduced instead of half of them
 negated into the rest, Fractions of factorials instead of lcm-scaled
 integers for the eta coefficients, an LU solve instead of its Cholesky
-factor, and per-piece antiderivatives instead of telescoped Euler-Maclaurin
-remainders.
+factor, per-piece antiderivatives instead of telescoped Euler-Maclaurin
+remainders, and one closed-form call per Gram row instead of blocks of rows.
 mpmath supplies arbitrary precision where a float oracle would be circular.
 """
 
@@ -308,6 +308,39 @@ def period_table_cot_rows(p: int) -> np.ndarray:
     r, c = np.arange(1, (p + 1) // 2, dtype=np.int32), np.arange(p, dtype=np.int32)
     values = ((2 * (np.outer(c, r) % p) - p) / np.tan(np.pi * r / p)).sum(axis=1) / p
     values[np.gcd(c, p) > 1] = np.nan
+    return values
+
+
+def closed_row(tables, a: int, bs: np.ndarray) -> np.ndarray:
+    """Closed-form entries of key a against every key b in bs >= a, from
+    period tables that reach max(bs): one vectorized call per row, with the
+    keys 0 and 1 on branches of their own. The package evaluates blocks of
+    rows at once and must give the same bits."""
+    V, logs = tables.values, tables.logs
+    if a == 1:
+        return np.zeros(bs.size)
+    if a == 0:
+        return np.where(bs == 0, 1.0, logs[bs] / np.maximum(bs, 1))
+    g = np.gcd(a, bs)
+    a_, b_ = a // g, bs // g
+    ends = V[a * (a - 1) // 2 + 1] + V[bs * (bs - 1) // 2 + 1]
+    pair = V[a_ * (a_ - 1) // 2 + b_ % a_] + V[b_ * (b_ - 1) // 2 + a_ % b_]
+    return (
+        ((bs - 1) * logs[a] + (a - 1) * logs[bs] + math.pi * ends) / (2.0 * a * bs)
+        - math.pi * pair / (2.0 * a_ * bs)
+    )
+
+
+def closed_rows_fill(top: int) -> np.ndarray:
+    """Every closed-form entry of the keys 0..top, one `closed_row` per key,
+    each row written with its mirror column; tables of its own."""
+    from nblab.seqspace import _PeriodTables
+
+    tables = _PeriodTables().ensure(max(top, 2))
+    values = np.zeros((top + 1, top + 1))
+    for i in range(top + 1):
+        js = np.arange(i, top + 1)
+        values[i, js] = values[js, i] = closed_row(tables, i, js)
     return values
 
 

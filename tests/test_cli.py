@@ -1,7 +1,10 @@
+import gc
 import importlib.util
 import json
 import math
 import os
+import resource
+import runpy
 import struct
 import subprocess
 import sys
@@ -43,6 +46,10 @@ def strict_json(text):
         raise ValueError(f"{name} is not JSON")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def script_path(name):
+    return os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
 
 
 def run_cli(*args, timeout=600):
@@ -268,6 +275,28 @@ class TestDistanceCommand:
         assert r.returncode == 1
         assert r.stdout == ""
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["-m", "nblab.cli", "distance", "--L", "2..100000000"],
+        ["-m", "nblab.cli", "residual", "--L", "2..100000000"],
+        [script_path("distance_sweep"), "--l-max", "100000000", "--l-step", "1"],
+    ], ids=["distance", "residual", "distance_sweep"])
+    def test_range_too_long_to_list_exits_one(self, argv):
+        # Under a 2 GiB address-space cap, listing 10^8 cutoffs would run out
+        # of memory before any work; the store's allocation must fail first.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        r = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                           timeout=600, env=child_env(), preexec_fn=cap)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: Unable to allocate") and r.stderr.count("\n") == 1
+
+    def test_overlapping_tokens_give_each_cutoff_once(self, main_cli):
+        r = main_cli("distance", "--L", "8,2..5,4..6,10,9")
+        assert [line.split(",")[0] for line in r.stdout.splitlines()[1:]] == [
+            "2", "3", "4", "5", "6", "8", "9", "10"]
 
     def test_sweep_ridge_reported_by_every_row_exits_two(self, tmp_path, capsys):
         # Entries truncated at N = 20 make the L = 40 block need a ridge; it
@@ -540,6 +569,56 @@ class TestGramCommand:
         assert again.stdout == bare.stdout
 
 
+class TestExitPath:
+    """The way out of a whole run: `python -m nblab.cli` through
+    `console_entry`, and each script's `__main__` block, which freeze the
+    collector before raising SystemExit."""
+
+    @pytest.fixture
+    def regular_file(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        return path
+
+    @pytest.mark.parametrize("argv, code", [
+        (["distance", "--L", "2..30", "--method", "both"], 0),
+        (["distance", "--L", "2..40", "--method", "both", "--N", "20"], 2),
+        (["distance", "--basis", "all"], 64),
+        (["distance", "--cache", "{file}/c.nbbg"], 65),
+    ])
+    def test_console_entry_keeps_code_and_streams(self, argv, code, regular_file,
+                                                  main_cli, monkeypatch):
+        # A child on a pipe wraps usage text at 80 columns; so does this process.
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [a.format(file=regular_file) for a in argv]
+        want = main_cli(*argv)
+        got = run_cli(*argv)
+        assert want.returncode == code
+        assert (got.returncode, got.stdout, got.stderr) == (code, want.stdout, want.stderr)
+
+    @pytest.mark.parametrize("name, argv, code", [
+        ("verify_all", [], 0),
+        ("hline_convergence", ["--cutoffs", "10"], 0),
+        ("distance_sweep", ["--l-max", "20"], 0),
+        ("distance_sweep", ["--l-max", "20", "--cache", "{file}/c.nbbg"], 65),
+    ])
+    def test_script_main_block_raises_system_exit(self, name, argv, code, regular_file,
+                                                  monkeypatch, capsys):
+        # As perfbench/trace_job.py runs a script: in process, through runpy.
+        path = script_path(name)
+        monkeypatch.setattr(sys, "argv", [path, *(a.format(file=regular_file) for a in argv)])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_path(path, run_name="__main__")
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert bool(out) == (code == 0)
+        assert err.startswith("cache error: ") == (code == 65)
+
+
 class TestOpenStore:
     @staticmethod
     def opened(path, n_trunc=None):
@@ -644,7 +723,7 @@ class TestDistanceSweepScript:
 
 
 def load_script(name):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
+    path = script_path(name)
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -149,6 +149,51 @@ class TestEntryPurity:
                 assert struct.pack("<d", ab) == struct.pack("<d", ba), (a, b)
 
 
+class TestBlockFill:
+    """The block fill gives the row-by-row oracle's bits, wherever its block
+    edges fall."""
+
+    @staticmethod
+    def _same_bits(values, want):
+        assert values.shape == want.shape
+        assert np.array_equal(values.view(np.int64), want.view(np.int64))
+        assert np.array_equal(values.view(np.int64), values.T.view(np.int64))
+
+    @pytest.mark.parametrize("budget", [criterion._BLOCK_PAIRS, 7, 1])
+    @pytest.mark.parametrize("top", [1, 2, 37, 300])
+    def test_fresh_store(self, top, budget, monkeypatch):
+        monkeypatch.setattr(criterion, "_BLOCK_PAIRS", budget)
+        self._same_bits(assemble_gram(top).values, oracles.closed_rows_fill(top))
+
+    @pytest.mark.parametrize("budget", [criterion._BLOCK_PAIRS, 7, 1])
+    @pytest.mark.parametrize("old", [0, 1, 150, 299])
+    def test_grown_store(self, old, budget, monkeypatch):
+        monkeypatch.setattr(criterion, "_BLOCK_PAIRS", budget)
+        store = GramStore()
+        store.grow(old, seqspace.inner_products_closed)
+        self._same_bits(store.values, oracles.closed_rows_fill(old))
+        assemble_gram(300, store)
+        self._same_bits(store.values, oracles.closed_rows_fill(300))
+
+    def test_truncated_entries_computed_once_in_row_order(self, monkeypatch):
+        # Growing from 3 to 9 in blocks of 5 pairs: the blocks' mirror
+        # pairs are not computed again, and the order is the upper
+        # triangle's, row by row.
+        monkeypatch.setattr(criterion, "_BLOCK_PAIRS", 5)
+        store = assemble_gram(3, GramStore(20))
+        pairs = []
+
+        def recorded(a, b, n_trunc):
+            pairs.append((a, b))
+            return inner_product_truncated(a, b, n_trunc)
+
+        monkeypatch.setattr(criterion, "inner_product_truncated", recorded)
+        assemble_gram(9, store)
+        want = [(i, j) for i in range(10) for j in range(max(i, 4), 10)]
+        assert pairs == [(key_sequence(i), key_sequence(j)) for i, j in want]
+        assert store.values.tobytes() == assemble_gram(9, GramStore(20)).values.tobytes()
+
+
 class TestGramStoreFile:
     def test_roundtrip_bitwise(self, tmp_path):
         store = assemble_gram(12)
