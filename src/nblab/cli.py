@@ -293,8 +293,12 @@ def exit_code(fn, *args) -> int:
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NBLabError, MemoryError) as exc:
+    except NBLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        # Python's own allocator raises it with no message; numpy's carry one.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -13,8 +13,7 @@ each step of the incremental condition estimate instead of closed-form
 folded cotangent sums, every cotangent row reduced instead of half of them
 negated into the rest, Fractions of factorials instead of lcm-scaled
 integers for the eta coefficients, an LU solve instead of its Cholesky
-factor, per-piece antiderivatives instead of telescoped Euler-Maclaurin
-remainders, and one closed-form call per Gram row instead of blocks of rows.
+factor, and one closed-form call per Gram row instead of blocks of rows.
 mpmath supplies arbitrary precision where a float oracle would be circular.
 """
 
@@ -378,64 +377,6 @@ def residue_class_gram_d2(L: int) -> float:
     return float(1.0 - g @ np.linalg.solve(G, g))
 
 
-def mellin_piecewise_prefix(lam: float, s, pieces_list, dps: int = 30) -> list[complex]:
-    """`mellin_piecewise_highprec` at every count in `pieces_list`, in one pass.
-
-    The pieces are added in ascending k, as for a single count, so each
-    returned value is the running total after that many pieces. Each
-    breakpoint takes one `mp.power`, x^(s-1), and x^s = x * x^(s-1); piece
-    k+1's upper end lam/(k+1) is piece k's lower end, so its powers are reused.
-    """
-    with mp.workdps(dps):
-        z = mp.mpc(s)
-        lam_mp = mp.mpf(lam)
-        lam_over, inv_z = lam_mp / (z - 1), 1 / z
-
-        def powers(x):
-            below = mp.power(x, z - 1)
-            return x, below, x * below
-
-        def antider(pw, k):
-            return lam_over * pw[1] - k * inv_z * pw[2]
-
-        total = mp.mpc(0)
-        if lam_mp < 1:
-            total += antider(powers(mp.mpf(1)), 0) - antider(powers(lam_mp), 0)
-        wanted = set(pieces_list)
-        found = {p: complex(total) for p in wanted if p < 1}
-        below = None
-        for k in range(1, max(pieces_list, default=0) + 1):
-            hi = min(lam_mp / k, mp.mpf(1))
-            lo = lam_mp / (k + 1)
-            if hi > lo:
-                above = below if below is not None and below[0] == hi else powers(hi)
-                below = powers(lo)
-                total += antider(above, k) - antider(below, k)
-            if k in wanted:
-                found[k] = complex(total)
-        return [found[p] for p in pieces_list]
-
-
-def mellin_piecewise_highprec(lam: float, s, pieces: int, dps: int = 30):
-    """integral over (lam/(pieces+1), 1] of x^(s-1) frac(lam/x) dx.
-
-    Evaluates each piece with its own antiderivative at working precision:
-    on (lam/(k+1), lam/k), frac(lam/x) = lam/x - k, so the piece integral is
-    lam (x^(s-1))/(s-1) - k x^s / s between the clipped endpoints. No
-    telescoping, no Euler-Maclaurin: a genuinely different summation route.
-    """
-    return mellin_piecewise_prefix(lam, s, [pieces], dps)[0]
-
-
-def mellin_limit_highprec(lam: float, s, dps: int = 30):
-    """lam/(s-1) - lam^s zeta(s)/s, valid for Re s > 1: the analytic value of
-    the full integral of x^(s-1) frac(lam/x)."""
-    with mp.workdps(dps):
-        z = mp.mpc(s)
-        lam_mp = mp.mpf(lam)
-        return complex(lam_mp / (z - 1) - mp.power(lam_mp, z) * mp.zeta(z) / z)
-
-
 def moebius_partial_transform_loop(L: int, eps: float, s, mu) -> complex:
     """(zeta(s)/s) (sum_{l<=L} mu(l) l^(-s-eps) - sum_{l<=L} mu(l) l^(-1-eps))
     by a Python loop over l with libm's log and exp, one term at a time.
@@ -578,27 +519,3 @@ HLINE_ROWS = {
 # loops above report them.
 DILATION_INDICATOR_RESIDUAL = 0.0
 DILATION_FRACTIONAL_RESIDUAL = 4.440892098500626e-16
-# 30-digit Mellin piece sums, pinned because mpmath takes seconds over each
-# one's 4000 or more pieces. MELLIN_PIECEWISE_4000[lam, s] is
-# mellin_piecewise_highprec(lam, s, 4000); MELLIN_PREFIX_HALF_2[pieces] is
-# mellin_piecewise_prefix(0.5, 2.0, (4096, 4097, 8000, 20000)) at that count.
-MELLIN_PIECEWISE_4000 = {
-    (1.0, 2.0): complex(0.17753295095999747, 0.0),
-    (1.0, 2.5 + 3.0j): complex(0.011947580021437832, -0.0813497921948263),
-    (1.0, 1.2 - 4.0j): complex(-0.04599527015469474, 0.08997456472965061),
-    (0.5, 2.0): complex(0.29438323773999936, 0.0),
-    (0.5, 2.5 + 3.0j): complex(0.10572916932980929, -0.13054544987735708),
-    (0.5, 1.2 - 4.0j): complex(0.05499520045647933, 0.1802228602198204),
-    (1 / 3, 2.0): complex(0.24194810566222194, 0.0),
-    (1 / 3, 2.5 + 3.0j): complex(0.05031249174339608, -0.10183216306093566),
-    (1 / 3, 1.2 - 4.0j): complex(-0.03146846335636012, 0.11131905249446294),
-    (1.0, 1.8 + 2.0j): complex(0.050071491047033206, -0.1276142568063401),
-    (0.5, 1.8 + 2.0j): complex(0.16541710045136657, -0.16499449149725726),
-    (0.7, 1.8 + 2.0j): complex(0.1764897127099489, -0.1388578897133654),
-}
-MELLIN_PREFIX_HALF_2 = {
-    4096: complex(0.2943832379208027, 0.0),
-    4097: complex(0.29438323792261945, 0.0),
-    8000: complex(0.29438324066769395, 0.0),
-    20000: complex(0.2943832414877399, 0.0),
-}

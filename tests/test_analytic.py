@@ -18,14 +18,12 @@ from nblab.analytic import (
     SEMIGROUP_GRID,
     XI_REFLECTION_GRID,
     XI_SHIFT_GRID,
-    _frac_scaled_transform,
     combined_kernel_transform,
     inner_function_check,
     inner_product_rule_check,
     mellin_exact,
     moebius_limit_transform,
     moebius_partial_transform,
-    pieces_for_tolerance,
     run_suite,
     scale_inner_function,
     semigroup_identity_check,
@@ -53,7 +51,7 @@ class TestGridsAreFrozen:
 
     def test_mellin_grid_in_claim_domain(self):
         for s in MELLIN_GRID.points:
-            assert s.real > 0.5 and s != 1.0
+            assert s.real > 0.0 and s != 1.0
 
     def test_semigroup_grid_touches_the_pole_point(self):
         # the semigroup identity is checked through s = 1 on purpose: the
@@ -66,88 +64,51 @@ class TestGridsAreFrozen:
         assert ts[0] == -20.0 and ts[-1] == 20.0
 
 
-class TestPiecesForTolerance:
-    def test_monotone_in_tolerance(self):
-        a = pieces_for_tolerance(1.0, 1.5, 1e-6)
-        b = pieces_for_tolerance(1.0, 1.5, 1e-9)
-        assert b > a >= 1
-
-    def test_certified(self):
-        # the advertised piece count really brings the tail under tol
-        for sigma, tol in ((0.8, 1e-7), (1.5, 1e-9), (2.5, 1e-10)):
-            k = pieces_for_tolerance(1.0, sigma, tol)
-            assert (1.0 / (k + 1)) ** sigma / sigma <= tol
-
-    @pytest.mark.parametrize("sigma, tol", [(0.01, 1e-9), (0.3, 1e-300)])
-    def test_count_past_float_range_is_a_domain_error(self, sigma, tol):
-        # (sigma tol)^(-1/sigma) overflows; the error names both inputs.
-        with pytest.raises(DomainError, match=f"tol {tol!r} at sigma {sigma!r}"):
-            pieces_for_tolerance(1.0, sigma, tol)
-
-
 class TestMellinExact:
-    """`mellin_exact` integrates the combined kernel {lam/x} - lam {1/x}; the
-    single kernel {lam/x} is `_frac_scaled_transform`, checked directly."""
+    """`mellin_exact` is (lam - lam^s) zeta(s) / s with zeta from the
+    Dirichlet series and an Euler-Maclaurin tail at N = 4097."""
 
-    def test_matches_piecewise_oracle(self):
-        for lam in (1.0, 0.5, 1 / 3):
-            for s in (2.0, 2.5 + 3.0j, 1.2 - 4.0j):
-                got = _frac_scaled_transform(lam, complex(s), 4000)
-                expect = oracles.MELLIN_PIECEWISE_4000[lam, s]
-                assert abs(got.value - expect) < 1e-13
+    @pytest.mark.parametrize("lam", [1.0, 0.7, 0.5, 1 / 3, 0.05])
+    def test_matches_highprec_within_bound(self, lam):
+        # Rounding allowance on top of the remainder bound: each term
+        # k^(-s) = exp(-s log k) carries a relative error of about
+        # eps |s| log k, and partial sums of size N^(1-sigma) cancel down to
+        # zeta(s). So the allowance is
+        # 8 eps (1 + |s| log N) (|expect| + |lam - lam^s| N^(1-sigma) / |s|).
+        n = 4097
+        for sigma in (0.1, 0.6, 1.1, 2.0, 3.0):
+            for t in (0.0, 2.5, -2.5, 10.0, -10.0, 300.0, -300.0):
+                s = complex(sigma, t)
+                got = mellin_exact(lam, s)
+                expect = -oracles.combined_kernel_highprec(lam, s)
+                scale = abs(lam - lam ** s) / abs(s)
+                allowance = (8 * 2.0 ** -52 * (1 + abs(s) * math.log(n))
+                             * (abs(expect) + scale * n ** (1 - sigma)))
+                assert abs(got.value - expect) <= got.error_bound + allowance, s
 
-    def test_combined_matches_oracle(self):
-        s = 1.8 + 2.0j
-        unit = oracles.MELLIN_PIECEWISE_4000[1.0, s]
-        for lam in (0.5, 0.7):
-            got = mellin_exact(lam, s, 4000)
-            expect = oracles.MELLIN_PIECEWISE_4000[lam, s] - lam * unit
-            assert abs(got.value - expect) < 1e-13
-
-    def test_remainder_route_crosses_over(self):
-        # past the explicit-piece cap the Euler-Maclaurin remainder takes
-        # over; both routes must agree where they meet
-        for pieces, expect in oracles.MELLIN_PREFIX_HALF_2.items():
-            got = _frac_scaled_transform(0.5, 2.0 + 0j, pieces)
-            assert abs(got.value - expect) < 5e-13, pieces
-
-    def test_frozen_piece_sums_match_their_oracle(self):
-        # one pinned literal recomputed, so the table stays tied to its oracle
-        got = oracles.mellin_piecewise_highprec(1.0, 2.0, 4000)
-        assert got == oracles.MELLIN_PIECEWISE_4000[1.0, 2.0]
-
-    def test_limit_value_within_certified_tail(self):
-        # for sigma > 1 the full integral has the closed form
-        # lam/(s-1) - lam^s zeta(s)/s; truncation must sit inside its bound
-        for lam, s in ((1.0, 2.0), (0.5, 2.0), (0.5, 3.0 - 2.0j)):
-            pieces = 300_000
-            got = _frac_scaled_transform(lam, complex(s), pieces)
-            lim = oracles.mellin_limit_highprec(lam, s)
-            tail = (lam / (pieces + 1)) ** s.real / s.real if lam > 0 else 0.0
-            assert abs(got.value - lim) <= got.error_bound + tail + 1e-13
-
-    def test_huge_piece_counts_supported(self):
-        v1 = _frac_scaled_transform(1.0, 2.0 + 0j, 10**9)
-        v2 = _frac_scaled_transform(1.0, 2.0 + 0j, 10**12)
-        lim = oracles.mellin_limit_highprec(1.0, 2.0)
-        assert abs(v1.value - lim) < 1e-8
-        assert abs(v2.value - lim) < 1e-11
+    def test_bound_holds_at_large_t(self):
+        # Past |t| of about 10^4 the Euler-Maclaurin remainder outgrows twice
+        # its first omitted term; the factor |s + 9| / (sigma + 9) covers it.
+        for s in (0.6 + 20000j, 0.6 + 30000j, 0.3 + 25000j, 2 + 20000j, 3 + 25000j):
+            got = mellin_exact(0.5, s)
+            err = abs(got.value + oracles.combined_kernel_highprec(0.5, s, dps=50))
+            assert err <= got.error_bound, s
+            if s.imag == 20000:
+                twice_first_omitted = 2 * got.error_bound * (s.real + 9) / abs(s + 9)
+                assert err > twice_first_omitted, s
 
     def test_zero_scale_kernel(self):
-        got = _frac_scaled_transform(0.0, 2.0 + 0j, 10)
-        assert got.value == 0.0
-        assert got.error_bound == 0.0
-        combined = mellin_exact(0.0, 2.0, 10)
+        combined = mellin_exact(0.0, 2.0)
         assert (combined.value, combined.error_bound) == (0.0, 0.0)
 
     def test_rejects_left_half_plane_and_pole(self):
         with pytest.raises(DomainError):
-            mellin_exact(0.5, -0.5, 100)
+            mellin_exact(0.5, -0.5)
         with pytest.raises(PoleError):
-            mellin_exact(0.5, 1.0, 100)
+            mellin_exact(0.5, 1.0)
         for lam in (-0.1, 1.5):
             with pytest.raises(DomainError):
-                mellin_exact(lam, 2.0, 100)
+                mellin_exact(lam, 2.0)
 
 
 class TestCombinedTransform:
@@ -202,8 +163,11 @@ class TestCombinedTransform:
             assert verify_claim(lam, MELLIN_GRID.points) <= 1e-8
 
     def test_claim_rejects_bad_grid(self):
-        with pytest.raises(DomainError):
-            verify_claim(0.5, [0.4 + 1.0j])
+        for s in (0.0 + 1.0j, -0.5 + 2.0j):
+            with pytest.raises(DomainError):
+                verify_claim(0.5, [2.0, s])
+        with pytest.raises(PoleError):
+            verify_claim(0.5, [2.0, 1.0])
 
 
 class TestSemigroupStructure:
@@ -433,6 +397,26 @@ class TestSuites:
         reports = {r.check: r for r in run_suite("moebius")}
         assert [c for c, r in reports.items() if not r.passed] == ["residual-dominates-distance"]
         assert reports["residual-dominates-distance"].max_residual > 0.5
+
+    # Each ingredient of the Mellin check, broken alone, fails all four rows.
+    # The memoized zeta is bypassed, so no broken value stays in its cache.
+
+    def test_mellin_check_catches_a_dropped_b2_correction(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_zeta_em", analytic._zeta_em.__wrapped__)
+        monkeypatch.setattr(analytic, "_EM_COEFF", (0.0, *analytic._EM_COEFF[1:]))
+        assert [r.passed for r in run_suite("mellin")] == [False] * 4
+
+    def test_mellin_check_catches_one_dirichlet_term_fewer(self, monkeypatch):
+        power_sum = analytic._power_sum
+        monkeypatch.setattr(analytic, "_zeta_em", analytic._zeta_em.__wrapped__)
+        monkeypatch.setattr(analytic, "_power_sum",
+                            lambda s: power_sum(s) - analytic._cpow(4096.0, -s))
+        assert [r.passed for r in run_suite("mellin")] == [False] * 4
+
+    def test_mellin_check_catches_a_scaled_eta_zeta(self, monkeypatch):
+        zeta_deflated = analytic.zeta_deflated
+        monkeypatch.setattr(analytic, "zeta_deflated", lambda s: (1 + 1e-6) * zeta_deflated(s))
+        assert [r.passed for r in run_suite("mellin")] == [False] * 4
 
     # A NaN residual at one point must fail its check, not vanish into max().
 

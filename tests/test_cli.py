@@ -240,6 +240,15 @@ class TestDistanceCommand:
         assert code == 1
         assert "factorization" in capsys.readouterr().err
 
+    def test_bare_memory_error_says_out_of_memory(self, monkeypatch, capsys):
+        # Python's own allocator raises MemoryError with no message.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "distance_sweep", out_of_memory)
+        assert cli.main(["distance", "--L", "7", "--threads", "1"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_every_field_round_trips(self, monkeypatch, main_cli):
         # Each CSV field is the repr of its report field (the text of a name),
         # and each JSON value its field, for a solved, a degenerate and an
