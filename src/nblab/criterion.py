@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import functools
 import math
 import os
 import struct
@@ -117,11 +116,12 @@ class GramStore:
     sequence with denominator l. n_trunc fixes every entry's method and
     error bound: None for closed-form ones (bound 0), an int N for sums
     truncated at N (bound 1/(N+1)); every fill computes entries of its kind.
-    Persists as a little-endian binary file: header {magic "NBBG", version
-    u32, N u64 (0 for closed form), side u64}, the upper triangle of
-    `values` row by row as f64, and a CRC32 trailer over everything before
-    it. A fill swaps in its grown array only once it is whole, so a failed
-    fill leaves the store as it was.
+    One pair order serves the fill and the file: the upper triangle, row by
+    row. Persists as a little-endian binary file: header {magic "NBBG",
+    version u32, N u64 (0 for closed form), side u64}, the entries in that
+    order as f64, and a CRC32 trailer over everything before it. A fill swaps
+    in its grown array only once it is whole, so a failed fill leaves the
+    store as it was.
     """
 
     def __init__(self, n_trunc: Optional[int] = None):
@@ -151,13 +151,12 @@ class GramStore:
 
     def grow(self, top: int, entries: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
         """Hold every pair of keys 0..top; entries(a, b) gives the entries of
-        the broadcast key arrays a <= b elementwise, all with b above the old
-        top.
+        the 1-D key arrays a <= b elementwise, all with b above the old top.
 
-        Rows are filled in blocks of about _BLOCK_PAIRS entries: rows a0..a1
-        against the columns max(a0, old top + 1)..top, evaluated once at the
-        (min, max) of each pair of keys, then written to the block and to its
-        mirror image.
+        Each new pair goes to `entries` once, in the store's pair order, in
+        blocks of about _BLOCK_PAIRS pairs: of rows a0..a1 against the columns
+        max(a0, old top + 1)..top, the pairs a <= b, row by row. Each value
+        is written to (a, b) and to (b, a).
         """
         old = self.values.shape[0]
         if top < old:
@@ -168,24 +167,26 @@ class GramStore:
         while a0 <= top:
             lo = max(a0, old)
             a1 = min(top + 1, a0 + max(1, _BLOCK_PAIRS // (top + 1 - lo)))
-            rows, cols = np.ogrid[a0:a1, lo:top + 1]
-            block = np.asarray(entries(np.minimum(rows, cols), np.maximum(rows, cols)))
-            values[a0:a1, lo:] = block
-            values[lo:, a0:a1] = block.T
+            a, b = np.mgrid[a0:a1, lo:top + 1]
+            upper = a <= b
+            a, b = a[upper], b[upper]
+            values[a, b] = values[b, a] = entries(a, b)
             a0 = a1
         self.values = values
 
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the cache atomically: a sibling temporary file, then os.replace.
+        """Write the cache, `values[i, i:]` for each row i in turn, atomically:
+        a sibling temporary file, then os.replace.
 
         Makes the parent directories. A failed or interrupted save leaves any
         earlier file at `path` whole; a file-system error raises CacheError.
         """
         side = self.values.shape[0]
-        blob = _HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_trunc or 0, side)
-        blob += self.values[np.triu_indices(side)].astype("<f8", copy=False).tobytes()
+        blob = bytearray(_HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_trunc or 0, side))
+        for i in range(side):
+            blob += self.values[i, i:].astype("<f8", copy=False).tobytes()
         blob += _TRAILER.pack(zlib.crc32(blob))
         path = Path(path)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -200,6 +201,8 @@ class GramStore:
 
     @classmethod
     def load(cls, path) -> "GramStore":
+        """Read a cache: once magic, version, length and CRC have passed, row i
+        of the body fills `values[i, i:]` and `values[i:, i]`."""
         with _cache_io("read", path):
             blob = Path(path).read_bytes()
         if len(blob) < _HEADER.size + _TRAILER.size:
@@ -211,18 +214,19 @@ class GramStore:
             raise CacheError(
                 f"cache file {path} has format version {version}, expected {_FORMAT_VERSION}"
             )
-        count = side * (side + 1) // 2
-        body_end = _HEADER.size + 8 * count
+        body_end = _HEADER.size + 8 * (side * (side + 1) // 2)
         if len(blob) != body_end + _TRAILER.size:
             raise CacheError(f"cache file {path} has inconsistent length")
         (crc_stored,) = _TRAILER.unpack_from(blob, body_end)
         if crc_stored != zlib.crc32(blob[:body_end]):
             raise CacheError(f"cache file {path} failed its checksum")
         store = cls(n_trunc=n_trunc or None)
-        upper = np.frombuffer(blob, "<f8", count, _HEADER.size)
-        i, j = np.triu_indices(side)
         store.values = np.empty((side, side))
-        store.values[i, j] = store.values[j, i] = upper
+        start = _HEADER.size
+        for i in range(side):
+            row = np.frombuffer(blob, "<f8", side - i, start)
+            store.values[i, i:] = store.values[i:, i] = row
+            start += row.nbytes
         return store
 
 
@@ -235,13 +239,12 @@ def assemble_gram(L: int, store: Optional[GramStore] = None) -> GramStore:
     the old top are computed, and a call with nothing to add does no other
     work. Each growth copies the held entries into a new array and walks every
     held key, however few keys it adds, so callers fill once, at their
-    largest cutoff. Closed-form entries (n_trunc None) are computed in
-    blocks of a few thousand pairs, one vectorized call per block, each in
-    O(1) once the period tables reach L; truncated entries one pair at a
-    time, through `GramStore.ensure`, each an O(N) compensated sum. Each
-    entry depends only on its own keys, so the result is independent of the
-    order and the batch. The store takes the grown array only once it is
-    whole (`GramStore.grow`).
+    largest cutoff. Each new pair is computed once, in the store's pair order
+    (`GramStore.grow`): closed-form entries (n_trunc None) in blocks of a few
+    thousand pairs, one vectorized call per block, each in O(1) once the
+    period tables reach L; truncated entries one pair at a time, through
+    `GramStore.ensure`, each an O(N) compensated sum. Each entry depends only
+    on its own keys, so the result is independent of the order and the batch.
     """
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
@@ -256,18 +259,11 @@ def assemble_gram(L: int, store: Optional[GramStore] = None) -> GramStore:
     sequences = [PiecewiseConstant.constant_one()]
     sequences.extend(PiecewiseConstant.fractional_parts(l) for l in range(1, L + 1))
 
-    # A block's mirror pairs come back from the cache, so each entry is
-    # computed once, in the row-major order of the upper triangle.
-    @functools.lru_cache(maxsize=None)
     def truncated(i: int, j: int) -> float:
         return inner_product_truncated(sequences[i], sequences[j], store.n_trunc)
 
-    def entries(a: np.ndarray, b: np.ndarray) -> list[list[float]]:
-        a, b = np.broadcast_arrays(a, b)
-        return [[store.ensure(i, j, truncated) for i, j in zip(row_a, row_b)]
-                for row_a, row_b in zip(a.tolist(), b.tolist())]
-
-    store.grow(L, entries)
+    store.grow(L, lambda a, b: [store.ensure(i, j, truncated)
+                                for i, j in zip(a.tolist(), b.tolist())])
     return store
 
 

@@ -239,12 +239,13 @@ class PiecewiseConstant:
         h = min(len(self.head), n_trunc)
         if n_trunc == h:
             return np.array(self.head[:h], dtype=np.float64)
-        p = len(self.tail)
-        # One buffer: the head, then whole periods of the tail, broadcast
-        # row by row; the result is its first n_trunc entries.
+        # One buffer: the head, then whole periods of the read part of the
+        # tail (all of it unless n_trunc ends inside its first period),
+        # broadcast row by row; the result is its first n_trunc entries.
+        p = min(len(self.tail), n_trunc - h)
         out = np.empty(h + -(-(n_trunc - h) // p) * p)
         out[:h] = self.head[:h]
-        out[h:].reshape(-1, p)[:] = self.tail
+        out[h:].reshape(-1, p)[:] = self.tail[:p]
         return out[:n_trunc]
 
 

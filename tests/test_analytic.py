@@ -418,6 +418,23 @@ class TestSuites:
         monkeypatch.setattr(analytic, "zeta_deflated", lambda s: (1 + 1e-6) * zeta_deflated(s))
         assert [r.passed for r in run_suite("mellin")] == [False] * 4
 
+    # Each ingredient of xi can fail the xi suite.
+
+    def test_xi_check_catches_a_tilted_log_gamma(self, monkeypatch):
+        log_gamma = specfun.log_gamma
+        monkeypatch.setattr(specfun, "log_gamma", lambda s: log_gamma(s) + 1e-6 * s)
+        reports = run_suite("xi")
+        assert [(r.check, r.passed) for r in reports] == [
+            ("reflection-symmetry", False), ("shift-inequality", True), ("shift-inequality", True)]
+
+    def test_xi_check_catches_a_tilted_zeta(self, monkeypatch):
+        zeta_deflated = specfun.zeta_deflated
+        monkeypatch.setattr(specfun, "zeta_deflated",
+                            lambda s: zeta_deflated(s) * cmath.exp(-3.0 * (s - 0.5)))
+        reports = run_suite("xi")
+        shifts = [r for r in reports if r.check == "shift-inequality"]
+        assert [(r.passed, r.parameters["violations"]) for r in shifts] == [(False, 42)] * 2
+
     # A NaN residual at one point must fail its check, not vanish into max().
 
     def test_nan_transform_fails_every_mellin_check(self, monkeypatch):

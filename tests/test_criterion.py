@@ -175,6 +175,28 @@ class TestBlockFill:
         assemble_gram(300, store)
         self._same_bits(store.values, oracles.closed_rows_fill(300))
 
+    @pytest.mark.parametrize("budget", [criterion._BLOCK_PAIRS, 7, 1])
+    @pytest.mark.parametrize("old, top", [(-1, 1), (-1, 30), (-1, 300), (150, 300)])
+    def test_each_new_pair_reaches_the_kernel_once_in_row_order(self, old, top, budget,
+                                                                monkeypatch):
+        # Every key pair a <= b with b above the old top goes to the entry
+        # kernel exactly once, and the calls together list them row by row.
+        monkeypatch.setattr(criterion, "_BLOCK_PAIRS", budget)
+        store = GramStore()
+        store.grow(old, seqspace.inner_products_closed)
+        pairs = []
+
+        def counted(a, b):
+            a, b = np.broadcast_arrays(a, b)
+            pairs.extend(zip(a.ravel().tolist(), b.ravel().tolist()))
+            return seqspace.inner_products_closed(a, b)
+
+        monkeypatch.setattr(criterion, "inner_products_closed", counted)
+        assemble_gram(top, store)
+        want = [(a, b) for a in range(top + 1) for b in range(max(a, old + 1), top + 1)]
+        assert len(pairs) == len(want)
+        assert pairs == want
+
     def test_truncated_entries_computed_once_in_row_order(self, monkeypatch):
         # Growing from 3 to 9 in blocks of 5 pairs: the blocks' mirror
         # pairs are not computed again, and the order is the upper

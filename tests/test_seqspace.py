@@ -1,6 +1,7 @@
 import math
 import struct
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -298,6 +299,20 @@ class TestPiecewiseConstant:
         v = f.values_upto(10)
         expect = [(n % 3) / 3.0 for n in range(1, 11)]
         assert np.array_equal(v, np.array(expect))
+
+    def test_values_upto_inside_the_first_period_builds_no_whole_period(self):
+        # A truncated entry reads N values of each sequence, so a cut inside
+        # a long tail's first period must not build the whole period: 5
+        # values of {n/100000} take a few hundred bytes, not 1.6 MB.
+        f = PiecewiseConstant.fractional_parts(100_000)
+        tracemalloc.start()
+        try:
+            v = f.values_upto(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.tolist() == [n / 100_000 for n in range(1, 6)]
+        assert peak < 10_000
 
     def test_empty_tail_rejected(self):
         # Every read past the head indexes the tail modulo its length.
