@@ -161,7 +161,10 @@ class GramStore:
         old = self.values.shape[0]
         if top < old:
             return
-        values = np.zeros((top + 1, top + 1))
+        try:
+            values = np.zeros((top + 1, top + 1))
+        except ValueError as exc:  # numpy's "array is too big" and the like
+            raise MemoryError(f"cannot allocate a store of side {top + 1}: {exc}") from exc
         values[:old, :old] = self.values
         a0 = 0
         while a0 <= top:

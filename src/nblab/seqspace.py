@@ -193,20 +193,26 @@ def inner_product_closed(a: int, b: int) -> float:
 # step functions on (0, 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseConstant:
     """A function on (0, 1] constant on each dyadic-harmonic piece.
 
     Piece n is the interval (1/(n+1), 1/n]. The first len(head) pieces carry
     the explicit values in `head`; beyond them the values repeat the `tail`
-    pattern cyclically, so the tail holds at least one value.
+    pattern cyclically, so the tail holds at least one value. Both are
+    read-only float64 arrays (sequences passed in are copied), and step
+    functions compare by identity.
     """
 
-    head: tuple[float, ...]
-    tail: tuple[float, ...] = (0.0,)
+    head: np.ndarray
+    tail: np.ndarray = (0.0,)
 
     def __post_init__(self):
-        if not self.tail:
+        for name in ("head", "tail"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if not len(self.tail):
             raise DomainError("tail must hold at least one value")
 
     @classmethod
@@ -219,33 +225,32 @@ class PiecewiseConstant:
         """Indicator of (0, 1/n]: zero on the first n-1 pieces, then one."""
         if n < 1:
             raise DomainError(f"indicator index must be >= 1, got {n}")
-        return cls(head=(0.0,) * (n - 1), tail=(1.0,))
+        return cls(head=np.zeros(n - 1), tail=(1.0,))
 
     @classmethod
     def fractional_parts(cls, l: int) -> "PiecewiseConstant":
         """The step model of frac(n/l): piece n carries (n mod l)/l."""
         if l < 1:
             raise DomainError(f"denominator must be >= 1, got {l}")
-        return cls(head=(), tail=tuple(((np.arange(1, l + 1) % l) / float(l)).tolist()))
+        return cls(head=(), tail=(np.arange(1, l + 1) % l) / float(l))
 
     def value_at_piece(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"piece index must be >= 1, got {n}")
         if n <= len(self.head):
-            return self.head[n - 1]
-        return self.tail[(n - len(self.head) - 1) % len(self.tail)]
+            return float(self.head[n - 1])
+        return float(self.tail[(n - len(self.head) - 1) % len(self.tail)])
 
     def values_upto(self, n_trunc: int) -> np.ndarray:
+        # One buffer: the head's first values, then whole periods of the read
+        # part of the tail (all of it unless n_trunc ends inside its first
+        # period), broadcast row by row; the result is its first n_trunc entries.
         h = min(len(self.head), n_trunc)
-        if n_trunc == h:
-            return np.array(self.head[:h], dtype=np.float64)
-        # One buffer: the head, then whole periods of the read part of the
-        # tail (all of it unless n_trunc ends inside its first period),
-        # broadcast row by row; the result is its first n_trunc entries.
-        p = min(len(self.tail), n_trunc - h)
-        out = np.empty(h + -(-(n_trunc - h) // p) * p)
+        k = min(len(self.tail), n_trunc - h)
+        reps = -(-(n_trunc - h) // max(k, 1))
+        out = np.empty(h + reps * k)
         out[:h] = self.head[:h]
-        out[h:].reshape(-1, p)[:] = self.tail[:p]
+        out[h:].reshape(reps, k)[:] = self.tail[:k]
         return out[:n_trunc]
 
 
@@ -262,12 +267,5 @@ def dilate(m: int, f: PiecewiseConstant) -> PiecewiseConstant:
     if m == 1:
         return f
     root = math.sqrt(m)
-    h = len(f.head)
-    new_head = tuple(
-        0.0 if n < m else root * f.value_at_piece(n // m)
-        for n in range(1, m * (h + 1))
-    )
-    p = len(f.tail)
-    start = m * (h + 1)
-    new_tail = tuple(root * f.value_at_piece(n // m) for n in range(start, start + m * p))
-    return PiecewiseConstant(head=new_head, tail=new_tail)
+    head = np.concatenate([np.zeros(m - 1), root * np.repeat(f.head, m)])
+    return PiecewiseConstant(head=head, tail=root * np.repeat(f.tail, m))

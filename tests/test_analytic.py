@@ -353,6 +353,26 @@ class TestSuites:
         reports = {r.check: r for r in run_suite("unitary")}
         assert not reports["sequence-map-preserves-norm"].passed
 
+    def test_dilation_checks_catch_a_dilate_one_piece_late(self, monkeypatch):
+        # A dilate whose piece n reads piece n // m + 1 of its input, one
+        # piece late, built piece by piece: both dilation checks must fail
+        # and the other three unitary checks, which never dilate, pass.
+        def late(m, f):
+            root, h = math.sqrt(m), m * (len(f.head) + 1)
+
+            def piece(n):
+                return 0.0 if n < m else root * f.value_at_piece(n // m + 1)
+
+            return seqspace.PiecewiseConstant(
+                head=[piece(n) for n in range(1, h)],
+                tail=[piece(n) for n in range(h, h + m * len(f.tail))])
+
+        monkeypatch.setattr(analytic, "dilate", late)
+        reports = run_suite("unitary")
+        assert len(reports) == 5
+        assert [r.check for r in reports if not r.passed] == [
+            "dilation-of-indicators", "dilation-of-fractional-parts"]
+
     def test_recurrence_check_catches_a_flipped_value(self, monkeypatch):
         # mu(6) with the wrong sign breaks the divisor sum at 6 and only
         # there; both sides of the assembly check read the same sieve.

@@ -286,6 +286,37 @@ class TestDistanceCommand:
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ["distance", "--L", "1073741823"],
+        ["distance", "--L", "2..10000000000"],
+        ["residual", "--L", "10000000000"],
+        ["gram", "--L", "10000000000"],
+        ["distance", "--L", "10000000000000000000"],
+    ], ids=["side-2^30", "distance-range-1e10", "residual-1e10", "gram-1e10", "distance-1e19"])
+    def test_store_numpy_cannot_shape_exits_one(self, argv, main_cli):
+        # From side 2^30 numpy refuses the shape itself with a ValueError
+        # ("array is too big", at 10^19 "Maximum allowed dimension
+        # exceeded"); the store raises it as a MemoryError.
+        r = main_cli(*argv)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: cannot allocate a store of side ")
+        assert r.stderr.count("\n") == 1
+
+    def test_sweep_script_store_numpy_cannot_shape_exits_one(self, monkeypatch, capsys):
+        path = script_path("distance_sweep")
+        monkeypatch.setattr(sys, "argv", [path, "--l-max", "10000000000",
+                                          "--l-step", "10000000000"])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_path(path, run_name="__main__")
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot allocate a store of side ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ["-m", "nblab.cli", "distance", "--L", "2..100000000"],
         ["-m", "nblab.cli", "residual", "--L", "2..100000000"],
         [script_path("distance_sweep"), "--l-max", "100000000", "--l-step", "1"],

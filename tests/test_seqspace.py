@@ -281,7 +281,7 @@ class TestPiecewiseConstant:
         f = PiecewiseConstant.constant_one()
         assert f.value_at_piece(1) == 1.0
         assert f.value_at_piece(12345) == 1.0
-        assert max(map(abs, f.head + f.tail)) == 1.0
+        assert np.abs(np.concatenate([f.head, f.tail])).max() == 1.0
 
     def test_indicator(self):
         # indicator of the interval (0, 1/3]: zero before piece 3, one after
@@ -313,6 +313,25 @@ class TestPiecewiseConstant:
             tracemalloc.stop()
         assert v.tolist() == [n / 100_000 for n in range(1, 6)]
         assert peak < 10_000
+
+    def test_a_step_function_keeps_eight_bytes_per_value(self):
+        # 100,000 float64 values are 0.76 MiB; Python floats in a tuple
+        # would retain about four times that.
+        tracemalloc.start()
+        try:
+            f = PiecewiseConstant.fractional_parts(100_000)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(f.tail) == 100_000
+        assert retained < 1 << 20
+
+    def test_values_are_read_only_float64_and_equality_is_identity(self):
+        f = PiecewiseConstant(head=(1, 2), tail=[0.5])
+        assert f.head.dtype == f.tail.dtype == np.float64
+        assert not f.head.flags.writeable and not f.tail.flags.writeable
+        g = PiecewiseConstant(head=(1, 2), tail=[0.5])
+        assert f == f and f != g and len({f, g}) == 2
 
     def test_empty_tail_rejected(self):
         # Every read past the head indexes the tail modulo its length.
