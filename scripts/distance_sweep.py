@@ -11,26 +11,23 @@ use (a path that cannot be written fails before any work), 1 for other errors.
 """
 
 import argparse
-import gc
 import sys
 from pathlib import Path
 
 from nblab.criterion import (
     BasisKind,
     SolveMethod,
-    assemble_gram,
     asymptotic_rate_constant,
     distance_sweep,
+    fill_cutoffs,
+    open_store,
 )
-from nblab.cli import exit_code, open_store
+from nblab.errors import exit_code, exit_with
 
 
 def run(l_max: int, l_step: int, basis: str, method: str, cache: Path | None) -> int:
     with open_store(cache) as store:
-        # The store holds the largest cutoff before the cutoffs are listed,
-        # so a list too long to build fails on the store's allocation first.
-        assemble_gram(max(2, l_max - l_max % l_step), store)
-        cutoffs = sorted({2, *range(l_step, l_max + 1, l_step)})
+        cutoffs = fill_cutoffs((range(2, 3), range(l_step, l_max + 1, l_step)), store)
         rows = distance_sweep(cutoffs, BasisKind(basis), (SolveMethod(method),), store)
 
     limit = asymptotic_rate_constant()
@@ -60,6 +57,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    code = main()
-    gc.freeze()  # shutdown's collections then skip every object alive now
-    raise SystemExit(code)
+    exit_with(main)

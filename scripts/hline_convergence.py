@@ -8,7 +8,6 @@ transform-side picture of the distance sweep's decay.
 """
 
 import argparse
-import gc
 import math
 import sys
 
@@ -18,7 +17,7 @@ from nblab.analytic import (
     moebius_partial_transform,
     worst,
 )
-from nblab.errors import UnstablePointError
+from nblab.errors import UnstablePointError, exit_code, exit_with
 
 
 def run(eps: float, cutoffs: tuple[int, ...]) -> int:
@@ -29,10 +28,11 @@ def run(eps: float, cutoffs: tuple[int, ...]) -> int:
             limits[s] = moebius_limit_transform(eps, s)
         except UnstablePointError:
             skipped += 1  # too close to a zeta zero for a trustworthy limit
+    # Rows first: a failed run then prints its one error line and no header.
+    partials = moebius_partial_transform(cutoffs, eps, list(limits))
     print(f"grid {CRITICAL_LINE_GRID.grid_id}, eps {eps}, "
           f"{len(limits)} usable points, {skipped} skipped", file=sys.stderr)
     print("L,sup_gap,mean_gap")
-    partials = moebius_partial_transform(cutoffs, eps, list(limits))
     for L, row in zip(cutoffs, partials.tolist()):
         gaps = [abs(p - lim) for p, lim in zip(row, limits.values())]
         sup = worst(gaps)
@@ -57,10 +57,8 @@ def main() -> int:
         ap.error(f"--cutoffs must be comma-separated integers, got {a.cutoffs!r}")
     if cutoffs[0] < 1:
         ap.error(f"--cutoffs must be >= 1, got {cutoffs[0]}")
-    return run(a.eps, cutoffs)
+    return exit_code(run, a.eps, cutoffs)
 
 
 if __name__ == "__main__":
-    code = main()
-    gc.freeze()  # shutdown's collections then skip every object alive now
-    raise SystemExit(code)
+    exit_with(main)

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Run every verification suite and summarize residuals against budgets."""
 
-import gc
 import json
 import sys
 
 from nblab.analytic import SUITES, run_suite
+from nblab.errors import exit_with
 
 
 def main() -> int:
@@ -25,6 +25,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    code = main()
-    gc.freeze()  # shutdown's collections then skip every object alive now
-    raise SystemExit(code)
+    exit_with(main)

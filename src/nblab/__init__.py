@@ -8,13 +8,13 @@ entries and Mellin-side transforms trustworthy.
 
 Import from the modules; the package itself exports nothing:
 
-    nblab.criterion   Gram store, distance sweeps, Moebius residual
+    nblab.criterion   Gram store and its cache, distance sweeps, Moebius residual
     nblab.seqspace    step-function sequences and their inner products
     nblab.specfun     Euler's constant, digamma, log-gamma, zeta, xi
     nblab.analytic    Mellin-side transforms and the verification suites
     nblab.arith       Moebius sieve
     nblab.summation   compensated summation
-    nblab.errors      the exception hierarchy
+    nblab.errors      the exception hierarchy, exit codes and exit path
     nblab.cli         the `nblab` command line
 
 Importing nblab before numpy pins numpy's OpenBLAS to one thread unless

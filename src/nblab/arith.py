@@ -26,17 +26,22 @@ def sieve_moebius(limit: int) -> np.ndarray:
 
     Raises:
         DomainError: If limit < 1.
+        MemoryError: If the limit-sized arrays cannot be allocated; they are
+            allocated first, so such a limit fails before any sieving.
     """
     if limit < 1:
         raise DomainError(f"sieve_moebius: limit must be >= 1, got {limit}")
+    try:
+        mu = np.ones(limit + 1, dtype=np.int8)
+        rest = np.arange(limit + 1, dtype=np.int64)
+    except ValueError as exc:  # numpy's "array is too big" and the like
+        raise MemoryError(f"cannot allocate a sieve to {limit}: {exc}") from exc
     root = math.isqrt(limit)
     is_prime = np.ones(root + 1, dtype=bool)
     is_prime[:2] = False
     for i in range(2, math.isqrt(root) + 1):
         if is_prime[i]:
             is_prime[i * i :: i] = False
-    mu = np.ones(limit + 1, dtype=np.int8)
-    rest = np.arange(limit + 1, dtype=np.int64)
     for p in np.flatnonzero(is_prime).tolist():
         mu[::p] *= -1
         mu[:: p * p] = 0

@@ -13,30 +13,22 @@ separately from outright failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import gc
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .criterion import (
     BasisKind,
-    GramStore,
     SolveMethod,
-    _cache_io,
     assemble_gram,
     distance_sweep,
+    fill_cutoffs,
     moebius_residual,
+    open_store,
 )
-from .errors import CacheError, NBLabError
-
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_DEGRADED = 2
-EXIT_USAGE = 64
-EXIT_DATA = 65
+from .errors import EXIT_DEGRADED, EXIT_ERROR, EXIT_OK, EXIT_USAGE, exit_code, exit_with
 
 DISTANCE_HEADER = "L,basis,d2,a_est,cond,ridge,method"
 
@@ -59,7 +51,7 @@ _METHODS = {
 def _parse_cutoffs(text: str) -> tuple[range, ...]:
     """Cutoff list syntax: '30', '2,3,10', '2..30', or combinations, as one
     range per token. No range is expanded here, so a huge one fails on its
-    store's allocation (`_cutoffs`), not on a list."""
+    store's allocation (`criterion.fill_cutoffs`), not on a list."""
     ranges = []
     for token in text.split(","):
         token = token.strip()
@@ -74,14 +66,6 @@ def _parse_cutoffs(text: str) -> tuple[range, ...]:
                 raise ValueError(f"cutoff must be >= 1, got {lo}")
         ranges.append(range(lo, hi + 1))
     return tuple(ranges)
-
-
-def _cutoffs(ranges: tuple[range, ...], store: GramStore) -> list[int]:
-    """The distinct cutoffs in `ranges`, ascending, listed only once `store`
-    holds every pair of keys up to the largest: a range too long to list
-    fails on the store's allocation first."""
-    assemble_gram(max(r[-1] for r in ranges), store)
-    return sorted(set().union(*ranges))
 
 
 def _parse_eps_list(text: str) -> tuple[float, ...]:
@@ -110,41 +94,6 @@ def _finite(x: float) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
-def _entries_name(n_trunc: Optional[int]) -> str:
-    return "closed-form entries" if n_trunc is None else f"entries truncated at N={n_trunc}"
-
-
-@contextlib.contextmanager
-def open_store(path: Optional[Path], n_trunc: Optional[int] = None) -> Iterator[GramStore]:
-    """The cache at `path` as a store of entries for n_trunc, written back
-    on a clean exit if entries were added or the file is missing.
-
-    A store holds entries of one kind only, so a cache whose N is not
-    n_trunc (None for closed form) raises CacheError instead of mixing two.
-    For a missing file the parent directory is made first, so a path that
-    cannot be written fails before any work. A body that raises writes
-    nothing; with no path, nothing is read or written.
-    """
-    if path is None:
-        yield GramStore(n_trunc=n_trunc)
-        return
-    exists = path.exists()
-    if exists:
-        store = GramStore.load(path)
-        if store.n_trunc != n_trunc:
-            raise CacheError(
-                f"store holds {_entries_name(store.n_trunc)}, asked for {_entries_name(n_trunc)}"
-            )
-    else:
-        with _cache_io("write", path):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        store = GramStore(n_trunc=n_trunc)
-    loaded = len(store)
-    yield store
-    if len(store) != loaded or not exists:
-        store.save(path)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -152,7 +101,7 @@ def open_store(path: Optional[Path], n_trunc: Optional[int] = None) -> Iterator[
 def cmd_distance(args) -> int:
     basis, methods = BasisKind(args.basis), _METHODS[args.method]
     with open_store(args.cache, args.N) as store:
-        rows = distance_sweep(_cutoffs(args.L, store), basis, methods, store)
+        rows = distance_sweep(fill_cutoffs(args.L, store), basis, methods, store)
 
     if args.format == "json":
         payload = [{
@@ -187,7 +136,7 @@ def cmd_distance(args) -> int:
 
 def cmd_residual(args) -> int:
     with open_store(args.cache, args.N) as store:
-        cutoffs = _cutoffs(args.L, store)
+        cutoffs = fill_cutoffs(args.L, store)
         values = moebius_residual(cutoffs, args.eps, store)
     pairs = [(L, eps) for L in cutoffs for eps in args.eps]
     rows = [(L, eps, value) for (L, eps), value in zip(pairs, values)]
@@ -285,23 +234,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def exit_code(fn, *args) -> int:
-    """fn(*args); a CacheError exits 65, and any other NBLabError or a
-    MemoryError (a cutoff whose store cannot be allocated) 1, on one stderr line."""
-    try:
-        return fn(*args)
-    except CacheError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NBLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except MemoryError as exc:
-        # Python's own allocator raises it with no message; numpy's carry one.
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_ERROR
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -311,13 +243,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_entry() -> None:
-    """Run `main` and exit with its code. The collector is frozen first:
-    shutdown's full collections then skip the tens of thousands of objects
-    the imports made, all still alive, which would take milliseconds each,
-    while atexit handlers and the flush of the standard streams still run."""
-    code = main()
-    gc.freeze()
-    raise SystemExit(code)
+    """Run `main` and exit with its code, through `errors.exit_with`."""
+    exit_with(main)
 
 
 if __name__ == "__main__":

@@ -233,6 +233,41 @@ class GramStore:
         return store
 
 
+def _entries_name(n_trunc: Optional[int]) -> str:
+    return "closed-form entries" if n_trunc is None else f"entries truncated at N={n_trunc}"
+
+
+@contextlib.contextmanager
+def open_store(path: Optional[Path], n_trunc: Optional[int] = None) -> Iterator[GramStore]:
+    """The cache at `path` as a store of entries for n_trunc, written back
+    on a clean exit if entries were added or the file is missing.
+
+    A store holds entries of one kind only, so a cache whose N is not
+    n_trunc (None for closed form) raises CacheError instead of mixing two.
+    For a missing file the parent directory is made first, so a path that
+    cannot be written fails before any work. A body that raises writes
+    nothing; with no path, nothing is read or written.
+    """
+    if path is None:
+        yield GramStore(n_trunc=n_trunc)
+        return
+    exists = path.exists()
+    if exists:
+        store = GramStore.load(path)
+        if store.n_trunc != n_trunc:
+            raise CacheError(
+                f"store holds {_entries_name(store.n_trunc)}, asked for {_entries_name(n_trunc)}"
+            )
+    else:
+        with _cache_io("write", path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        store = GramStore(n_trunc=n_trunc)
+    loaded = len(store)
+    yield store
+    if len(store) != loaded or not exists:
+        store.save(path)
+
+
 def assemble_gram(L: int, store: Optional[GramStore] = None) -> GramStore:
     """Grow `store` (a new closed-form one if none is given) to hold every
     pair of keys 0..L, with entries of the kind its n_trunc names.
@@ -268,6 +303,14 @@ def assemble_gram(L: int, store: Optional[GramStore] = None) -> GramStore:
     store.grow(L, lambda a, b: [store.ensure(i, j, truncated)
                                 for i, j in zip(a.tolist(), b.tolist())])
     return store
+
+
+def fill_cutoffs(ranges: Sequence[range], store: GramStore) -> list[int]:
+    """The distinct cutoffs in `ranges`, ascending, listed only once `store`
+    holds every pair of keys up to the largest: a range too long to list
+    fails on the store's allocation first. Empty ranges add nothing."""
+    assemble_gram(max(r[-1] for r in ranges if r), store)
+    return sorted(set().union(*ranges))
 
 
 def gram_system(

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types, exit codes and the one exit path of `nblab` and the
+scripts. Imports only `gc` and `sys`, so a lean script loads nothing more."""
+
+import gc
+import sys
+
+EXIT_OK = 0
+EXIT_ERROR = 1
+EXIT_DEGRADED = 2
+EXIT_USAGE = 64
+EXIT_DATA = 65
 
 
 class NBLabError(Exception):
@@ -24,3 +34,31 @@ class CacheError(NBLabError, IOError):
 
 class ConditioningError(NBLabError, ArithmeticError):
     """Gram system too ill-conditioned even after the ridge ladder."""
+
+
+def exit_code(fn, *args) -> int:
+    """fn(*args); a CacheError exits 65, and any other NBLabError or a
+    MemoryError (a cutoff whose store or sieve cannot be allocated) 1, on
+    one stderr line."""
+    try:
+        return fn(*args)
+    except CacheError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except NBLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        # Python's own allocator raises it with no message; numpy's carry one.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_ERROR
+
+
+def exit_with(main) -> None:
+    """Run `main()` and exit with its code. The collector is frozen first:
+    shutdown's full collections then skip the tens of thousands of objects
+    the imports made, all still alive, which would take milliseconds each,
+    while atexit handlers and the flush of the standard streams still run."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

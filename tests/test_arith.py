@@ -105,6 +105,14 @@ class TestSieve:
         with pytest.raises(DomainError):
             sieve_moebius(0)
 
+    @pytest.mark.parametrize("limit", [10**17, 10**19], ids=["1e17", "1e19"])
+    def test_unallocatable_limit_raises_memory_error(self, limit):
+        # 10^17 asks numpy for 89 PiB, and 10^19 for a shape numpy refuses
+        # (a ValueError, raised as a MemoryError). The limit-sized arrays are
+        # allocated first, so neither sieves the primes up to sqrt(limit).
+        with pytest.raises(MemoryError):
+            sieve_moebius(limit)
+
     @given(st.integers(min_value=1, max_value=9999))
     @settings(max_examples=300, deadline=None)
     def test_mu_matches_reference_property(self, n):

@@ -1,4 +1,6 @@
+import ast
 import gc
+import glob
 import importlib.util
 import json
 import math
@@ -413,7 +415,7 @@ class TestResidualCommand:
         assert r.stdout != closed.stdout
         (want,) = moebius_residual([5], [0.0], GramStore(20))
         assert r.stdout.splitlines()[1] == f"5,0.0,{want!r}"
-        assert cli.GramStore.load(cache).n_trunc == 20
+        assert GramStore.load(cache).n_trunc == 20
 
     def test_closed_cache_with_N_exits_65(self, tmp_path, main_cli):
         cache = tmp_path / "c.nbbg"
@@ -611,8 +613,8 @@ class TestGramCommand:
 
 class TestExitPath:
     """The way out of a whole run: `python -m nblab.cli` through
-    `console_entry`, and each script's `__main__` block, which freeze the
-    collector before raising SystemExit."""
+    `console_entry`, and each script's `__main__` block, each one call to
+    `errors.exit_with`, which freezes the collector before raising SystemExit."""
 
     @pytest.fixture
     def regular_file(self, tmp_path):
@@ -662,7 +664,7 @@ class TestExitPath:
 class TestOpenStore:
     @staticmethod
     def opened(path, n_trunc=None):
-        with cli.open_store(path, n_trunc) as store:
+        with criterion.open_store(path, n_trunc) as store:
             return store
 
     def test_cache_of_the_other_kind_is_refused(self, tmp_path):
@@ -690,7 +692,7 @@ class TestOpenStore:
             criterion.assemble_gram(3).save(path)
         before = path.read_bytes() if held else None
         with pytest.raises(RuntimeError):
-            with cli.open_store(path) as store:
+            with criterion.open_store(path) as store:
                 criterion.assemble_gram(6, store)
                 raise RuntimeError("the sweep failed")
         assert (path.read_bytes() if path.exists() else None) == before
@@ -700,10 +702,10 @@ class TestOpenStore:
         criterion.assemble_gram(6).save(path)
         saved = []
         monkeypatch.setattr(GramStore, "save", lambda store, p: saved.append(p))
-        with cli.open_store(path) as store:
+        with criterion.open_store(path) as store:
             criterion.assemble_gram(6, store)
         assert saved == []
-        with cli.open_store(path) as store:
+        with criterion.open_store(path) as store:
             criterion.assemble_gram(7, store)
         assert saved == [path]
 
@@ -751,6 +753,16 @@ class TestDistanceSweepScript:
         out, err = capsys.readouterr()
         assert out == ""
         assert "argument --basis: invalid choice: 'all'" in err
+
+    def test_step_past_the_maximum_lists_only_two(self, monkeypatch, capsys):
+        # range(10, 6, 10) is empty: the store is filled to L = 2, and the
+        # table holds the L = 2 row alone.
+        sweep = load_script("distance_sweep")
+        monkeypatch.setattr(sys, "argv", ["distance_sweep.py", "--l-max", "5", "--l-step", "10"])
+        assert sweep.main() == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "L,d2,rate,rate_minus_limit,cond"
+        assert [row.split(",")[0] for row in rows[1:]] == ["2"]
 
     @pytest.mark.parametrize("argv", [["--l-max", "1"], ["--l-step", "0"], ["--l-step", "-3"]])
     def test_bad_range_exits_2(self, argv, monkeypatch, capsys):
@@ -840,6 +852,23 @@ class TestHlineScript:
         assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
         assert "101 usable points, 0 skipped" in err
 
+    @pytest.mark.parametrize("cutoff", ["100000000000", "100000000000000000"],
+                             ids=["1e11", "1e17"])
+    def test_sieve_that_cannot_be_allocated_exits_one(self, cutoff, monkeypatch, capsys):
+        # 10^11 asks for 93 GiB and 10^17 for 89 PiB of Moebius values: one
+        # `error:` line, and no table header before it.
+        path = script_path("hline_convergence")
+        monkeypatch.setattr(sys, "argv", [path, "--cutoffs", cutoff])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_path(path, run_name="__main__")
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["--cutoffs", "0,10"],
         ["--cutoffs", "10,x"],
@@ -853,3 +882,30 @@ class TestHlineScript:
             hline.main()
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_is_a_leaf():
+    # `nblab.cli` parses, calls the library and renders: no script or library
+    # module imports it, and it imports no private name of another nblab module.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    paths = glob.glob(os.path.join(root, "scripts", "*.py"))
+    paths += glob.glob(os.path.join(root, "src", "nblab", "*.py"))
+    importers, private = set(), []
+    for path in paths:
+        name = os.path.basename(path)
+        with open(path) as fh:
+            nodes = ast.walk(ast.parse(fh.read(), path))
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ("nblab." if node.level else "") + (node.module or "")
+                base = base.rstrip(".")
+                modules = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+                if name == "cli.py" and base.startswith("nblab"):
+                    private += [a.name for a in node.names if a.name.startswith("_")]
+            else:
+                continue
+            if "nblab.cli" in modules and name != "cli.py":
+                importers.add(name)
+    assert (sorted(importers), private) == ([], [])
